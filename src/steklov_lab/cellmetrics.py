@@ -18,6 +18,7 @@ from . import fem, shapes
 from .eigen import factor_spd, largest_pencil_eigs, smallest_pencil_eigs
 from .geometry import chebyshev_center, make_domain, unit_square
 from .meshgen import Mesh, mesh_unperforated, refine
+from .spectra import richardson
 
 
 class CellMetricsError(ValueError):
@@ -34,7 +35,7 @@ class Extrapolated:
 
 
 def _richardson(coarse: float, fine: float) -> Extrapolated:
-    value = fine + (fine - coarse) / 3.0
+    value = richardson(coarse, fine)
     return Extrapolated(value=value, uncertainty=abs(value - fine),
                         coarse=coarse, fine=fine)
 

@@ -118,7 +118,8 @@ def _lanczos_run(A, afac, bmul, want, tol, rng, deflate, max_iter):
     aq = np.asarray(A @ q)
     nrm = math.sqrt(max(q @ aq, 0.0))
     if nrm == 0.0:
-        return np.empty(0), np.empty((0, n)), 0, True
+        # the deflated space is everything: an exhausted, empty run
+        return np.empty(0), np.empty((0, n)), np.empty(0, dtype=bool), 0, True
     q /= nrm
     aq /= nrm
     Q[0], AQ[0] = q, aq

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -500,7 +500,12 @@ class WeightField:
 def weight_field(geometry: PerforatedGeometry) -> WeightField:
     values = np.empty(len(geometry.cells))
     for cell, hole in zip(geometry.cells, geometry.holes):
-        values[cell.index] = hole.perimeter / float(cell.area)
+        # a 1/m grid cell (r = 1/(2m), d = beta*r^2) weighs what a hole of
+        # d = beta/4 does in a unit cell: the same float at every m, unlike
+        # its rounded d over its area, which can be an ulp off
+        values[cell.index] = (hole.perimeter / float(cell.area)
+                              if cell.grid is None else
+                              replace(hole, d=geometry.beta / 4).perimeter)
     return WeightField(per_cell=values)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +35,7 @@ class Mesh:
     hole_geoms: dict = field(default_factory=dict)
     h_max: float = 0.0
     outer_curve: tuple | None = None  # ("circle", cx, cy, radius) if curved
+    lattice: tuple | None = None      # (nd, origin, first_tri), structured
 
     def __post_init__(self):
         if self.tri_cell is None:
@@ -123,26 +123,6 @@ class CellMeshTemplate:
     def doublings(self) -> int:
         return round(math.log2(4 * self.boundary_nodes_per_side
                                / self.hole_boundary_segments))
-
-
-def _square_ring(cx, cy, a, count):
-    """count nodes on the square of half-width a, uniform in arc length,
-    counterclockwise from the mid-right point."""
-    pts = []
-    step = 8.0 * a / count
-    for w in range(count):
-        ell = w * step
-        if ell <= a:
-            pts.append((cx + a, cy + ell))
-        elif ell <= 3 * a:
-            pts.append((cx + a - (ell - a), cy + a))
-        elif ell <= 5 * a:
-            pts.append((cx - a, cy + a - (ell - 3 * a)))
-        elif ell <= 7 * a:
-            pts.append((cx - a + (ell - 5 * a), cy - a))
-        else:
-            pts.append((cx + a, cy - a + (ell - 7 * a)))
-    return pts
 
 
 def _cell_boundary_walk(ix, iy, m, s):
@@ -436,7 +416,14 @@ def _check_conformity(mesh):
 
 
 def mesh_unperforated(domain, h: float) -> Mesh:
-    """Structured right-triangle mesh of a rectilinear domain, size <= h."""
+    """Structured right-triangle mesh of a domain, size <= h.
+
+    Cell (ix, iy) is the square [ix/nd, (ix+1)/nd] x [iy/nd, (iy+1)/nd],
+    split into triangles (sw, se, ne) and (sw, ne, nw); nodes are numbered by
+    first appearance in the row-major (iy, ix) scan of the inside cells.
+    mesh.lattice is (nd, (ix0, iy0), first_tri), where first_tri[iy - iy0,
+    ix - ix0] is the (sw, se, ne) triangle of the cell, or -1 outside.
+    """
     if h <= 0:
         raise MeshError("h must be positive")
     den = 1
@@ -447,34 +434,40 @@ def mesh_unperforated(domain, h: float) -> Mesh:
     ix0, ix1 = int(x0 * nd), math.ceil(x1 * nd)
     iy0, iy1 = int(y0 * nd), math.ceil(y1 * nd)
 
-    node_ids: dict = {}
-    nodes: list = []
-    tris: list = []
-
-    def nid(gx, gy):
-        got = node_ids.get((gx, gy))
-        if got is None:
-            got = len(nodes)
-            nodes.append((gx / nd, gy / nd))
-            node_ids[(gx, gy)] = got
-        return got
-
-    for iy in range(iy0, iy1):
-        for ix in range(ix0, ix1):
-            if not domain.contains(Fraction(2 * ix + 1, 2 * nd),
-                                   Fraction(2 * iy + 1, 2 * nd)):
-                continue
-            sw, se = nid(ix, iy), nid(ix + 1, iy)
-            ne, nw = nid(ix + 1, iy + 1), nid(ix, iy + 1)
-            tris.append((sw, se, ne))
-            tris.append((sw, ne, nw))
-    if not tris:
+    # crossing test of the cell centres on the doubled lattice: vertices are
+    # even there, centres odd, so no centre lies on an edge; Domain edges are
+    # axis-aligned, and only the vertical ones cross a horizontal ray
+    cx = 2 * np.arange(ix0, ix1, dtype=np.int64) + 1
+    cy = 2 * np.arange(iy0, iy1, dtype=np.int64) + 1
+    inside = np.zeros((len(cy), len(cx)), dtype=bool)
+    v = domain.vertices
+    for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
+        if ax == bx:
+            rows = (int(2 * nd * ay) > cy) != (int(2 * nd * by) > cy)
+            inside ^= rows[:, None] & (cx < int(2 * nd * ax))[None, :]
+    jy, jx = np.nonzero(inside)
+    if len(jy) == 0:
         raise MeshError("empty structured mesh")
 
-    triangles = np.array(tris, dtype=np.int64)
+    width = len(cx) + 1
+    sw = jy * width + jx
+    corners = np.stack([sw, sw + 1, sw + width + 1, sw + width], axis=1)
+    keys, first = np.unique(corners, return_index=True)
+    grid = keys[np.argsort(first)]             # corner keys in node order
+    node_of = np.empty(keys[-1] + 1, dtype=np.int64)
+    node_of[grid] = np.arange(len(grid))
+    c = node_of[corners]
+    triangles = np.stack([c[:, [0, 1, 2]], c[:, [0, 2, 3]]],
+                         axis=1).reshape(-1, 3)
+    nodes = np.stack([(ix0 + grid % width) / nd, (iy0 + grid // width) / nd],
+                     axis=1)
+
+    first_tri = np.full(inside.shape, -1, dtype=np.int64)
+    first_tri[jy, jx] = 2 * np.arange(len(jy))
     edges_once = _boundary_edges_oriented(triangles)
-    mesh = Mesh(np.array(nodes), triangles,
-                edges_once, np.full(len(edges_once), OUTER, dtype=np.int64))
+    mesh = Mesh(nodes, triangles,
+                edges_once, np.full(len(edges_once), OUTER, dtype=np.int64),
+                lattice=(nd, (ix0, iy0), first_tri))
     mesh.h_max = float(np.max(mesh.edge_lengths()))
     return mesh
 
@@ -483,9 +476,8 @@ def _boundary_edges_oriented(triangles):
     """Directed edges that occur exactly once over all triangles."""
     t = triangles
     directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    key = directed.copy()
-    key.sort(axis=1)
-    _, inverse, counts = np.unique(key, axis=0, return_inverse=True,
+    key = directed.min(axis=1) * (int(t.max()) + 1) + directed.max(axis=1)
+    _, inverse, counts = np.unique(key, return_inverse=True,
                                    return_counts=True)
     return directed[counts[inverse] == 1]
 

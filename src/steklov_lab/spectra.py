@@ -10,7 +10,7 @@ flagged and excluded from rate fitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .eigen import SpectralResult, largest_pencil_eigs, smallest_pencil_eigs
 
 class SpectraError(ValueError):
     pass
+
+
+EXTRA = 2          # values solved beyond k, headroom for the truncation floor
 
 
 def steklov_spectrum(geom, template, k: int, tol: float = 1e-10,
@@ -44,15 +47,40 @@ def homogenized_spectrum(domain, q, h: float, k: int,
     """Smallest eigenvalues of the q-weighted Dirichlet problem on the plain
     domain; .mu gives the resolvent values 1/(1+lambda)."""
     mesh = meshgen.mesh_unperforated(domain, h)
-    return _homogenized_on(mesh, q, k, tol)
-
-
-def _homogenized_on(mesh, q, k: int, tol: float = 1e-10) -> SpectralResult:
     K = fem.assemble_stiffness(mesh)
     Mq = fem.assemble_weighted_mass(mesh, q)
     dm = fem.build_dofmap(mesh, "outer")
     return smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
                                 fem.apply_dirichlet(Mq, dm), k, tol=tol)
+
+
+def richardson(coarse, fine):
+    """Two-mesh extrapolation of an O(h^2) quantity from a mesh and its
+    refinement (scalars or arrays)."""
+    return fine + (fine - coarse) / 3.0
+
+
+@dataclass
+class HomogenizedPair:
+    """The epsilon-independent side of every sweep point: the q-weighted
+    Dirichlet spectrum on meshes h and h/2, solved once per study."""
+    q: float
+    mu: np.ndarray                   # extrapolated, descending
+    err: np.ndarray                  # two-mesh changes per eigenvalue
+    coarse: SpectralResult           # solver outcomes, vectors dropped
+    fine: SpectralResult
+
+
+def homogenized_pair(domain, q: float, h: float, k: int,
+                     tol: float = 1e-10) -> HomogenizedPair:
+    """k + EXTRA homogenized values on meshes h and h/2, extrapolated."""
+    coarse, fine = (
+        replace(homogenized_spectrum(domain, q, hh, k + EXTRA, tol),
+                vectors=None)
+        for hh in (h, h / 2))
+    return HomogenizedPair(q=q, mu=richardson(coarse.mu, fine.mu),
+                           err=np.abs(fine.mu - coarse.mu),
+                           coarse=coarse, fine=fine)
 
 
 def hausdorff(set_a, set_b) -> float:
@@ -182,35 +210,26 @@ def rate_scale(r_eps: float, kappa: float) -> float:
     return max(kappa, r_eps * math.sqrt(abs(math.log(r_eps))))
 
 
-def spectrum_pair(geom, template, k: int, q_limit, h_hom: float,
+def spectrum_pair(geom, template, k: int, homog: HomogenizedPair,
                   tol: float = 1e-10, kappa_value: float | None = None,
-                  extra: int = 2, perf_mesh=None) -> SpectrumPair:
-    """Solve both sides on a mesh and its refinement, Richardson-extrapolate
-    eigenvalue by eigenvalue, and gate the pair on discretization error.
-
-    extra eigenvalues beyond k are solved on each side so the truncation
-    floor has headroom.
-    """
-    kk = k + extra
+                  perf_mesh=None) -> SpectrumPair:
+    """Solve the perforated side on a mesh and its refinement, Richardson-
+    extrapolate eigenvalue by eigenvalue, pair it with the study's
+    homogenized side, and gate the pair on discretization error and on the
+    outcome of all four solves."""
+    kk = k + EXTRA
     pm = meshgen.mesh_perforated(geom, template) if perf_mesh is None \
         else perf_mesh
-    st_coarse = _steklov_on(pm, kk, tol).values
-    st_fine_res = _steklov_on(meshgen.refine(pm), kk, tol)
-    st_fine = st_fine_res.values
+    st = [_steklov_on(mesh, kk, tol) for mesh in (pm, meshgen.refine(pm))]
+    st_coarse, st_fine = st[0].values, st[1].values
     n = min(len(st_coarse), len(st_fine))
-    st_mu = st_fine[:n] + (st_fine[:n] - st_coarse[:n]) / 3.0
+    st_mu = richardson(st_coarse[:n], st_fine[:n])
     st_err = np.abs(st_fine[:n] - st_coarse[:n])
-
-    ho_coarse = _homogenized_on(
-        meshgen.mesh_unperforated(geom.domain, h_hom), q_limit, kk, tol).mu
-    ho_fine = _homogenized_on(
-        meshgen.mesh_unperforated(geom.domain, h_hom / 2), q_limit, kk, tol).mu
-    ho_mu = ho_fine + (ho_fine - ho_coarse) / 3.0
-    ho_err = np.abs(ho_fine - ho_coarse)
+    ho_mu, ho_err = homog.mu, homog.err
 
     if kappa_value is None:
         wf = geometry.weight_field(geom)
-        kappa_value = geometry.kappa(geom, wf, q_limit)
+        kappa_value = geometry.kappa(geom, wf, homog.q)
     r_eps = geom.r_eps
     d_hole = max(h.d for h in geom.holes)
     delta = rate_scale(r_eps, kappa_value)
@@ -227,6 +246,16 @@ def spectrum_pair(geom, template, k: int, q_limit, h_hom: float,
         ok = ok and good
         detail.append({"j": j + 1, "gap": float(gap), "disc_err": float(err),
                        "ok": bool(good)})
+    # so does an unconverged or missing value among the first k of a solve
+    for label, res in (("steklov-coarse", st[0]), ("steklov-fine", st[1]),
+                       ("homogenized-coarse", homog.coarse),
+                       ("homogenized-fine", homog.fine)):
+        bad = [j + 1 for j in range(k)
+               if j >= len(res.converged) or not res.converged[j]]
+        if bad:
+            ok = False
+            detail.append({"solver": label, "unconverged": bad,
+                           "warning": res.warning, "ok": False})
     return SpectrumPair(
         epsilon=geom.epsilon, m=geom.m, r_eps=r_eps, d=d_hole,
         kappa=float(kappa_value), delta=float(delta),

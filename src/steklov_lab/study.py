@@ -75,6 +75,22 @@ class StudyConfig:
         self.template.validate(
             self.hole_shape[1] if isinstance(self.hole_shape, (list, tuple))
             else None)
+        for desc in self.sources:
+            try:
+                spectra.source_function(desc)
+            except ValueError as exc:
+                raise StudyError(f"bad source: {exc}") from exc
+        self.workers()
+
+    def workers(self) -> int:
+        """STEKLOV_LAB_THREADS when set, else parallelism."""
+        raw = os.environ.get("STEKLOV_LAB_THREADS")
+        if raw is None:
+            return self.parallelism
+        if not (raw.isdecimal() and int(raw) >= 1):
+            raise StudyError(
+                f"STEKLOV_LAB_THREADS={raw!r} is not an integer >= 1")
+        return int(raw)
 
     def domain_object(self):
         return _DOMAINS[self.domain]()
@@ -168,17 +184,25 @@ def oracle_selftest(seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 # sweep execution
 
-def _run_point(cfg: StudyConfig, m: int):
-    geo = geometry.build_perforated_geometry(
+def _geometry(cfg: StudyConfig, m: int):
+    return geometry.build_perforated_geometry(
         cfg.domain_object(), m, cfg.beta, shape_spec=cfg.shape_spec(),
         jitter=cfg.jitter,
         rng=np.random.default_rng(cfg.seed + m) if cfg.jitter else None)
+
+
+def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
+    geo = _geometry(cfg, m)
     wf = geometry.weight_field(geo)
-    q_limit = float(wf.per_cell[0])
+    q_limit = homog.q
+    if wf.per_cell[0] != q_limit:
+        raise StudyError(
+            f"m={m}: cell weight {float(wf.per_cell[0])!r} differs from the "
+            f"q_limit {q_limit!r} the homogenized side was solved for")
     kappa = geometry.kappa(geo, wf, q_limit, cfg.sigma)
     pm = meshgen.mesh_perforated(geo, cfg.template)
     pair = spectra.spectrum_pair(
-        geo, cfg.template, cfg.k, q_limit, cfg.h_hom, tol=cfg.tol,
+        geo, cfg.template, cfg.k, homog, tol=cfg.tol,
         kappa_value=kappa, perf_mesh=pm)
     gaps = []
     if cfg.run_gaps:
@@ -186,7 +210,7 @@ def _run_point(cfg: StudyConfig, m: int):
             gaps.append(spectra.resolvent_gap(
                 geo, cfg.template, desc, q_limit, perf_mesh=pm))
     validation = geometry.validate_assumptions(geo, wf).as_dict()
-    return pair, gaps, validation, q_limit
+    return pair, gaps, validation
 
 
 @dataclass
@@ -222,20 +246,26 @@ class StudyReport:
 
 def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
     cfg.validate()
-    workers = int(os.environ.get("STEKLOV_LAB_THREADS", cfg.parallelism))
+    workers = cfg.workers()
     checks = oracle_selftest(cfg.seed)
 
-    if workers > 1 and len(cfg.m_values) > 1:
+    # the limit problem does not depend on m: solve it once, for the weight
+    # of the first point, which every point checks against its own
+    q_limit = float(geometry.weight_field(
+        _geometry(cfg, cfg.m_values[0])).per_cell[0])
+    homog = spectra.homogenized_pair(cfg.domain_object(), q_limit, cfg.h_hom,
+                                     cfg.k, cfg.tol)
+    points = len(cfg.m_values)
+    if workers > 1 and points > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_point, [cfg] * len(cfg.m_values),
-                                    cfg.m_values))
+            results = list(pool.map(_run_point, [cfg] * points,
+                                    cfg.m_values, [homog] * points))
     else:
-        results = [_run_point(cfg, m) for m in cfg.m_values]
+        results = [_run_point(cfg, m, homog) for m in cfg.m_values]
 
     pairs = [r[0] for r in results]
     gap_samples = [r[1] for r in results]
     validations = [r[2] for r in results]
-    q_limit = results[0][3]
 
     report = StudyReport(config=cfg, oracle_checks=checks, pairs=pairs,
                          gap_samples=gap_samples, validations=validations,

@@ -164,3 +164,10 @@ def test_deflation_removes_known_mode():
     res = eigen.smallest_pencil_eigs((K + M).tocsr(), M, 1, deflate=ones)
     # first nonzero Neumann eigenvalue of the unit square is pi^2
     assert res.values[0] - 1.0 == pytest.approx(math.pi ** 2, rel=5e-3)
+
+
+def test_fully_deflated_start_reports_rank_exhausted():
+    res = eigen.largest_pencil_eigs(sp.identity(3), sp.diags([1.0, 2.0, 0.0]),
+                                    1, deflate=np.eye(3))
+    assert len(res.values) == 0
+    assert "pencil rank exhausted" in res.warning

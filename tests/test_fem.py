@@ -164,6 +164,25 @@ def test_interpolate_outside_errors():
     src = mg.mesh_unperforated(geo.unit_square(), 0.5)
     with pytest.raises(fem.FemError, match="outside"):
         fem.interpolate(src, np.ones(src.num_nodes), np.array([[1.5, 0.5]]))
+    ell = mg.mesh_unperforated(geo.l_shape(1), 0.25)
+    with pytest.raises(fem.FemError, match="outside"):
+        fem.interpolate(ell, np.ones(ell.num_nodes), np.array([[0.75, 0.75]]))
+    with pytest.raises(fem.FemError, match="structured"):
+        fem.interpolate(mg.refine(src), np.ones(25), np.array([[0.5, 0.5]]))
+
+
+def test_interpolate_l_shape_sides_and_corner():
+    src = mg.mesh_unperforated(geo.l_shape(1), 0.25)
+    u = 2 * src.nodes[:, 0] - 5 * src.nodes[:, 1] + 0.5
+    pts = np.array([
+        [0.75, 0.5], [0.625, 0.5], [1.0, 0.5],     # re-entrant side y = 1/2
+        [0.5, 0.75], [0.5, 0.875], [0.5, 1.0],     # re-entrant side x = 1/2
+        [0.5, 0.5],                                # re-entrant corner
+        [1.0, 0.3], [1.0, 0.0], [0.3, 1.0], [0.0, 1.0], [0.25, 1.0],
+        [0.3, 0.2], [0.25, 0.25],
+    ])
+    got = fem.interpolate(src, u, pts)
+    assert np.abs(got - (2 * pts[:, 0] - 5 * pts[:, 1] + 0.5)).max() < 1e-14
 
 
 def test_h_eps_norm_basics():

@@ -137,6 +137,23 @@ def test_weight_field_circle():
     assert np.allclose(wf.per_cell, math.pi / 2)
 
 
+@pytest.mark.parametrize("beta", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("shape", ["circle", ("kgon", 6)])
+def test_weight_field_identical_at_every_m(beta, shape):
+    # the rounded d = beta*r^2 differs by an ulp between m (e.g. m = 13 at
+    # beta 1 against m <= 12); the weights of congruent cells must not
+    weights = set()
+    for m in range(2, 41):
+        g = geo.build_perforated_geometry(geo.unit_square(), m, beta,
+                                          shape_spec=shape)
+        weights.update(geo.weight_field(g).per_cell.tolist())
+        hole = g.holes[0]
+        assert math.isclose(geo.weight_field(g).per_cell[0],
+                            hole.perimeter / float(g.cells[0].area),
+                            rel_tol=1e-15)
+    assert len(weights) == 1
+
+
 def test_weight_field_square_hole():
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0,
                                       shape_spec=("kgon", 4))

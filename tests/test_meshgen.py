@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,3 +193,47 @@ def test_export_roundtrip_bit_exact():
     assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
     assert np.array_equal(back.edge_tags, mesh.edge_tags)
     assert mg.export_mesh(back) == text
+
+
+def _structured_by_scan(domain, h):
+    """Reference: one exact crossing test per grid cell, nodes numbered by
+    first appearance."""
+    den = 1
+    for x, y in domain.vertices:
+        den = math.lcm(den, x.denominator, y.denominator)
+    nd = den * max(1, math.ceil(1.0 / (h * den) - 1e-12))
+    x0, y0, x1, y1 = domain.bbox()
+    ids, nodes, tris = {}, [], []
+
+    def nid(gx, gy):
+        if (gx, gy) not in ids:
+            ids[(gx, gy)] = len(nodes)
+            nodes.append((gx / nd, gy / nd))
+        return ids[(gx, gy)]
+
+    for iy in range(int(y0 * nd), math.ceil(y1 * nd)):
+        for ix in range(int(x0 * nd), math.ceil(x1 * nd)):
+            if domain.contains(Fraction(2 * ix + 1, 2 * nd),
+                               Fraction(2 * iy + 1, 2 * nd)):
+                sw, se = nid(ix, iy), nid(ix + 1, iy)
+                ne, nw = nid(ix + 1, iy + 1), nid(ix, iy + 1)
+                tris += [(sw, se, ne), (sw, ne, nw)]
+    directed = [(t[i], t[(i + 1) % 3]) for i in range(3) for t in tris]
+    uses = Counter(tuple(sorted(e)) for e in directed)
+    edges = [e for e in directed if uses[tuple(sorted(e))] == 1]
+    return np.array(nodes), np.array(tris), np.array(edges)
+
+
+@pytest.mark.parametrize("domain,h", [
+    (geo.unit_square(), 1.0), (geo.unit_square(), 0.3),
+    (geo.unit_square(), 1 / 32), (geo.l_shape(1), 0.5),
+    (geo.l_shape(1), 1 / 10), (geo.l_shape(1), 1 / 33),
+    (geo.rectangle(1, "1/20"), 0.05), (geo.rectangle(1, "1/20"), 1 / 64),
+])
+def test_structured_mesh_matches_cell_scan(domain, h):
+    mesh = mg.mesh_unperforated(domain, h)
+    nodes, triangles, edges = _structured_by_scan(domain, h)
+    assert np.array_equal(mesh.nodes, nodes)
+    assert np.array_equal(mesh.triangles, triangles)
+    assert np.array_equal(mesh.boundary_edges, edges)
+

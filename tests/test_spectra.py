@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,11 +146,11 @@ def test_resolvent_gap_decreases_along_sweep():
 
 
 def test_spectrum_pair_small_sweep():
-    q = math.pi / 2
+    homog = spectra.homogenized_pair(geo.unit_square(), math.pi / 2, 1 / 64, 2)
     pairs = []
     for m in (2, 4):
         geom = geo.build_perforated_geometry(geo.unit_square(), m, 1.0)
-        pairs.append(spectra.spectrum_pair(geom, TPL, 2, q, 1 / 64))
+        pairs.append(spectra.spectrum_pair(geom, TPL, 2, homog))
     p = pairs[-1]
     assert p.kappa == 0.0
     assert p.delta == pytest.approx(
@@ -159,3 +160,42 @@ def test_spectrum_pair_small_sweep():
     assert p.gate_ok
     for j in range(2):
         assert spectra.eigenwise_monotone(pairs, j)
+
+
+def test_unconverged_solve_fails_the_gate(monkeypatch):
+    homog = spectra.homogenized_pair(geo.unit_square(), math.pi / 2, 1 / 32, 2)
+    geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
+    healthy = spectra.spectrum_pair(geom, TPL, 2, homog)
+    assert healthy.gate_ok
+    assert all("solver" not in d for d in healthy.gate_detail)
+
+    # a warning about a value beyond k leaves the gate alone
+    fine = homog.fine
+    short = replace(fine, values=fine.values[:3],
+                    converged=fine.converged[:3], warning="only 3 of 4")
+    pair = spectra.spectrum_pair(geom, TPL, 2, replace(homog, fine=short))
+    assert pair.gate_ok
+    assert pair.gate_detail == healthy.gate_detail
+
+    flagged = replace(short, converged=np.array([True, False, True]))
+    pair = spectra.spectrum_pair(geom, TPL, 2, replace(homog, fine=flagged))
+    assert not pair.gate_ok
+    assert pair.gate_detail[2:] == [{"solver": "homogenized-fine",
+                                     "unconverged": [2],
+                                     "warning": "only 3 of 4", "ok": False}]
+
+    solve = spectra.largest_pencil_eigs
+
+    def unconverged(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.converged = np.zeros(len(res.values), dtype=bool)
+        return res
+
+    monkeypatch.setattr(spectra, "largest_pencil_eigs", unconverged)
+    pair = spectra.spectrum_pair(geom, TPL, 2, homog)
+    assert not pair.gate_ok
+    flagged = [d for d in pair.gate_detail if "solver" in d]
+    assert [d["solver"] for d in flagged] == ["steklov-coarse",
+                                              "steklov-fine"]
+    assert flagged[0]["unconverged"] == [1, 2]
+    assert pair.gate_detail[:2] == healthy.gate_detail

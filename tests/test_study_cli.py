@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from steklov_lab import meshgen, study
+from steklov_lab import meshgen, spectra, study
 
 
 SMALL = {
@@ -36,6 +36,19 @@ def test_config_validation_errors():
         study.config_from_dict({"domain": "disk"})
     with pytest.raises(study.StudyError, match="bad config field"):
         study.config_from_dict({"nonsense": 1})
+
+
+def test_unknown_source_kind_fails_validation():
+    with pytest.raises(study.StudyError, match="cosine"):
+        study.config_from_dict({"sources": [{"kind": "cosine"}]})
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1"])
+def test_bad_thread_variable_fails_validation(monkeypatch, value):
+    monkeypatch.setenv("STEKLOV_LAB_THREADS", value)
+    with pytest.raises(study.StudyError,
+                       match=f"STEKLOV_LAB_THREADS='{value}'"):
+        study.config_from_dict({})
 
 
 def test_oracle_selftest_passes():
@@ -160,3 +173,39 @@ def test_env_var_overrides_parallelism(monkeypatch, tmp_path):
     pooled = study.run_study(cfg, with_cell_summary=False)
     monkeypatch.delenv("STEKLOV_LAB_THREADS")
     assert study.report_csv(serial) == study.report_csv(pooled)
+
+
+@pytest.mark.parametrize("m_values", [[1, 2], [1, 2, 4, 9]])
+def test_homogenized_side_solved_once_per_study(monkeypatch, m_values):
+    solves = []
+    solve = spectra.smallest_pencil_eigs
+
+    def counted(*args, **kwargs):
+        solves.append(args[0].shape[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "smallest_pencil_eigs", counted)
+    cfg = small_config(m_values=m_values, beta=0.5, run_gaps=False)
+    report = study.run_study(cfg, with_cell_summary=False)
+    assert len(solves) == 2
+    assert len(report.pairs) == len(m_values)
+    assert all(p.gate_ok for p in report.pairs)
+
+
+def test_point_weight_must_match_study_q_limit():
+    cfg = small_config(run_gaps=False)
+    homog = spectra.homogenized_pair(cfg.domain_object(), 1.0, cfg.h_hom,
+                                     cfg.k, cfg.tol)
+    with pytest.raises(study.StudyError, match="q_limit"):
+        study._run_point(cfg, 2, homog)
+
+
+def test_study_mixing_cell_counts_runs():
+    # m = 13 once gave a cell weight one ulp off that of m <= 12, so the
+    # exact per-point q_limit check refused this sweep
+    tpl = {"ring_count": 6, "grading": 2.0, "boundary_nodes_per_side": 2,
+           "hole_boundary_segments": 8}
+    cfg = small_config(m_values=[4, 8, 13], run_gaps=False, template=tpl)
+    report = study.run_study(cfg, with_cell_summary=False)
+    assert [p.m for p in report.pairs] == [4, 8, 13]
+    assert all(p.kappa == 0.0 for p in report.pairs)
