@@ -24,7 +24,7 @@ from .fem import (DofMap, FemError, apply_dirichlet, assemble_boundary_mass,
                   interpolate)
 from .eigen import (EigenError, SpdFactorization, SpectralResult,
                     dense_reference_eigs, factor_spd, largest_pencil_eigs,
-                    mu_to_steklov, smallest_pencil_eigs, steklov_to_mu)
+                    smallest_pencil_eigs)
 from .spectra import (HomogenizedPair, RateModel, ResolventGapSample,
                       SpectrumPair, fit_rate, hausdorff, homogenized_pair,
                       homogenized_spectrum, rate_scale, resolvent_gap,

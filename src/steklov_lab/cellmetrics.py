@@ -18,7 +18,7 @@ from . import fem, shapes
 from .eigen import factor_spd, largest_pencil_eigs, smallest_pencil_eigs
 from .geometry import chebyshev_center, make_domain, unit_square
 from .meshgen import Mesh, mesh_unperforated, refine
-from .spectra import richardson
+from .spectra import _log_slope, richardson
 
 
 class CellMetricsError(ValueError):
@@ -38,6 +38,18 @@ def _richardson(coarse: float, fine: float) -> Extrapolated:
     value = richardson(coarse, fine)
     return Extrapolated(value=value, uncertainty=abs(value - fine),
                         coarse=coarse, fine=fine)
+
+
+def _two_mesh(solve, mesh: Mesh) -> Extrapolated:
+    """solve(mesh) on the mesh and on its red refinement, extrapolated."""
+    return _richardson(solve(mesh), solve(refine(mesh)))
+
+
+def _sqrt_of(ex: Extrapolated) -> Extrapolated:
+    """The constant whose square was extrapolated."""
+    val = math.sqrt(max(ex.value, 0.0))
+    return Extrapolated(value=val, uncertainty=abs(val - math.sqrt(ex.fine)),
+                        coarse=math.sqrt(ex.coarse), fine=math.sqrt(ex.fine))
 
 
 def mesh_shape(shape, h: float) -> Mesh:
@@ -82,9 +94,7 @@ def neumann_gap(shape, h: float) -> Extrapolated:
     The constant mode is deflated explicitly, so narrow-channel collars with
     gaps near zero stay resolvable.
     """
-    coarse = _neumann_gap_on(mesh_shape(shape, h))
-    fine = _neumann_gap_on(refine(mesh_shape(shape, h)))
-    return _richardson(coarse, fine)
+    return _two_mesh(_neumann_gap_on, mesh_shape(shape, h))
 
 
 def _dirichlet_ground_on(mesh: Mesh) -> float:
@@ -97,9 +107,7 @@ def _dirichlet_ground_on(mesh: Mesh) -> float:
 
 
 def dirichlet_ground(shape, h: float) -> Extrapolated:
-    coarse = _dirichlet_ground_on(mesh_shape(shape, h))
-    fine = _dirichlet_ground_on(refine(mesh_shape(shape, h)))
-    return _richardson(coarse, fine)
+    return _two_mesh(_dirichlet_ground_on, mesh_shape(shape, h))
 
 
 def _robin_ground_on(mesh: Mesh, alpha: float) -> float:
@@ -114,9 +122,8 @@ def robin_ground(shape, alpha: float, h: float) -> Extrapolated:
     """Ground state of the Robin Laplacian du/dn + alpha u = 0."""
     if alpha <= 0:
         raise CellMetricsError("alpha must be positive")
-    coarse = _robin_ground_on(mesh_shape(shape, h), alpha)
-    fine = _robin_ground_on(refine(mesh_shape(shape, h)), alpha)
-    return _richardson(coarse, fine)
+    return _two_mesh(lambda mesh: _robin_ground_on(mesh, alpha),
+                     mesh_shape(shape, h))
 
 
 def _trace_sq_on(mesh: Mesh) -> float:
@@ -130,12 +137,7 @@ def _trace_sq_on(mesh: Mesh) -> float:
 def trace_constant(shape, h: float) -> Extrapolated:
     """Best constant of ||u||_{L2(boundary)} <= C ||u||_{H1}: the square root
     of the largest eigenvalue of the (boundary mass, H1 form) pencil."""
-    coarse = _trace_sq_on(mesh_shape(shape, h))
-    fine = _trace_sq_on(refine(mesh_shape(shape, h)))
-    ex = _richardson(coarse, fine)
-    val = math.sqrt(ex.value)
-    return Extrapolated(value=val, uncertainty=abs(val - math.sqrt(ex.fine)),
-                        coarse=math.sqrt(coarse), fine=math.sqrt(fine))
+    return _sqrt_of(_two_mesh(_trace_sq_on, mesh_shape(shape, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +204,8 @@ def harmonic_extension_norm(shape, h: float) -> Extrapolated:
     of radius 2, in H1 norms; the extension fixes interface traces and fills
     the hole with the discrete harmonic lift."""
     kind, k = ("circle", None) if shape == "disk" else (shape[0], int(shape[1]))
-    coarse_sq = _extension_norm_on(shapes.mesh_ball_with_interface(kind, k, h))
-    fine_sq = _extension_norm_on(
-        refine(shapes.mesh_ball_with_interface(kind, k, h)))
-    ex = _richardson(coarse_sq, fine_sq)
-    val = math.sqrt(max(ex.value, 0.0))
-    return Extrapolated(value=val, uncertainty=abs(val - math.sqrt(fine_sq)),
-                        coarse=math.sqrt(coarse_sq), fine=math.sqrt(fine_sq))
+    return _sqrt_of(_two_mesh(_extension_norm_on,
+                              shapes.mesh_ball_with_interface(kind, k, h)))
 
 
 def inscribed_radius(shape) -> float:
@@ -217,8 +214,6 @@ def inscribed_radius(shape) -> float:
         return 1.0
     if shape[0] == "kgon":
         return math.cos(math.pi / int(shape[1]))
-    if shape[0] == "slit":
-        return 0.25        # annulus 1/2..1 admits balls of radius 1/4
     raise CellMetricsError(f"no inscribed radius for {shape!r}")
 
 
@@ -329,14 +324,6 @@ class LemmaReport:
     passed: bool
     method: str
     detail: str = ""
-
-
-def _fit_slope(xs, ys):
-    lx, ly = np.log(np.asarray(xs)), np.log(np.asarray(ys))
-    n = len(lx)
-    sx, sy = lx.sum(), ly.sum()
-    sxx, sxy = (lx * lx).sum(), (lx * ly).sum()
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
 def _sample_functions(mesh: Mesh, count: int, rng) -> list:
@@ -473,48 +460,39 @@ def verify_lemma(lemma_id: str, shape_params=None, sample_count: int = 48,
     against the sweep parameter stays below 0.2.
     """
     rng = np.random.default_rng(seed + 1234)
-    rows = []
-    if lemma_id in ("3.2", "3.3"):
-        r = 0.5
-        ds = shape_params or [0.002, 0.004, 0.008, 0.012, 0.02]
-        fn = _lemma_trace_ratio if lemma_id == "3.2" else _lemma_hole_ratio
-        for d in ds:
-            rows.append({"d": d, "r": r, "ratio": fn(d, r)})
-        slope = _fit_slope([q["d"] for q in rows], [q["ratio"] for q in rows])
-        return LemmaReport(lemma_id, rows, slope, slope <= 0.2,
-                           "eigensolve", f"sup over FEM space, r={r}")
-    if lemma_id == "3.5":
-        widths = shape_params or [0.2, 0.1, 0.05]
-        for w in widths:
-            rows.append({"d": w, "ratio": _lemma_strip_ratio(w)})
-        slope = _fit_slope([q["d"] for q in rows], [q["ratio"] for q in rows])
-        return LemmaReport(lemma_id, rows, slope, abs(slope) <= 0.2,
-                           "eigensolve", "mixed strip eigenvalue, C = sqrt")
-    if lemma_id == "3.4":
-        ds = shape_params or [0.002, 0.004, 0.008, 0.012, 0.02]
-        for d in ds:
-            rows.append({"d": d, "r": 0.5,
-                         "ratio": _lemma_mean_ratio(d, sample_count, rng)})
-        slope = _fit_slope([q["d"] for q in rows], [q["ratio"] for q in rows])
-        ratios = [q["ratio"] for q in rows]
-        bounded = max(ratios) <= 10.0 * max(min(ratios), 1e-12)
-        return LemmaReport(lemma_id, rows, slope, bounded, "sampled",
-                           "sampled sup; PASS = bounded across the sweep")
-    if lemma_id == "3.1":
-        ds = shape_params or [0.05, 0.1, 0.2]
-        for d in ds:
-            rows.append({"d": d,
-                         "ratio": _lemma_convex_ratio(d, sample_count, rng)})
-        slope = _fit_slope([q["d"] for q in rows], [q["ratio"] for q in rows])
-        return LemmaReport(lemma_id, rows, slope, max(
-            q["ratio"] for q in rows) <= 1.0, "sampled",
-            "ratios must stay below 1 (constant-free comparison)")
     if lemma_id == "3.6":
-        shapes_list = shape_params or ["disk", ("kgon", 4), ("kgon", 6)]
-        for sh in shapes_list:
-            rows.append({"shape": str(sh),
-                         "ratio": _lemma_extension_ratio(sh, sample_count, rng)})
+        rows = [{"shape": str(sh),
+                 "ratio": _lemma_extension_ratio(sh, sample_count, rng)}
+                for sh in shape_params or ["disk", ("kgon", 4), ("kgon", 6)]]
         worst = max(q["ratio"] for q in rows)
         return LemmaReport(lemma_id, rows, None, worst < 50.0, "sampled",
                            "gradient-only extension bound, bounded check")
-    raise CellMetricsError(f"unknown lemma id {lemma_id!r}")
+    if lemma_id in ("3.2", "3.3"):
+        fn = _lemma_trace_ratio if lemma_id == "3.2" else _lemma_hole_ratio
+        rows = [{"d": d, "r": 0.5, "ratio": fn(d, 0.5)}
+                for d in shape_params or [0.002, 0.004, 0.008, 0.012, 0.02]]
+    elif lemma_id == "3.5":
+        rows = [{"d": w, "ratio": _lemma_strip_ratio(w)}
+                for w in shape_params or [0.2, 0.1, 0.05]]
+    elif lemma_id == "3.4":
+        rows = [{"d": d, "r": 0.5,
+                 "ratio": _lemma_mean_ratio(d, sample_count, rng)}
+                for d in shape_params or [0.002, 0.004, 0.008, 0.012, 0.02]]
+    elif lemma_id == "3.1":
+        rows = [{"d": d, "ratio": _lemma_convex_ratio(d, sample_count, rng)}
+                for d in shape_params or [0.05, 0.1, 0.2]]
+    else:
+        raise CellMetricsError(f"unknown lemma id {lemma_id!r}")
+    ratios = [q["ratio"] for q in rows]
+    slope = _log_slope([q["d"] for q in rows], ratios)
+    passed, method, detail = {
+        "3.1": (max(ratios) <= 1.0, "sampled",
+                "ratios must stay below 1 (constant-free comparison)"),
+        "3.2": (slope <= 0.2, "eigensolve", "sup over FEM space, r=0.5"),
+        "3.3": (slope <= 0.2, "eigensolve", "sup over FEM space, r=0.5"),
+        "3.4": (max(ratios) <= 10.0 * max(min(ratios), 1e-12), "sampled",
+                "sampled sup; PASS = bounded across the sweep"),
+        "3.5": (abs(slope) <= 0.2, "eigensolve",
+                "mixed strip eigenvalue, C = sqrt"),
+    }[lemma_id]
+    return LemmaReport(lemma_id, rows, slope, passed, method, detail)

@@ -44,6 +44,16 @@ def _shape(spec: str):
     raise SystemExit(f"unknown hole shape {spec!r}")
 
 
+def _cell_shape(spec: str):
+    if spec == "disk":
+        return spec
+    kind, _, k = spec.partition(":")
+    if kind == "kgon" and k.isdigit() and int(k) >= 3:
+        return ("kgon", int(k))
+    raise argparse.ArgumentTypeError(
+        f"unknown shape {spec!r}; accepted: disk, kgon:K (integer K >= 3)")
+
+
 def cmd_validate(args) -> int:
     with open(args.geometry, "r", encoding="utf-8") as fh:
         geom = geometry.geometry_from_json(fh.read())
@@ -93,11 +103,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_cell(args) -> int:
-    shape = args.shape
-    if shape.startswith("kgon:"):
-        shape = ("kgon", int(shape.split(":")[1]))
-    elif shape.startswith("slit_collar:"):
-        shape = ("slit_collar", float(shape.split(":")[1]))
     if args.lemma:
         rep = cellmetrics.verify_lemma(args.lemma)
         keys = sorted({k for row in rep.rows for k in row})
@@ -107,7 +112,7 @@ def cmd_cell(args) -> int:
         slope = "" if rep.slope is None else f" slope {rep.slope:+.3f}"
         print(f"# {('PASS' if rep.passed else 'FAIL')}{slope} ({rep.method})")
         return 0 if rep.passed else 1
-    consts = cellmetrics.cell_constants(shape, h=args.h)
+    consts = cellmetrics.cell_constants(args.shape, h=args.h)
     print(json.dumps(consts.as_dict(), indent=2))
     return 0
 
@@ -193,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cell", help="single-cell constants and inequality "
                                     "sweeps")
-    p.add_argument("--shape", default="disk",
-                   help="disk | square | kgon:K | slit_collar:BETA")
+    p.add_argument("--shape", type=_cell_shape, default="disk",
+                   help="disk | kgon:K")
     p.add_argument("--h", type=float, default=0.08)
     p.add_argument("--constants", action="store_true")
     p.add_argument("--lemma", help="inequality id, e.g. 3.2")

@@ -81,25 +81,6 @@ class SpectralResult:
         """lambda = 1/mu - 1 for the boundary-spectral problem."""
         return 1.0 / self.mu - 1.0
 
-    def clusters(self, rel_tol: float = 1e-9) -> list:
-        """Indices grouped by relative closeness (multiplicity reporting)."""
-        groups = []
-        for i, v in enumerate(self.values):
-            if groups and abs(v - self.values[groups[-1][-1]]) <= \
-                    rel_tol * max(1.0, abs(v)):
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return groups
-
-
-def mu_to_steklov(mu):
-    return 1.0 / np.asarray(mu) - 1.0
-
-
-def steklov_to_mu(lam):
-    return 1.0 / (np.asarray(lam) + 1.0)
-
 
 def _lanczos_run(A, afac, bmul, want, tol, rng, deflate, max_iter):
     """One deflated Lanczos sweep; returns converged Ritz pairs (desc)."""

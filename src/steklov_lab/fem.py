@@ -135,17 +135,10 @@ class DofMap:
     free: np.ndarray                 # free node ids, ascending
     index_of: np.ndarray             # node id -> reduced index, -1 constrained
 
-    @property
-    def num_free(self):
-        return len(self.free)
-
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         full = np.zeros(len(self.index_of))
         full[self.free] = reduced
         return full
-
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        return np.asarray(full)[self.free]
 
 
 def build_dofmap(mesh: Mesh, constrained="outer") -> DofMap:

@@ -84,14 +84,6 @@ class Mesh:
             sel = self.edge_tags == tag
         return np.unique(self.boundary_edges[sel])
 
-    def interior_edge_multiplicities(self):
-        """Map undirected edge -> incidence count over triangles."""
-        t = self.triangles
-        edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        edges.sort(axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        return uniq, counts
-
 
 @dataclass(frozen=True)
 class CellMeshTemplate:
@@ -187,7 +179,12 @@ def _tri_min_angle(pa, pb, pc):
 
 def _quad_band(tris, inner, outer, pts=None):
     """Triangulate the band between two equal-count rings; with pts given,
-    each quad is split along whichever diagonal maximizes the min angle."""
+    each quad is split along whichever diagonal maximizes the min angle.
+
+    On the plain rings every quad is an isosceles trapezoid, so both splits
+    tie in exact arithmetic and the last ulp of acos/hypot picks the
+    diagonal: any change to this scoring arithmetic changes the meshes.
+    """
     n = len(inner)
     for j in range(n):
         v0, v3 = inner[j], inner[(j + 1) % n]
@@ -407,11 +404,11 @@ def mesh_perforated(geometry, template: CellMeshTemplate) -> Mesh:
 
 
 def _check_conformity(mesh):
-    uniq, counts = mesh.interior_edge_multiplicities()
+    uniq, _, counts = _edge_table(mesh.triangles)
     if np.any(counts > 2):
         bad = uniq[counts > 2][0]
         raise MeshError(
-            f"edge {tuple(bad)} shared by more than two triangles at "
+            f"edge ({bad[0]}, {bad[1]}) shared by more than two triangles at "
             f"{mesh.nodes[bad[0]]}, {mesh.nodes[bad[1]]}")
 
 
@@ -472,34 +469,52 @@ def mesh_unperforated(domain, h: float) -> Mesh:
     return mesh
 
 
+def _sides(triangles):
+    """The 3T directed edges: sides 01 of all triangles, then 12, then 20."""
+    t = triangles
+    return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+
+
+def _edge_table(triangles):
+    """Undirected edges of a triangle list, identified by one int64 key each.
+
+    Returns (edges, inverse, counts): the unique edges as (lo, hi) rows in
+    lexicographic order, the row of each directed edge of _sides, and the
+    number of triangles sharing each edge.
+    """
+    sides = _sides(triangles)
+    base = int(triangles.max()) + 1
+    keys, inverse, counts = np.unique(
+        sides.min(axis=1) * base + sides.max(axis=1),
+        return_inverse=True, return_counts=True)
+    return np.stack([keys // base, keys % base], axis=1), inverse, counts
+
+
 def _boundary_edges_oriented(triangles):
     """Directed edges that occur exactly once over all triangles."""
-    t = triangles
-    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    key = directed.min(axis=1) * (int(t.max()) + 1) + directed.max(axis=1)
-    _, inverse, counts = np.unique(key, return_inverse=True,
-                                   return_counts=True)
-    return directed[counts[inverse] == 1]
+    _, inverse, counts = _edge_table(triangles)
+    return _sides(triangles)[counts[inverse] == 1]
 
 
 def refine(mesh: Mesh) -> Mesh:
     """Uniform red refinement; circular hole boundaries are re-projected so
     the polygonal approximation tightens with the mesh."""
     t = mesh.triangles
-    all_edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    all_edges.sort(axis=1)
-    uniq, inverse = np.unique(all_edges, axis=0, return_inverse=True)
+    uniq, inverse, _ = _edge_table(t)
     mids = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
     mid_ids = len(mesh.nodes) + np.arange(len(uniq))
 
+    # row of each boundary edge in uniq: keys with any base above the node
+    # ids sort like the (lo, hi) rows
+    n, be = len(mesh.nodes), mesh.boundary_edges
+    keys = uniq[:, 0] * n + uniq[:, 1]
+    be_keys = be.min(axis=1) * n + be.max(axis=1)
+    at = np.searchsorted(keys, be_keys)
+    if np.any(keys.take(at, mode="clip") != be_keys):
+        raise MeshError("boundary edge is not a side of any triangle")
+
     # project boundary-edge midpoints onto their true curves
-    edge_key = {}
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.edge_tags):
-        edge_key[(min(a, b), max(a, b))] = tag
-    for idx, (a, b) in enumerate(map(tuple, uniq)):
-        tag = edge_key.get((a, b))
-        if tag is None:
-            continue
+    for idx, tag in zip(at, mesh.edge_tags):
         if tag == OUTER:
             if mesh.outer_curve is None:
                 continue
@@ -525,17 +540,10 @@ def refine(mesh: Mesh) -> Mesh:
         np.stack([e01, e12, e20], axis=1),
     ])
     child_cells = np.concatenate([mesh.tri_cell] * 4)
+    halves = np.stack([be[:, 0], mid_ids[at], mid_ids[at], be[:, 1]], axis=1)
 
-    lookup = {tuple(e): mid for e, mid in zip(map(tuple, uniq), mid_ids)}
-    new_edges, new_tags = [], []
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.edge_tags):
-        mid = lookup[(min(a, b), max(a, b))]
-        new_edges.append((a, mid))
-        new_edges.append((mid, b))
-        new_tags += [tag, tag]
-
-    out = Mesh(nodes, children, np.array(new_edges, dtype=np.int64),
-               np.array(new_tags, dtype=np.int64), tri_cell=child_cells,
+    out = Mesh(nodes, children, halves.reshape(-1, 2),
+               np.repeat(mesh.edge_tags, 2), tri_cell=child_cells,
                hole_geoms=dict(mesh.hole_geoms),
                outer_curve=mesh.outer_curve)
     out.h_max = float(np.max(out.edge_lengths()))

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .geometry import Hole, chebyshev_center
-from .meshgen import Mesh, MeshError, OUTER, _boundary_edges_oriented, refine
+from .meshgen import (Mesh, MeshError, OUTER, _boundary_edges_oriented,
+                      _edge_table, refine)
 
 TWO_PI = 2.0 * math.pi
 
@@ -298,7 +299,7 @@ def mesh_cell_with_hole(d: float, c_sec: float = 0.5, segments: int = 32,
     through: the graded cell template outside, a star fill inside, with the
     hole boundary kept as an interior interface (regions 0/1 in tri_cell)."""
     from .geometry import Cell
-    from .meshgen import CellMeshTemplate, _build_cell, _boundary_edges_oriented
+    from .meshgen import CellMeshTemplate, _build_cell
 
     cell = Cell(index=0, polygon=((0, 0), (1, 0), (1, 1), (0, 1)),
                 r_in=0.5, r_out=math.sqrt(0.5), center=(0.5, 0.5),
@@ -325,22 +326,11 @@ def mesh_cell_with_hole(d: float, c_sec: float = 0.5, segments: int = 32,
     return mesh
 
 
-def interface_edges(mesh: Mesh, region_a: int = 0, region_b: int = 1):
-    """Undirected edges shared by triangles of two different regions."""
-    owner: dict = {}
-    out = []
-    for tri, reg in zip(mesh.triangles, mesh.tri_cell):
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            key = (min(a, b), max(a, b))
-            prev = owner.get(key)
-            if prev is None:
-                owner[key] = reg
-            elif {prev, reg} == {region_a, region_b}:
-                out.append(key)
-    return np.array(out, dtype=np.int64)
-
-
-def interface_nodes(mesh: Mesh, region_a: int = 0, region_b: int = 1):
-    edges = interface_edges(mesh, region_a, region_b)
-    return np.unique(edges)
+def interface_edges(mesh: Mesh):
+    """Undirected edges shared by a region-0 and a region-1 triangle, as
+    (lo, hi) rows in lexicographic order (regions in tri_cell)."""
+    edges, inverse, counts = _edge_table(mesh.triangles)
+    region = np.tile(mesh.tri_cell, 3)         # region of each directed side
+    once = [np.bincount(inverse[region == r], minlength=len(edges)) == 1
+            for r in (0, 1)]
+    return edges[(counts == 2) & once[0] & once[1]]

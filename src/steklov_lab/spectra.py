@@ -276,6 +276,16 @@ class RateModel:
     note: str
 
 
+def _log_slope(xs, ys) -> float:
+    """Least-squares slope of log(ys) against log(xs)."""
+    lx = np.log(np.asarray(xs, dtype=float))
+    ly = np.log(np.asarray(ys, dtype=float))
+    n = len(lx)
+    sx, sy = lx.sum(), ly.sum()
+    sxx, sxy = (lx * lx).sum(), (lx * ly).sum()
+    return float((n * sxy - sx * sy) / (n * sxx - sx * sx))
+
+
 def fit_rate(deltas, distances, min_points: int = 4,
              min_span: float = 4.0) -> RateModel:
     """Least-squares slope of log(distance) against log(delta).
@@ -295,11 +305,8 @@ def fit_rate(deltas, distances, min_points: int = 4,
     if np.any(distances <= 0):
         raise SpectraError("distances must be positive for a log fit")
     lx, ly = np.log(deltas), np.log(distances)
-    n = len(lx)
-    sx, sy = lx.sum(), ly.sum()
-    sxx, sxy = (lx * lx).sum(), (lx * ly).sum()
-    slope = float((n * sxy - sx * sy) / (n * sxx - sx * sx))
-    intercept = float((sy - slope * sx) / n)
+    slope = _log_slope(deltas, distances)
+    intercept = float((ly.sum() - slope * lx.sum()) / len(lx))
     resid = float(np.sqrt(np.mean((ly - slope * lx - intercept) ** 2)))
     if slope >= 1.3:
         note = "faster than the bound, consistent"

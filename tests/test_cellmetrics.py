@@ -159,7 +159,8 @@ def test_cell_constants_bundle():
 def test_inscribed_radius_values():
     assert cm.inscribed_radius("disk") == 1.0
     assert cm.inscribed_radius(("kgon", 4)) == pytest.approx(math.cos(math.pi / 4))
-    assert cm.inscribed_radius(("slit", 0.1)) == 0.25
+    with pytest.raises(cm.CellMetricsError):
+        cm.inscribed_radius(("slit", 0.1))
 
 
 @pytest.mark.parametrize("lemma", ["3.2", "3.3"])

@@ -87,7 +87,7 @@ def test_perforated_tags_and_euler():
     for nid in mesh.boundary_nodes(mg.OUTER):
         x, y = mesh.nodes[nid]
         assert min(x, y, 1 - x, 1 - y) < 1e-12
-    uniq, counts = mesh.interior_edge_multiplicities()
+    uniq, _, counts = mg._edge_table(mesh.triangles)
     assert set(counts) <= {1, 2}
     euler = mesh.num_nodes - len(uniq) + mesh.num_triangles
     assert euler == 1 - len(geom.holes)

@@ -165,6 +165,14 @@ def test_cli_cell_lemma_csv():
     assert "PASS" in r.stdout
 
 
+@pytest.mark.parametrize("shape", ["square", "slit_collar:0.3", "kgon:2",
+                                   "kgon:x"])
+def test_cli_cell_rejects_unsupported_shape(shape):
+    r = run_cli("cell", "--shape", shape, "--constants")
+    assert r.returncode == 2
+    assert "accepted: disk, kgon:K" in r.stderr
+
+
 def test_env_var_overrides_parallelism(monkeypatch, tmp_path):
     # a 2-worker pool must give byte-identical results to the serial path
     cfg = small_config(run_gaps=False)
