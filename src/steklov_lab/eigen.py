@@ -1,12 +1,13 @@
 """Generalized symmetric eigensolvers for the two spectral pencils.
 
 Both discrete problems reduce to the largest eigenvalues of B u = mu A u
-with A positive definite: the perforated resolvent uses A = K + B_hole, and
-the homogenized one arrives as the reciprocal pencil of (K, M_Q).  The
-solver is Lanczos on the A-self-adjoint operator A^{-1}B, fully
-reorthogonalized in the A-inner product, with deflated restarts so repeated
-eigenvalues are recovered copy by copy.  A dense LAPACK route provides the
-independent reference spectrum on small problems.
+with A positive definite: the perforated resolvent uses A = K + B_hole
+(condensed onto hole and skeleton dofs), and the homogenized one arrives as
+the reciprocal pencil of (K, M_Q).  The solver is Lanczos on the
+A-self-adjoint operator A^{-1}B, fully reorthogonalized in the A-inner
+product, with deflated restarts so repeated eigenvalues are recovered copy
+by copy.  A dense LAPACK route provides the independent reference spectrum
+on small problems.
 """
 
 from __future__ import annotations

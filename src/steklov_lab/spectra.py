@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, geometry, meshgen
-from .eigen import SpectralResult, largest_pencil_eigs, smallest_pencil_eigs
+from .eigen import (SpectralResult, factor_spd, largest_pencil_eigs,
+                    smallest_pencil_eigs)
 
 
 class SpectraError(ValueError):
@@ -23,23 +25,105 @@ class SpectraError(ValueError):
 
 
 EXTRA = 2          # values solved beyond k, headroom for the truncation floor
+MIN_SPAN = 4.0     # least max/min ratio of delta that a rate fit accepts
+_BLOCK = 16        # coupling slots per interior solve; bounds its memory
 
 
-def steklov_spectrum(geom, template, k: int, tol: float = 1e-10,
-                     mesh=None) -> SpectralResult:
+def steklov_spectrum(geom, template, k: int,
+                     tol: float = 1e-10) -> SpectralResult:
     """Top boundary-spectrum values mu of the perforated domain (and the
     Steklov eigenvalues 1/mu - 1 via the result's .steklov)."""
-    mesh = meshgen.mesh_perforated(geom, template) if mesh is None else mesh
-    return _steklov_on(mesh, k, tol)
+    return _steklov_on(meshgen.mesh_perforated(geom, template), k, tol)
 
 
 def _steklov_on(mesh, k: int, tol: float = 1e-10) -> SpectralResult:
+    """Top-k values of the reduced pencil B u = mu (K + B) u, solved on the
+    condensed pencil; vectors come back full length over the free dofs.
+    Residuals and flags are those of the condensed pencil."""
+    S, B_RR, extend = _condensed_pencil(mesh)
+    res = largest_pencil_eigs(S, B_RR, k, tol=tol)
+    return replace(res, vectors=extend(res.vectors))
+
+
+def _condensed_pencil(mesh):
+    """The reduced pencil (A = K + B, B) condensed onto its hole and
+    skeleton dofs R by eliminating every cell interior I exactly.
+
+    B has no entry on I, so B_RR u = mu S u with S = A_RR - A_RI A_II^-1 A_IR
+    keeps every nonzero mu.  Returns S (exactly symmetric), B_RR and
+    extend(U), which maps rows u_R to full free-dof rows with
+    u_I = -A_II^-1 A_IR u_R: A-orthonormal eigenvectors of the full pencil
+    when the rows are S-orthonormal eigenvectors of the condensed one.
+    """
     K = fem.assemble_stiffness(mesh)
     B = fem.assemble_hole_mass(mesh)
     dm = fem.build_dofmap(mesh, "outer")
-    Kr = fem.apply_dirichlet(K, dm)
     Br = fem.apply_dirichlet(B, dm)
-    return largest_pencil_eigs((Kr + Br).tocsr(), Br, k, tol=tol)
+    A = (fem.apply_dirichlet(K, dm) + Br).tocsr()
+    on_r, cell = _skeleton(mesh, dm)
+    r, i = np.flatnonzero(on_r), np.flatnonzero(~on_r)
+    if Br[i].nnz:
+        raise SpectraError("hole mass has entries on cell-interior dofs")
+    A_IR = A[i][:, r]
+    fac = factor_spd(A[i][:, i])
+
+    def extend(U):
+        full = np.zeros((len(U), len(on_r)))
+        full[:, r] = U
+        full[:, i] = -fac.solve(np.asarray(A_IR @ U.T)).T
+        return full
+
+    return _schur(A[r][:, r], A_IR, cell[i], fac), Br[r][:, r], extend
+
+
+def _skeleton(mesh, dm):
+    """Mask of the free dofs on a hole boundary or in triangles of two or
+    more cells (R), and the lowest cell id touching each free dof; every
+    other free dof is interior to that one cell."""
+    if np.any(mesh.tri_cell < 0):
+        raise SpectraError("condensation needs cell ids on every triangle")
+    at, cells = mesh.triangles.ravel(), np.repeat(mesh.tri_cell, 3)
+    lo = np.full(mesh.num_nodes, np.iinfo(np.int64).max)
+    hi = np.full(mesh.num_nodes, -1)
+    np.minimum.at(lo, at, cells)
+    np.maximum.at(hi, at, cells)
+    on_r = lo != hi
+    on_r[mesh.boundary_edges[mesh.edge_tags != meshgen.OUTER]] = True
+    return on_r[dm.free], lo[dm.free]
+
+
+def _schur(A_RR, A_IR, cell, fac):
+    """S = A_RR - A_RI A_II^-1 A_IR for block-diagonal A_II (factored in
+    fac), made exactly symmetric.
+
+    Each (cell, R dof) coupling gets a slot number within its cell.  The
+    interiors are disjoint, so one right-hand-side column holds slot s of
+    every cell, and one solve per column block serves all cells.
+    """
+    nr = A_IR.shape[1]
+    coo = A_IR.tocoo()
+    pairs, pair_of = np.unique(cell[coo.row] * nr + coo.col,
+                               return_inverse=True)
+    pair_cell, pair_r = np.divmod(pairs, nr)
+    slot = np.arange(len(pairs)) - np.searchsorted(pair_cell, pair_cell)
+    width = int(slot.max()) + 1
+    r_at = np.full((int(cell.max()) + 1, width), -1)
+    r_at[pair_cell, slot] = pair_r
+    rhs = sp.csc_matrix((coo.data, (coo.row, slot[pair_of])),
+                        shape=(A_IR.shape[0], width))
+    to_pairs = sp.csr_matrix((coo.data, (pair_of, coo.row)),
+                             shape=(len(pairs), A_IR.shape[0]))
+    blocks = []
+    for s0 in range(0, width, _BLOCK):
+        # to_pairs @ X: per (cell, R dof), A_R,I(cell) A_II(cell)^-1 slots
+        G = to_pairs @ fac.solve(rhs[:, s0:s0 + _BLOCK].toarray())
+        cols = r_at[pair_cell, s0:s0 + _BLOCK]
+        keep = cols >= 0
+        blocks.append(sp.coo_matrix(
+            (G[keep], (np.broadcast_to(pair_r[:, None], keep.shape)[keep],
+                       cols[keep])), shape=(nr, nr)).tocsr())
+    S = (A_RR - sum(blocks, sp.csr_matrix((nr, nr)))).tocsr()
+    return ((S + S.T) * 0.5).tocsr()
 
 
 def homogenized_spectrum(domain, q, h: float, k: int,
@@ -163,7 +247,6 @@ def resolvent_gap(geom, template, descriptor, q_limit,
     A_red = (fem.apply_dirichlet(K, dm) + fem.apply_dirichlet(B, dm)).tocsr()
     f_perf = f(pm.nodes[:, 0], pm.nodes[:, 1])
     rhs = (B @ f_perf)[dm.free]
-    from .eigen import factor_spd
     u_eps = dm.expand(factor_spd(A_red).solve(rhs))
 
     if h_ref is None:
@@ -287,7 +370,7 @@ def _log_slope(xs, ys) -> float:
 
 
 def fit_rate(deltas, distances, min_points: int = 4,
-             min_span: float = 4.0) -> RateModel:
+             min_span: float = MIN_SPAN) -> RateModel:
     """Least-squares slope of log(distance) against log(delta).
 
     The theoretical bound is one-sided: slopes of at least 1 - 0.3 count as

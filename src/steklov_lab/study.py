@@ -278,13 +278,18 @@ def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
         report.cell_summary = consts.as_dict()
 
     usable = [p for p in pairs if p.gate_ok]
+    deltas = [p.delta for p in usable]
     if not report.oracle_ok:
         report.notes.append("oracle self-test failed; rate fit refused")
     elif len(usable) < 4:
         report.notes.append(
             f"only {len(usable)} usable sweep points; rate fit skipped")
+    elif max(deltas) < spectra.MIN_SPAN * min(deltas):
+        report.notes.append(
+            f"delta spans only a factor {max(deltas) / min(deltas):.3g} "
+            f"(a fit needs {spectra.MIN_SPAN}); rate fit skipped")
     else:
-        report.rate = spectra.fit_rate([p.delta for p in usable],
+        report.rate = spectra.fit_rate(deltas,
                                        [p.hausdorff for p in usable])
         if len(usable) < len(pairs):
             skipped = [p.m for p in pairs if not p.gate_ok]
@@ -294,8 +299,7 @@ def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
             for si in range(len(cfg.sources)):
                 vals = [gap_samples[i][si].normalized
                         for i, p in enumerate(pairs) if p.gate_ok]
-                report.gap_rates.append(spectra.fit_rate(
-                    [p.delta for p in usable], vals))
+                report.gap_rates.append(spectra.fit_rate(deltas, vals))
     return report
 
 

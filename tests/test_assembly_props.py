@@ -1,0 +1,89 @@
+"""Property tests: invariants of the assembled P1 matrices.
+
+Over perforated meshes, their refinements and every one-shape builder:
+stiffness annihilates constants, the mass matrix integrates 1 to the mesh
+area, the boundary mass integrates 1 to the boundary length, and every
+assembled matrix equals its transpose exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from steklov_lab import fem, shapes
+from steklov_lab import geometry as geo
+from steklov_lab import meshgen as mg
+
+TEMPLATES = [mg.CellMeshTemplate(6, 2.0, 4, 16),
+             mg.CellMeshTemplate(8, 2.0, 8, 32)]
+
+SHAPES = {
+    "disk": lambda h: shapes.mesh_disk(0.7, h, center=(0.2, -0.1)),
+    "kgon": lambda h: shapes.mesh_hole_shape("kgon", 5, h),
+    "collar": lambda h: shapes.mesh_collar("circle", None, h),
+    "kgon-collar": lambda h: shapes.mesh_collar("kgon", 6, h),
+    "slit-collar": lambda h: shapes.mesh_slit_collar(0.4, h),
+    "polygon": lambda h: shapes.mesh_convex_polygon(
+        [(0, 0), (1, 0), (1.2, 0.7), (0.2, 1)], h),
+    "ball": lambda h: shapes.mesh_ball_with_interface("circle", None, h),
+    "kgon-ball": lambda h: shapes.mesh_ball_with_interface("kgon", 3, h),
+    "secure-ball": lambda h: shapes.mesh_secure_ball(h / 20, 0.5),
+    "cell-with-hole": lambda h: shapes.mesh_cell_with_hole(h / 20),
+}
+
+
+def assert_symmetric(mat):
+    assert (mat != mat.T).nnz == 0
+
+
+def check_assembly(mesh):
+    ones = np.ones(mesh.num_nodes)
+    K = fem.assemble_stiffness(mesh)
+    assert np.abs(K @ ones).max() <= 1e-12 * np.abs(K).sum(axis=1).max()
+
+    M = fem.assemble_mass(mesh)
+    assert ones @ (M @ ones) == pytest.approx(mesh.area(), rel=1e-12)
+
+    Ball = fem.assemble_boundary_mass(mesh, "all")
+    ends = mesh.nodes[mesh.boundary_edges]
+    length = math.fsum(np.hypot(*(ends[:, 1] - ends[:, 0]).T))
+    assert ones @ (Ball @ ones) == pytest.approx(length, rel=1e-12)
+
+    cells = mesh.tri_cell
+    weight = (1.0 + np.arange(cells.max() + 1) if np.all(cells >= 0)
+              else (lambda x, y: 1.0 + x * x + y))
+    for mat in (K, M, Ball, fem.assemble_hole_mass(mesh),
+                fem.assemble_weighted_mass(mesh, weight),
+                fem.edge_mass(mesh, shapes.interface_edges(mesh))):
+        assert_symmetric(mat)
+
+
+def check_with_refinement(mesh):
+    check_assembly(mesh)
+    check_assembly(mg.refine(mesh))
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(1, 4),
+       l_shape=st.booleans(),
+       hole=st.sampled_from(["circle", ("kgon", 4), ("kgon", 8)]),
+       jitter=st.sampled_from([None, ("random", 0.5)]),
+       seed=st.integers(0, 2 ** 16),
+       template=st.sampled_from(TEMPLATES))
+def test_perforated_assembly_invariants(m, l_shape, hole, jitter, seed,
+                                        template):
+    domain = geo.l_shape() if l_shape else geo.unit_square()
+    m = 2 * math.ceil(m / 2) if l_shape else m
+    geom = geo.build_perforated_geometry(
+        domain, m, 0.5, shape_spec=hole, jitter=jitter,
+        rng=np.random.default_rng(seed))
+    check_with_refinement(mg.mesh_perforated(geom, template))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(SHAPES)), h=st.floats(0.15, 0.4))
+def test_shape_assembly_invariants(name, h):
+    check_with_refinement(SHAPES[name](h))

@@ -1,0 +1,110 @@
+"""The condensed Steklov pencil against the full one it replaces.
+
+The reference solves B u = mu (K + B) u over every free dof, as the solver
+did before the cell interiors were eliminated.  The condensed values must
+equal it, and the recovered vectors must be eigenvectors of that full
+pencil.
+"""
+
+import numpy as np
+import pytest
+
+from steklov_lab import fem, spectra
+from steklov_lab import geometry as geo
+from steklov_lab import meshgen as mg
+from steklov_lab.eigen import dense_reference_eigs, largest_pencil_eigs
+
+TPL = mg.CellMeshTemplate(6, 2.0, 4, 16)
+K_VALUES = 5
+TOL = 1e-10
+
+
+def perforated(domain, m, hole, jitter, seed=0):
+    dom = geo.l_shape() if domain == "l-shape" else geo.unit_square()
+    geom = geo.build_perforated_geometry(
+        dom, m, 0.5, shape_spec=hole, jitter=jitter,
+        rng=np.random.default_rng(seed) if jitter else None)
+    return mg.mesh_perforated(geom, TPL)
+
+
+def full_pencil(mesh):
+    dm = fem.build_dofmap(mesh, "outer")
+    B = fem.apply_dirichlet(fem.assemble_hole_mass(mesh), dm)
+    A = (fem.apply_dirichlet(fem.assemble_stiffness(mesh), dm) + B).tocsr()
+    return A, B
+
+
+CASES = [(domain, m, hole, jitter)
+         for domain, ms in (("unit-square", (1, 2, 4)), ("l-shape", (2, 4)))
+         for m in ms
+         for hole in ("circle", ("kgon", 4))
+         for jitter in (None, ("random", 0.5))]
+
+
+@pytest.mark.parametrize("domain,m,hole,jitter", CASES)
+def test_condensed_values_and_vectors_match_full_pencil(domain, m, hole,
+                                                        jitter):
+    coarse = perforated(domain, m, hole, jitter, seed=m)
+    for mesh in (coarse, mg.refine(coarse)):
+        A, B = full_pencil(mesh)
+        want = largest_pencil_eigs(A, B, K_VALUES, tol=TOL)
+        got = spectra._steklov_on(mesh, K_VALUES, TOL)
+        assert len(got.values) == K_VALUES and np.all(got.converged)
+        assert np.max(np.abs(got.values - want.values) / want.values) <= 1e-10
+        u = got.vectors
+        assert u.shape == (K_VALUES, A.shape[0])
+        anorm = np.abs(A).sum(axis=1).max()
+        for mu, x in zip(got.values, u):
+            assert np.linalg.norm(B @ x - mu * (A @ x)) <= TOL * anorm
+        gram = u @ (A @ u.T)
+        assert np.abs(gram - np.eye(K_VALUES)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("domain,m", [("unit-square", 1), ("l-shape", 2)])
+def test_dense_reference_on_condensed_pencil(domain, m):
+    mesh = perforated(domain, m, "circle", ("random", 0.5), seed=3)
+    S, B_RR, _ = spectra._condensed_pencil(mesh)
+    assert (S != S.T).nnz == 0
+    dense = dense_reference_eigs(S, B_RR).values[:K_VALUES]
+    full = dense_reference_eigs(*full_pencil(mesh)).values[:K_VALUES]
+    got = spectra._steklov_on(mesh, K_VALUES, TOL).values
+    assert np.max(np.abs(dense - full) / full) <= 1e-10
+    assert np.max(np.abs(got - dense) / dense) <= 1e-10
+
+
+def test_condensed_dofs_are_hole_and_skeleton_nodes():
+    # 2x2 cells: R is every free hole node plus the free nodes on the
+    # inner cell sides x = 0.5 and y = 0.5, before and after refinement
+    coarse = perforated("unit-square", 2, "circle", None)
+    for mesh in (coarse, mg.refine(coarse)):
+        dm = fem.build_dofmap(mesh, "outer")
+        on_r, _ = spectra._skeleton(mesh, dm)
+        hole = mesh.boundary_edges[mesh.edge_tags != mg.OUTER]
+        x, y = mesh.nodes[dm.free].T
+        want = np.isclose(x, 0.5) | np.isclose(y, 0.5) | np.isin(dm.free,
+                                                                 hole)
+        assert np.array_equal(on_r, want)
+
+
+def test_condensation_needs_cell_ids():
+    mesh = perforated("unit-square", 2, "circle", None)
+    mesh.tri_cell[:] = -1
+    with pytest.raises(spectra.SpectraError, match="cell ids"):
+        spectra._steklov_on(mesh, 2)
+
+
+def test_condensation_rejects_hole_mass_on_a_cell_interior(monkeypatch):
+    mesh = perforated("unit-square", 2, "circle", None)
+    dm = fem.build_dofmap(mesh, "outer")
+    on_r, _ = spectra._skeleton(mesh, dm)
+    inner = dm.free[np.flatnonzero(~on_r)[0]]
+    hole_mass = fem.assemble_hole_mass
+
+    def leaky(msh):
+        B = hole_mass(msh).tolil()
+        B[inner, inner] = 1.0
+        return B.tocsr()
+
+    monkeypatch.setattr(spectra.fem, "assemble_hole_mass", leaky)
+    with pytest.raises(spectra.SpectraError, match="cell-interior"):
+        spectra._steklov_on(mesh, 2)

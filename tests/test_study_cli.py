@@ -217,3 +217,20 @@ def test_study_mixing_cell_counts_runs():
     report = study.run_study(cfg, with_cell_summary=False)
     assert [p.m for p in report.pairs] == [4, 8, 13]
     assert all(p.kappa == 0.0 for p in report.pairs)
+
+
+def test_degenerate_sweep_skips_fits_and_writes_report(tmp_path):
+    # m = 2..5 spans delta by 1.94x only; the fits once raised after every
+    # point was solved, and no report was written
+    tpl = {"ring_count": 6, "grading": 2.0, "boundary_nodes_per_side": 4,
+           "hole_boundary_segments": 16}
+    cfg = study.config_from_dict({"beta": 0.5, "m_values": [2, 3, 4, 5],
+                                  "template": tpl, "run_gaps": False})
+    report = study.run_study(cfg, with_cell_summary=False)
+    assert all(p.gate_ok for p in report.pairs)
+    assert report.rate is None and report.gap_rates == []
+    assert report.notes == [
+        "delta spans only a factor 1.94 (a fit needs 4.0); rate fit skipped"]
+    paths = study.write_report(report, str(tmp_path / "out"))
+    assert "svg" not in paths
+    assert json.loads(open(paths["json"]).read())["rate"] is None
