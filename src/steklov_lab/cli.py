@@ -88,15 +88,17 @@ def cmd_solve(args) -> int:
         dom = _domain(args.domain)
         res = spectra.homogenized_spectrum(dom, args.q, args.h, args.k)
         print("weighted Dirichlet eigenvalues (lambda, mu):")
-        for lam, mu in zip(res.values, res.mu):
-            print(f"  {float(lam)!r}  {float(mu)!r}")
-        return 0
-    geom = geometry.build_perforated_geometry(
-        _domain(args.domain), args.m, args.beta, shape_spec=_shape(args.shape))
-    res = spectra.steklov_spectrum(geom, _template_from_args(args), args.k)
-    print("boundary spectrum (mu, steklov lambda = 1/mu - 1):")
-    for mu, lam in zip(res.values, res.steklov):
-        print(f"  {float(mu)!r}  {float(lam)!r}")
+        rows = zip(res.values, res.mu)
+    else:
+        geom = geometry.build_perforated_geometry(
+            _domain(args.domain), args.m, args.beta,
+            shape_spec=_shape(args.shape))
+        mesh = meshgen.mesh_perforated(geom, _template_from_args(args))
+        res = spectra.steklov_spectrum(mesh, args.k)
+        print("boundary spectrum (mu, steklov lambda = 1/mu - 1):")
+        rows = zip(res.values, res.steklov)
+    for a, b in rows:
+        print(f"  {float(a)!r}  {float(b)!r}")
     if res.warning:
         print(f"warning: {res.warning}")
     return 0

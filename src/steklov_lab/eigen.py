@@ -157,7 +157,7 @@ def _lanczos_run(A, afac, bmul, want, tol, rng, deflate, max_iter):
     return vals, vecs, ok, kdim, breakdown
 
 
-def _pencil_largest(A, bmul, k, tol, seed, max_iter, initial_deflate=None):
+def _pencil_largest(A, bmul, k, tol, max_iter, initial_deflate=None):
     afac = factor_spd(A)
     n = A.shape[0]
     if max_iter is None:
@@ -175,8 +175,13 @@ def _pencil_largest(A, bmul, k, tol, seed, max_iter, initial_deflate=None):
     for attempt in range(k + 3):
         if len(collected_vals) >= k:
             break
-        rng = np.random.default_rng(DEFAULT_SEED + seed + attempt)
+        rng = np.random.default_rng(DEFAULT_SEED + attempt)
         pool = fixed_deflate + collected_vecs
+        if len(pool) >= n:
+            # nothing is left to deflate into: a run would start from
+            # rounding noise and return spurious copies as exact pairs
+            exhausted = True
+            break
         deflate = np.array(pool) if pool else None
         want = k - len(collected_vals)
         vals, vecs, ok, used, breakdown = _lanczos_run(
@@ -206,9 +211,10 @@ def _pencil_largest(A, bmul, k, tol, seed, max_iter, initial_deflate=None):
     # eigenvalue, so hunt for missed multiplicity members until a deflated
     # run finds nothing at or above the k-th kept value
     rounds = 0
-    while not exhausted and len(collected_vals) >= k and rounds < k + 2:
+    while (not exhausted and len(collected_vals) >= k and rounds < k + 2
+           and len(fixed_deflate) + len(collected_vecs) < n):
         rounds += 1
-        rng = np.random.default_rng(DEFAULT_SEED + seed + 7777 + rounds)
+        rng = np.random.default_rng(DEFAULT_SEED + 7777 + rounds)
         pool = fixed_deflate + collected_vecs
         vals, vecs, ok, used, breakdown = _lanczos_run(
             A, afac, bmul, 2, tol, rng, np.array(pool), max_iter)
@@ -234,7 +240,7 @@ def _pencil_largest(A, bmul, k, tol, seed, max_iter, initial_deflate=None):
 
 
 def largest_pencil_eigs(A: sp.spmatrix, B, k: int, tol: float = 1e-10,
-                        seed: int = 0, max_iter: int | None = None,
+                        max_iter: int | None = None,
                         deflate=None) -> SpectralResult:
     """k largest eigenvalues of B u = mu A u with A SPD and B PSD.
 
@@ -255,7 +261,7 @@ def largest_pencil_eigs(A: sp.spmatrix, B, k: int, tol: float = 1e-10,
         bmul = lambda v: B @ v  # noqa: E731
 
     vals, vecs, iterations, exhausted = _pencil_largest(
-        A, bmul, k, tol, seed, max_iter, initial_deflate=deflate)
+        A, bmul, k, tol, max_iter, initial_deflate=deflate)
     warning = None
     if len(vals) < k:
         warning = (f"only {len(vals)} of {k} eigenvalues available "
@@ -271,8 +277,7 @@ def largest_pencil_eigs(A: sp.spmatrix, B, k: int, tol: float = 1e-10,
 
 
 def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix, k: int,
-                         tol: float = 1e-10, seed: int = 0,
-                         max_iter: int | None = None,
+                         tol: float = 1e-10, max_iter: int | None = None,
                          deflate=None) -> SpectralResult:
     """k smallest eigenvalues of K u = lam M u (shift-invert at zero).
 
@@ -286,7 +291,7 @@ def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix, k: int,
     if M.nnz == 0:
         raise EigenError("mass matrix vanishes")
     vals, vecs, iterations, exhausted = _pencil_largest(
-        K, lambda v: M @ v, k, tol, seed, max_iter, initial_deflate=deflate)
+        K, lambda v: M @ v, k, tol, max_iter, initial_deflate=deflate)
     if np.any(vals <= 0):
         raise EigenError("non-positive reciprocal eigenvalue; M not SPD "
                          "on the reduced space")

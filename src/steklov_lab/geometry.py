@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -299,15 +300,20 @@ class PerforatedGeometry:
 # ---------------------------------------------------------------------------
 # square tessellation (exact tiling)
 
-def build_square_tessellation(domain: Domain, m: int) -> list:
-    """Cells of the 1/m grid inside the domain; rejects non-tileable input."""
-    if m < 1:
-        raise GeometryError("m must be a positive integer")
+def check_tiling(domain: Domain, m: int):
+    """Raise unless every vertex of the domain lies on the 1/m grid."""
     for x, y in domain.vertices:
         if (x * m).denominator != 1 or (y * m).denominator != 1:
             raise GeometryError(
                 f"domain vertex ({x}, {y}) is not on the 1/{m} grid; "
                 "exact tiling impossible")
+
+
+def build_square_tessellation(domain: Domain, m: int) -> list:
+    """Cells of the 1/m grid inside the domain; rejects non-tileable input."""
+    if m < 1:
+        raise GeometryError("m must be a positive integer")
+    check_tiling(domain, m)
     x0, y0, x1, y1 = domain.bbox()
     eps = Fraction(1, m)
     ix0, ix1 = int(x0 * m), int(x1 * m)
@@ -413,6 +419,27 @@ def max_admissible_beta(cells, constants=DEFAULT_CONSTANTS) -> float:
     return constants.c_sec / (2.0 * r_max)
 
 
+def check_jitter(jitter, constants=DEFAULT_CONSTANTS):
+    """Raise unless jitter is None, ("random", frac) with 0 <= frac < 1, or
+    ("fixed", dx, dy) whose offset (dx, dy) * r keeps the secure distance
+    c_sec * r from the sides of a square cell of inradius r."""
+    if jitter is None:
+        return
+    spec = list(jitter) if isinstance(jitter, (list, tuple)) else []
+    kind = spec[0] if spec and isinstance(spec[0], str) else None
+    if (len(spec) != {"random": 2, "fixed": 3}.get(kind)
+            or not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                       for v in spec[1:])):
+        raise GeometryError(f"unknown jitter spec {jitter!r}")
+    if kind == "random" and not 0 <= spec[1] < 1:
+        raise GeometryError("random jitter fraction must be in [0,1)")
+    if kind == "fixed" and max(map(abs, spec[1:])) > 1 - constants.c_sec:
+        raise GeometryError(
+            f"fixed jitter offset {jitter!r} breaks the secure distance: "
+            f"max(|dx|, |dy|) must be at most 1 - c_sec = "
+            f"{1 - constants.c_sec:.6g}")
+
+
 def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
                 jitter=None, rng=None) -> list:
     """One hole per cell at the Chebyshev center, enclosing radius beta*r^2.
@@ -438,6 +465,9 @@ def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
             f"max admissible beta is {beta_max:.6g}")
     if constants.c_sec * r_max > 0.5 + 1e-15:
         raise GeometryError("c_sec * r exceeds 1/2; refine the tessellation")
+    check_jitter(jitter, constants)
+    if jitter is not None and jitter[0] == "random" and rng is None:
+        raise GeometryError("random jitter needs an rng")
 
     holes = []
     for cell in cells:
@@ -447,17 +477,10 @@ def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
             off = (0.0, 0.0)
         elif jitter[0] == "fixed":
             off = (jitter[1] * r, jitter[2] * r)
-        elif jitter[0] == "random":
-            frac = float(jitter[1])
-            if not 0 <= frac < 1:
-                raise GeometryError("random jitter fraction must be in [0,1)")
-            if rng is None:
-                raise GeometryError("random jitter needs an rng")
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            mag = frac * (1.0 - constants.c_sec) * r
-            off = (mag * math.cos(ang), mag * math.sin(ang))
         else:
-            raise GeometryError(f"unknown jitter spec {jitter!r}")
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            mag = float(jitter[1]) * (1.0 - constants.c_sec) * r
+            off = (mag * math.cos(ang), mag * math.sin(ang))
         center = (cx + off[0], cy + off[1])
         dist = dist_to_polygon_boundary(center, cell.float_polygon())
         if dist < constants.c_sec * r - 1e-12:

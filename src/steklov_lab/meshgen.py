@@ -111,6 +111,21 @@ class CellMeshTemplate:
             raise MeshError(
                 f"hole_boundary_segments must be a multiple of k={hole_k}")
 
+    def rings_needed(self, d: float, rho_out: float) -> int:
+        """Rings that grade a hole of radius d out to the secure ball of
+        radius rho_out; raises when ring_count cannot afford them."""
+        ratio = rho_out / d
+        if ratio < 2.0:
+            raise MeshError(
+                "hole too large for the secure ball (2d > c_sec*r)")
+        need = math.ceil(math.log(ratio) / math.log(self.grading) - 1e-12)
+        if self.ring_count < need:
+            raise MeshError(
+                f"ring_count={self.ring_count} cannot grade from d={d:.3g} "
+                f"to {rho_out:.3g} at grading {self.grading}; "
+                f"use ring_count >= {need}")
+        return need
+
     @property
     def doublings(self) -> int:
         return round(math.log2(4 * self.boundary_nodes_per_side
@@ -228,14 +243,7 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
 
     rho_out = c_sec * r
     ratio = rho_out / d
-    if ratio < 2.0:
-        raise MeshError("hole too large for the secure ball (2d > c_sec*r)")
-    rings_needed = math.ceil(math.log(ratio) / math.log(template.grading) - 1e-12)
-    if template.ring_count < rings_needed:
-        raise MeshError(
-            f"ring_count={template.ring_count} cannot grade from d={d:.3g} "
-            f"to {rho_out:.3g} at grading {template.grading}; "
-            f"use ring_count >= {rings_needed}")
+    rings_needed = template.rings_needed(d, rho_out)
     # ring_count is a budget: spend only as many rings as keeps the radial
     # step near the tangential spacing (ratio 1 + 2*pi/n per ring)
     balanced = round(math.log(ratio) / math.log(1.0 + 2.0 * math.pi / n))

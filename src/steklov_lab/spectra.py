@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem, geometry, meshgen
+from . import fem, meshgen
 from .eigen import (SpectralResult, factor_spd, largest_pencil_eigs,
                     smallest_pencil_eigs)
 
@@ -25,36 +25,45 @@ class SpectraError(ValueError):
 
 
 EXTRA = 2          # values solved beyond k, headroom for the truncation floor
+MIN_POINTS = 4     # least number of usable sweep points a rate fit accepts
 MIN_SPAN = 4.0     # least max/min ratio of delta that a rate fit accepts
 _BLOCK = 16        # coupling slots per interior solve; bounds its memory
 
 
-def steklov_spectrum(geom, template, k: int,
-                     tol: float = 1e-10) -> SpectralResult:
-    """Top boundary-spectrum values mu of the perforated domain (and the
-    Steklov eigenvalues 1/mu - 1 via the result's .steklov)."""
-    return _steklov_on(meshgen.mesh_perforated(geom, template), k, tol)
-
-
-def _steklov_on(mesh, k: int, tol: float = 1e-10) -> SpectralResult:
-    """Top-k values of the reduced pencil B u = mu (K + B) u, solved on the
-    condensed pencil; vectors come back full length over the free dofs.
-    Residuals and flags are those of the condensed pencil."""
-    S, B_RR, extend = _condensed_pencil(mesh)
+def steklov_spectrum(mesh, k: int, tol: float = 1e-10) -> SpectralResult:
+    """Top-k mu of B u = mu (K + B) u on a perforated mesh, solved condensed
+    (.steklov: 1/mu - 1); vectors are full length over the free dofs."""
+    op = condense(mesh)
+    S, B_RR, extend = op.S, op.B_RR, op.extend
+    del op          # the solve needs no K or B; held through it, they add RSS
     res = largest_pencil_eigs(S, B_RR, k, tol=tol)
     return replace(res, vectors=extend(res.vectors))
 
 
-def _condensed_pencil(mesh):
-    """The reduced pencil (A = K + B, B) condensed onto its hole and
-    skeleton dofs R by eliminating every cell interior I exactly.
+@dataclass
+class Condensed:
+    """A perforated mesh's A = K + B condensed onto hole and skeleton dofs."""
+    mesh: object
+    K: sp.csr_matrix                 # full stiffness and hole mass
+    B: sp.csr_matrix
+    dofmap: fem.DofMap
+    S: sp.csr_matrix                 # A_RR - A_RI A_II^-1 A_IR
+    B_RR: sp.csr_matrix
+    r: np.ndarray                    # free-dof indices of R
+    extend: object                   # rows u_R -> full free-dof rows
 
-    B has no entry on I, so B_RR u = mu S u with S = A_RR - A_RI A_II^-1 A_IR
-    keeps every nonzero mu.  Returns S (exactly symmetric), B_RR and
-    extend(U), which maps rows u_R to full free-dof rows with
-    u_I = -A_II^-1 A_IR u_R: A-orthonormal eigenvectors of the full pencil
-    when the rows are S-orthonormal eigenvectors of the condensed one.
-    """
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """Nodal u, zero on the outer boundary, with A u = B f on the free
+        dofs: B f vanishes on cell interiors, so S u_R = (B f)_R exactly."""
+        u_r = factor_spd(self.S).solve((self.B @ f)[self.dofmap.free][self.r])
+        return self.dofmap.expand(self.extend(u_r[None])[0])
+
+
+def condense(mesh) -> Condensed:
+    """The one place a perforated mesh's operator is assembled and reduced.
+    Eliminating every cell interior I is exact: B has no entry on I, so
+    B_RR u = mu S u keeps every nonzero mu of B u = mu A u.  extend(U) sets
+    u_I = -A_II^-1 A_IR u_R: S-orthonormal rows extend A-orthonormally."""
     K = fem.assemble_stiffness(mesh)
     B = fem.assemble_hole_mass(mesh)
     dm = fem.build_dofmap(mesh, "outer")
@@ -73,7 +82,9 @@ def _condensed_pencil(mesh):
         full[:, i] = -fac.solve(np.asarray(A_IR @ U.T)).T
         return full
 
-    return _schur(A[r][:, r], A_IR, cell[i], fac), Br[r][:, r], extend
+    return Condensed(mesh=mesh, K=K, B=B, dofmap=dm,
+                     S=_schur(A[r][:, r], A_IR, cell[i], fac),
+                     B_RR=Br[r][:, r], r=r, extend=extend)
 
 
 def _skeleton(mesh, dm):
@@ -130,12 +141,17 @@ def homogenized_spectrum(domain, q, h: float, k: int,
                          tol: float = 1e-10) -> SpectralResult:
     """Smallest eigenvalues of the q-weighted Dirichlet problem on the plain
     domain; .mu gives the resolvent values 1/(1+lambda)."""
-    mesh = meshgen.mesh_unperforated(domain, h)
-    K = fem.assemble_stiffness(mesh)
-    Mq = fem.assemble_weighted_mass(mesh, q)
-    dm = fem.build_dofmap(mesh, "outer")
+    _, K, Mq, dm = _structured(domain, q, h)
     return smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
                                 fem.apply_dirichlet(Mq, dm), k, tol=tol)
+
+
+def _structured(domain, q, h: float):
+    """Structured mesh of the plain domain, its K, q-weighted M and dofmap."""
+    mesh = meshgen.mesh_unperforated(domain, h)
+    return (mesh, fem.assemble_stiffness(mesh),
+            fem.assemble_weighted_mass(mesh, q),
+            fem.build_dofmap(mesh, "outer"))
 
 
 def richardson(coarse, fine):
@@ -226,7 +242,6 @@ class ResolventGapSample:
     descriptor: dict
     gap: float                       # || R_eps J f - J R f || in the
     f_norm: float                    # perforated energy norm, vs ||f||_H
-    epsilon: float
 
     @property
     def normalized(self) -> float:
@@ -234,37 +249,25 @@ class ResolventGapSample:
 
 
 def resolvent_gap(geom, template, descriptor, q_limit,
-                  h_ref: float | None = None, perf_mesh=None
-                  ) -> ResolventGapSample:
+                  perf: Condensed) -> ResolventGapSample:
     """Apply both solution operators to one analytic source and measure the
-    energy-norm discrepancy on the perforated mesh."""
+    energy-norm discrepancy on perf, the condensed perforated mesh; the
+    reference side is meshed at h = 1/(2 s m)."""
     f = source_function(descriptor)
-    pm = meshgen.mesh_perforated(geom, template) if perf_mesh is None \
-        else perf_mesh
-    K = fem.assemble_stiffness(pm)
-    B = fem.assemble_hole_mass(pm)
-    dm = fem.build_dofmap(pm, "outer")
-    A_red = (fem.apply_dirichlet(K, dm) + fem.apply_dirichlet(B, dm)).tocsr()
-    f_perf = f(pm.nodes[:, 0], pm.nodes[:, 1])
-    rhs = (B @ f_perf)[dm.free]
-    u_eps = dm.expand(factor_spd(A_red).solve(rhs))
+    pm = perf.mesh
+    u_eps = perf.solve(f(pm.nodes[:, 0], pm.nodes[:, 1]))
 
-    if h_ref is None:
-        s = template.boundary_nodes_per_side
-        h_ref = 1.0 / (2 * s * geom.m)
-    hm = meshgen.mesh_unperforated(geom.domain, h_ref)
-    Kh = fem.assemble_stiffness(hm)
-    Mq = fem.assemble_weighted_mass(hm, q_limit)
-    dmh = fem.build_dofmap(hm, "outer")
+    s = template.boundary_nodes_per_side
+    hm, Kh, Mq, dmh = _structured(geom.domain, q_limit, 1.0 / (2 * s * geom.m))
     Ah = (fem.apply_dirichlet(Kh, dmh) + fem.apply_dirichlet(Mq, dmh)).tocsr()
     f_hom = f(hm.nodes[:, 0], hm.nodes[:, 1])
     u_hom = dmh.expand(factor_spd(Ah).solve((Mq @ f_hom)[dmh.free]))
 
     u_restricted = fem.interpolate(hm, u_hom, pm)
-    gap = fem.h_eps_norm(pm, u_eps - u_restricted, K=K, B=B)
+    gap = fem.h_eps_norm(pm, u_eps - u_restricted, K=perf.K, B=perf.B)
     f_norm = math.sqrt(float(f_hom @ (Kh @ f_hom) + f_hom @ (Mq @ f_hom)))
     return ResolventGapSample(descriptor=dict(descriptor), gap=gap,
-                              f_norm=f_norm, epsilon=geom.epsilon)
+                              f_norm=f_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -293,40 +296,33 @@ def rate_scale(r_eps: float, kappa: float) -> float:
     return max(kappa, r_eps * math.sqrt(abs(math.log(r_eps))))
 
 
-def spectrum_pair(geom, template, k: int, homog: HomogenizedPair,
-                  tol: float = 1e-10, kappa_value: float | None = None,
-                  perf_mesh=None) -> SpectrumPair:
-    """Solve the perforated side on a mesh and its refinement, Richardson-
+def spectrum_pair(geom, mesh, k: int, homog: HomogenizedPair, kappa: float,
+                  tol: float = 1e-10) -> SpectrumPair:
+    """Solve the perforated side on geom's mesh and its refinement, Richardson-
     extrapolate eigenvalue by eigenvalue, pair it with the study's
     homogenized side, and gate the pair on discretization error and on the
     outcome of all four solves."""
     kk = k + EXTRA
-    pm = meshgen.mesh_perforated(geom, template) if perf_mesh is None \
-        else perf_mesh
-    st = [_steklov_on(mesh, kk, tol) for mesh in (pm, meshgen.refine(pm))]
+    st = [steklov_spectrum(pm, kk, tol)
+          for pm in (mesh, meshgen.refine(mesh))]
     st_coarse, st_fine = st[0].values, st[1].values
     n = min(len(st_coarse), len(st_fine))
     st_mu = richardson(st_coarse[:n], st_fine[:n])
     st_err = np.abs(st_fine[:n] - st_coarse[:n])
     ho_mu, ho_err = homog.mu, homog.err
 
-    if kappa_value is None:
-        wf = geometry.weight_field(geom)
-        kappa_value = geometry.kappa(geom, wf, homog.q)
     r_eps = geom.r_eps
     d_hole = max(h.d for h in geom.holes)
-    delta = rate_scale(r_eps, kappa_value)
+    delta = rate_scale(r_eps, kappa)
 
     floor = 0.5 * ho_mu[k - 1]
     dist = truncated_spectrum_distance(st_mu, ho_mu, k, floor)
 
     detail = []
-    ok = True
     for j in range(k):
         gap = abs(st_mu[j] - ho_mu[j])
         err = st_err[j] + ho_err[j]
         good = err <= 0.1 * gap
-        ok = ok and good
         detail.append({"j": j + 1, "gap": float(gap), "disc_err": float(err),
                        "ok": bool(good)})
     # so does an unconverged or missing value among the first k of a solve
@@ -336,16 +332,15 @@ def spectrum_pair(geom, template, k: int, homog: HomogenizedPair,
         bad = [j + 1 for j in range(k)
                if j >= len(res.converged) or not res.converged[j]]
         if bad:
-            ok = False
             detail.append({"solver": label, "unconverged": bad,
                            "warning": res.warning, "ok": False})
     return SpectrumPair(
         epsilon=geom.epsilon, m=geom.m, r_eps=r_eps, d=d_hole,
-        kappa=float(kappa_value), delta=float(delta),
+        kappa=float(kappa), delta=float(delta),
         steklov_mu=st_mu[:kk], homog_mu=ho_mu[:kk],
         steklov_err=st_err[:kk], homog_err=ho_err[:kk],
         hausdorff=float(dist), floor_mu=float(floor),
-        gate_ok=bool(ok), gate_detail=detail)
+        gate_ok=all(d["ok"] for d in detail), gate_detail=detail)
 
 
 @dataclass
@@ -369,8 +364,7 @@ def _log_slope(xs, ys) -> float:
     return float((n * sxy - sx * sy) / (n * sxx - sx * sx))
 
 
-def fit_rate(deltas, distances, min_points: int = 4,
-             min_span: float = MIN_SPAN) -> RateModel:
+def fit_rate(deltas, distances) -> RateModel:
     """Least-squares slope of log(distance) against log(delta).
 
     The theoretical bound is one-sided: slopes of at least 1 - 0.3 count as
@@ -378,13 +372,13 @@ def fit_rate(deltas, distances, min_points: int = 4,
     """
     deltas = np.asarray(deltas, dtype=float)
     distances = np.asarray(distances, dtype=float)
-    if len(deltas) < min_points:
+    if len(deltas) < MIN_POINTS:
         raise SpectraError(
-            f"rate fit needs at least {min_points} usable sweep points, "
+            f"rate fit needs at least {MIN_POINTS} usable sweep points, "
             f"got {len(deltas)}")
-    if np.max(deltas) < min_span * np.min(deltas):
+    if np.max(deltas) < MIN_SPAN * np.min(deltas):
         raise SpectraError(
-            f"degenerate sweep: delta spans less than a factor {min_span}")
+            f"degenerate sweep: delta spans less than a factor {MIN_SPAN}")
     if np.any(distances <= 0):
         raise SpectraError("distances must be positive for a log fit")
     lx, ly = np.log(deltas), np.log(distances)

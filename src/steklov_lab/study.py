@@ -65,16 +65,23 @@ class StudyConfig:
             raise StudyError("k must be >= 1")
         if self.domain not in _DOMAINS:
             raise StudyError(f"unknown domain {self.domain!r}")
-        r_max = 1.0 / (2 * min(ms))
-        cst = geometry.DEFAULT_CONSTANTS
-        beta_max = cst.c_sec / (2.0 * r_max)
-        if not 0 < self.beta <= beta_max:
-            raise StudyError(
-                f"beta={self.beta} inadmissible for m_min={min(ms)}: "
-                f"hole smallness requires beta <= {beta_max:.6g}")
         self.template.validate(
             self.hole_shape[1] if isinstance(self.hole_shape, (list, tuple))
             else None)
+        cst = geometry.DEFAULT_CONSTANTS
+        try:
+            geometry.check_jitter(self.jitter, cst)
+            for m in ms:    # grid cells have r = 1/(2m), holes d = beta r^2
+                r = 1.0 / (2 * m)
+                beta_max = cst.c_sec / (2.0 * r)
+                if not 0 < self.beta <= beta_max:
+                    raise StudyError(
+                        f"beta={self.beta} inadmissible for m_min={m}: "
+                        f"hole smallness requires beta <= {beta_max:.6g}")
+                geometry.check_tiling(self.domain_object(), m)
+                self.template.rings_needed(self.beta * r * r, cst.c_sec * r)
+        except (geometry.GeometryError, meshgen.MeshError) as exc:
+            raise StudyError(str(exc)) from exc
         for desc in self.sources:
             try:
                 spectra.source_function(desc)
@@ -201,14 +208,13 @@ def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
             f"q_limit {q_limit!r} the homogenized side was solved for")
     kappa = geometry.kappa(geo, wf, q_limit, cfg.sigma)
     pm = meshgen.mesh_perforated(geo, cfg.template)
-    pair = spectra.spectrum_pair(
-        geo, cfg.template, cfg.k, homog, tol=cfg.tol,
-        kappa_value=kappa, perf_mesh=pm)
+    pair = spectra.spectrum_pair(geo, pm, cfg.k, homog, kappa, tol=cfg.tol)
     gaps = []
     if cfg.run_gaps:
-        for desc in cfg.sources:
-            gaps.append(spectra.resolvent_gap(
-                geo, cfg.template, desc, q_limit, perf_mesh=pm))
+        # condensed after the pair: held through the refined solve, it adds RSS
+        perf = spectra.condense(pm)
+        gaps = [spectra.resolvent_gap(geo, cfg.template, desc, q_limit, perf)
+                for desc in cfg.sources]
     validation = geometry.validate_assumptions(geo, wf).as_dict()
     return pair, gaps, validation
 
@@ -281,7 +287,7 @@ def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
     deltas = [p.delta for p in usable]
     if not report.oracle_ok:
         report.notes.append("oracle self-test failed; rate fit refused")
-    elif len(usable) < 4:
+    elif len(usable) < spectra.MIN_POINTS:
         report.notes.append(
             f"only {len(usable)} usable sweep points; rate fit skipped")
     elif max(deltas) < spectra.MIN_SPAN * min(deltas):

@@ -12,7 +12,8 @@ import pytest
 from steklov_lab import fem, spectra
 from steklov_lab import geometry as geo
 from steklov_lab import meshgen as mg
-from steklov_lab.eigen import dense_reference_eigs, largest_pencil_eigs
+from steklov_lab.eigen import (dense_reference_eigs, factor_spd,
+                              largest_pencil_eigs)
 
 TPL = mg.CellMeshTemplate(6, 2.0, 4, 16)
 K_VALUES = 5
@@ -48,7 +49,7 @@ def test_condensed_values_and_vectors_match_full_pencil(domain, m, hole,
     for mesh in (coarse, mg.refine(coarse)):
         A, B = full_pencil(mesh)
         want = largest_pencil_eigs(A, B, K_VALUES, tol=TOL)
-        got = spectra._steklov_on(mesh, K_VALUES, TOL)
+        got = spectra.steklov_spectrum(mesh, K_VALUES, TOL)
         assert len(got.values) == K_VALUES and np.all(got.converged)
         assert np.max(np.abs(got.values - want.values) / want.values) <= 1e-10
         u = got.vectors
@@ -63,11 +64,12 @@ def test_condensed_values_and_vectors_match_full_pencil(domain, m, hole,
 @pytest.mark.parametrize("domain,m", [("unit-square", 1), ("l-shape", 2)])
 def test_dense_reference_on_condensed_pencil(domain, m):
     mesh = perforated(domain, m, "circle", ("random", 0.5), seed=3)
-    S, B_RR, _ = spectra._condensed_pencil(mesh)
+    op = spectra.condense(mesh)
+    S, B_RR = op.S, op.B_RR
     assert (S != S.T).nnz == 0
     dense = dense_reference_eigs(S, B_RR).values[:K_VALUES]
     full = dense_reference_eigs(*full_pencil(mesh)).values[:K_VALUES]
-    got = spectra._steklov_on(mesh, K_VALUES, TOL).values
+    got = spectra.steklov_spectrum(mesh, K_VALUES, TOL).values
     assert np.max(np.abs(dense - full) / full) <= 1e-10
     assert np.max(np.abs(got - dense) / dense) <= 1e-10
 
@@ -90,7 +92,7 @@ def test_condensation_needs_cell_ids():
     mesh = perforated("unit-square", 2, "circle", None)
     mesh.tri_cell[:] = -1
     with pytest.raises(spectra.SpectraError, match="cell ids"):
-        spectra._steklov_on(mesh, 2)
+        spectra.steklov_spectrum(mesh, 2)
 
 
 def test_condensation_rejects_hole_mass_on_a_cell_interior(monkeypatch):
@@ -107,4 +109,33 @@ def test_condensation_rejects_hole_mass_on_a_cell_interior(monkeypatch):
 
     monkeypatch.setattr(spectra.fem, "assemble_hole_mass", leaky)
     with pytest.raises(spectra.SpectraError, match="cell-interior"):
-        spectra._steklov_on(mesh, 2)
+        spectra.steklov_spectrum(mesh, 2)
+
+
+@pytest.mark.parametrize("k", [30, 31, 32, 33])
+def test_condensed_pencil_at_and_beyond_its_size(k):
+    # m = 1 leaves only hole dofs: 32 of them on the default template
+    geom = geo.build_perforated_geometry(geo.unit_square(), 1, 0.5)
+    op = spectra.condense(mg.mesh_perforated(geom, mg.CellMeshTemplate()))
+    n = op.S.shape[0]
+    assert n == 32
+    dense = dense_reference_eigs(op.S, op.B_RR).values
+    res = largest_pencil_eigs(op.S, op.B_RR, k)
+    assert len(res.values) == min(k, n)
+    assert np.abs(res.values - dense[:len(res.values)]).max() <= 1e-10
+    assert (res.warning is None) == (k <= n)
+
+
+@pytest.mark.parametrize("domain,m,hole,jitter", CASES)
+def test_condensed_source_solve_matches_full_operator(domain, m, hole,
+                                                      jitter):
+    coarse = perforated(domain, m, hole, jitter, seed=m)
+    for mesh in (coarse, mg.refine(coarse)):
+        op = spectra.condense(mesh)
+        A, _ = full_pencil(mesh)
+        x, y = mesh.nodes.T
+        f = np.sin(np.pi * x) * np.sin(np.pi * y) + x * y
+        want = op.dofmap.expand(
+            factor_spd(A).solve((op.B @ f)[op.dofmap.free]))
+        got = op.solve(f)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

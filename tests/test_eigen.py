@@ -164,3 +164,44 @@ def test_fully_deflated_start_reports_rank_exhausted():
                                     1, deflate=np.eye(3))
     assert len(res.values) == 0
     assert "pencil rank exhausted" in res.warning
+
+
+def small_spd_pencil(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n))
+    S = rng.standard_normal((n, rank))
+    return sp.csr_matrix(R @ R.T + n * np.eye(n)), sp.csr_matrix(S @ S.T)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n,rank", [(6, 6), (9, 9), (12, 7)])
+def test_never_more_values_than_the_pencil_has(n, rank, seed):
+    # once every direction was deflated, further runs started from rounding
+    # noise and returned spurious copies of one value as converged pairs
+    A, B = small_spd_pencil(n, rank, seed)
+    dense = eigen.dense_reference_eigs(A, B).values[:rank]
+    for k in range(1, n + 3):
+        res = eigen.largest_pencil_eigs(A, B, k)
+        got = min(k, rank)
+        assert len(res.values) == got
+        assert np.abs(res.values - dense[:got]).max() <= 1e-10
+        if k > rank:
+            assert f"only {rank} of {k} eigenvalues available" in res.warning
+        else:
+            assert res.warning is None
+
+
+@pytest.mark.parametrize("k", [8, 9, 10, 20])
+def test_smallest_never_more_values_than_free_dofs(k):
+    mesh = mg.mesh_unperforated(geo.unit_square(), 0.25)
+    dm = fem.build_dofmap(mesh)
+    K = fem.apply_dirichlet(fem.assemble_stiffness(mesh), dm)
+    M = fem.apply_dirichlet(fem.assemble_mass(mesh), dm)
+    n = K.shape[0]
+    assert n == 9
+    dense = np.sort(eigen.dense_reference_eigs(M, K).values)
+    res = eigen.smallest_pencil_eigs(K, M, k)
+    assert len(res.values) == min(k, n)
+    assert np.abs(res.values - dense[:k]).max() <= 1e-10 * dense.max()
+    if k > n:
+        assert res.warning == f"only {n} of {k} eigenvalues available"

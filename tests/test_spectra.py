@@ -14,9 +14,20 @@ from steklov_lab import oracles, spectra
 TPL = mg.CellMeshTemplate()
 
 
+def gap_of(geom, descriptor, q):
+    perf = spectra.condense(mg.mesh_perforated(geom, TPL))
+    return spectra.resolvent_gap(geom, TPL, descriptor, q, perf)
+
+
+def pair_of(geom, k, homog):
+    kappa = geo.kappa(geom, geo.weight_field(geom), homog.q)
+    return spectra.spectrum_pair(geom, mg.mesh_perforated(geom, TPL), k,
+                                 homog, kappa)
+
+
 def test_steklov_spectrum_contract():
     geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
-    res = spectra.steklov_spectrum(geom, TPL, 3)
+    res = spectra.steklov_spectrum(mg.mesh_perforated(geom, TPL), 3)
     assert len(res.values) == 3
     assert np.all((res.values > 0) & (res.values < 1))
     assert np.all(res.converged)
@@ -122,14 +133,11 @@ def test_source_functions():
 def test_resolvent_gap_zero_source_and_linearity():
     geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
     q = math.pi / 2
-    s1 = spectra.resolvent_gap(geom, TPL, {"kind": "sine", "px": 1, "py": 1},
-                               q)
+    s1 = gap_of(geom, {"kind": "sine", "px": 1, "py": 1}, q)
     assert s1.gap > 0
-    zero = spectra.resolvent_gap(
-        geom, TPL, {"kind": "sine", "px": 1, "py": 1, "scale": 0.0}, q)
+    zero = gap_of(geom, {"kind": "sine", "px": 1, "py": 1, "scale": 0.0}, q)
     assert zero.gap == 0.0
-    doubled = spectra.resolvent_gap(
-        geom, TPL, {"kind": "sine", "px": 1, "py": 1, "scale": 2.0}, q)
+    doubled = gap_of(geom, {"kind": "sine", "px": 1, "py": 1, "scale": 2.0}, q)
     assert doubled.gap == pytest.approx(2 * s1.gap, rel=1e-11)
     assert doubled.normalized == pytest.approx(s1.normalized, rel=1e-11)
 
@@ -139,8 +147,7 @@ def test_resolvent_gap_decreases_along_sweep():
     vals = []
     for m in (2, 4, 8):
         geom = geo.build_perforated_geometry(geo.unit_square(), m, 1.0)
-        s = spectra.resolvent_gap(geom, TPL,
-                                  {"kind": "sine", "px": 1, "py": 1}, q)
+        s = gap_of(geom, {"kind": "sine", "px": 1, "py": 1}, q)
         vals.append(s.normalized)
     assert vals[0] > vals[1] > vals[2]
 
@@ -150,7 +157,7 @@ def test_spectrum_pair_small_sweep():
     pairs = []
     for m in (2, 4):
         geom = geo.build_perforated_geometry(geo.unit_square(), m, 1.0)
-        pairs.append(spectra.spectrum_pair(geom, TPL, 2, homog))
+        pairs.append(pair_of(geom, 2, homog))
     p = pairs[-1]
     assert p.kappa == 0.0
     assert p.delta == pytest.approx(
@@ -165,7 +172,7 @@ def test_spectrum_pair_small_sweep():
 def test_unconverged_solve_fails_the_gate(monkeypatch):
     homog = spectra.homogenized_pair(geo.unit_square(), math.pi / 2, 1 / 32, 2)
     geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
-    healthy = spectra.spectrum_pair(geom, TPL, 2, homog)
+    healthy = pair_of(geom, 2, homog)
     assert healthy.gate_ok
     assert all("solver" not in d for d in healthy.gate_detail)
 
@@ -173,12 +180,12 @@ def test_unconverged_solve_fails_the_gate(monkeypatch):
     fine = homog.fine
     short = replace(fine, values=fine.values[:3],
                     converged=fine.converged[:3], warning="only 3 of 4")
-    pair = spectra.spectrum_pair(geom, TPL, 2, replace(homog, fine=short))
+    pair = pair_of(geom, 2, replace(homog, fine=short))
     assert pair.gate_ok
     assert pair.gate_detail == healthy.gate_detail
 
     flagged = replace(short, converged=np.array([True, False, True]))
-    pair = spectra.spectrum_pair(geom, TPL, 2, replace(homog, fine=flagged))
+    pair = pair_of(geom, 2, replace(homog, fine=flagged))
     assert not pair.gate_ok
     assert pair.gate_detail[2:] == [{"solver": "homogenized-fine",
                                      "unconverged": [2],
@@ -192,7 +199,7 @@ def test_unconverged_solve_fails_the_gate(monkeypatch):
         return res
 
     monkeypatch.setattr(spectra, "largest_pencil_eigs", unconverged)
-    pair = spectra.spectrum_pair(geom, TPL, 2, homog)
+    pair = pair_of(geom, 2, homog)
     assert not pair.gate_ok
     flagged = [d for d in pair.gate_detail if "solver" in d]
     assert [d["solver"] for d in flagged] == ["steklov-coarse",

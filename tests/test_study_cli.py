@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from steklov_lab import meshgen, spectra, study
+from steklov_lab import eigen, fem, geometry, meshgen, spectra, study
 
 
 SMALL = {
@@ -36,6 +36,51 @@ def test_config_validation_errors():
         study.config_from_dict({"domain": "disk"})
     with pytest.raises(study.StudyError, match="bad config field"):
         study.config_from_dict({"nonsense": 1})
+
+
+def test_l_shape_with_odd_m_fails_validation():
+    with pytest.raises(geometry.GeometryError) as late:
+        geometry.build_perforated_geometry(geometry.l_shape(), 3, 1.0)
+    assert "(1, 1/2) is not on the 1/3 grid" in str(late.value)
+    with pytest.raises(study.StudyError) as early:
+        study.config_from_dict({"domain": "l-shape", "m_values": [2, 3]})
+    assert str(early.value) == str(late.value)
+
+
+@pytest.mark.parametrize("jitter,message", [
+    (["random", 1.5], "fraction must be in"),
+    (["random", -0.1], "fraction must be in"),
+    (["random"], "unknown jitter spec"),
+    (["random", "0.3"], "unknown jitter spec"),
+    (["wobble", 0.1], "unknown jitter spec"),
+    ("random", "unknown jitter spec"),
+    (["fixed", 0.8, 0.0], "secure distance"),
+    (["fixed", 0.0, -2.0], "secure distance"),
+])
+def test_bad_jitter_fails_validation(jitter, message):
+    spec = tuple(jitter) if isinstance(jitter, list) else jitter
+    with pytest.raises(geometry.GeometryError, match=message) as late:
+        geometry.build_perforated_geometry(
+            geometry.unit_square(), 2, 1.0, jitter=spec,
+            rng=np.random.default_rng(0))
+    with pytest.raises(study.StudyError) as early:
+        study.config_from_dict({"jitter": jitter})
+    assert str(early.value) == str(late.value)
+
+
+def test_short_ring_count_fails_validation():
+    # ring_count 2 grades m = 2 (ratio 4) but not m = 9 (ratio 18); the
+    # study once failed only after solving the m = 2 point
+    tpl = dict(SMALL["template"], ring_count=2)
+    cfg = dict(beta=0.5, template=tpl)
+    study.config_from_dict(dict(cfg, m_values=[2]))
+    geom = geometry.build_perforated_geometry(geometry.unit_square(), 9, 0.5)
+    with pytest.raises(meshgen.MeshError) as late:
+        meshgen.mesh_perforated(geom, meshgen.CellMeshTemplate(**tpl))
+    with pytest.raises(study.StudyError) as early:
+        study.config_from_dict(dict(cfg, m_values=[2, 9]))
+    assert "use ring_count >= 5" in str(early.value)
+    assert str(early.value) == str(late.value)
 
 
 def test_unknown_source_kind_fails_validation():
@@ -128,6 +173,23 @@ def test_cli_solve_homog_near_analytic():
     assert abs(vals[1] - 5 * np.pi ** 2) / (5 * np.pi ** 2) < 0.02
 
 
+def test_cli_solve_homog_prints_the_solver_warning():
+    # h = 1/4 leaves 9 free dofs; k = 20 once printed 20 values, 19 of them
+    # copies of a value the pencil does not have
+    r = run_cli("solve", "--homog", "--q", "1", "--h", "0.25", "-k", "20")
+    assert r.returncode == 0
+    vals = [float(ln.split()[0]) for ln in r.stdout.splitlines()
+            if ln.startswith("  ")]
+    assert len(vals) == 9
+    mesh = meshgen.mesh_unperforated(geometry.unit_square(), 0.25)
+    dm = fem.build_dofmap(mesh)
+    dense = np.sort(eigen.dense_reference_eigs(
+        fem.apply_dirichlet(fem.assemble_mass(mesh), dm),
+        fem.apply_dirichlet(fem.assemble_stiffness(mesh), dm)).values)
+    assert np.abs(np.array(vals) - dense).max() <= 1e-10 * dense.max()
+    assert "warning: only 9 of 20 eigenvalues available" in r.stdout
+
+
 def test_cli_missing_study_config_exits_2(tmp_path):
     r = run_cli("study", str(tmp_path / "missing.json"))
     assert r.returncode == 2
@@ -198,6 +260,35 @@ def test_homogenized_side_solved_once_per_study(monkeypatch, m_values):
     assert len(solves) == 2
     assert len(report.pairs) == len(m_values)
     assert all(p.gate_ok for p in report.pairs)
+
+
+@pytest.mark.parametrize("sources", [1, 3])
+def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
+                                                           sources):
+    condensed, used = [], []
+    condense, gap = spectra.condense, spectra.resolvent_gap
+
+    def counted_condense(mesh):
+        condensed.append(mesh)
+        return condense(mesh)
+
+    def counted_gap(*args):
+        used.append(args[-1])
+        return gap(*args)
+
+    monkeypatch.setattr(spectra, "condense", counted_condense)
+    monkeypatch.setattr(spectra, "resolvent_gap", counted_gap)
+    descs = [{"kind": "sine", "px": p, "py": 1} for p in range(1, 4)]
+    cfg = small_config(sources=descs[:sources])
+    homog = spectra.homogenized_pair(cfg.domain_object(), np.pi / 2,
+                                     cfg.h_hom, cfg.k, cfg.tol)
+    pair, gaps, _ = study._run_point(cfg, 2, homog)
+    assert len(gaps) == sources and pair.gate_ok
+    # the coarse and refined Steklov solves, then one bundle for the gaps
+    assert len(condensed) == 3
+    assert condensed[0] is condensed[2]
+    assert all(perf is used[0] for perf in used)
+    assert used[0].mesh is condensed[2]
 
 
 def test_point_weight_must_match_study_q_limit():
