@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import fem, shapes
-from .eigen import factor_spd, largest_pencil_eigs, smallest_pencil_eigs
+from .eigen import (factor_spd, largest_pencil_eigs, schur_complement,
+                    smallest_pencil_eigs)
 from .geometry import chebyshev_center, make_domain, unit_square
 from .meshgen import Mesh, mesh_unperforated, refine
 from .spectra import _log_slope, richardson
@@ -144,59 +146,62 @@ def trace_constant(shape, h: float) -> Extrapolated:
 # harmonic extension across the hole interface
 
 def _extension_parts(mesh: Mesh):
-    """Collar matrices and the harmonic-lift operator of an interface ball
-    mesh (regions in tri_cell: 0 hole interior, 1 collar)."""
+    """Collar/hole split of an interface ball mesh (regions in tri_cell: 0
+    hole interior, 1 collar) and the harmonic lift of interface traces.
+
+    Returns (collar, hole, lift, extend, collar_nodes, iface): collar and
+    hole are region-only (stiffness, mass) pairs, the collar's on
+    collar_nodes and the hole's on the interface nodes followed by the inner
+    hole nodes; iface indexes the interface within collar_nodes; lift maps
+    interface values to hole values, harmonic in the inner nodes; extend(v)
+    puts collar values v on the whole mesh with the lift in the hole.
+    """
     region = mesh.tri_cell
     collar_nodes = np.unique(mesh.triangles[region == 1])
     hole_nodes = np.unique(mesh.triangles[region == 0])
     interface = np.intersect1d(collar_nodes, hole_nodes)
     inner = np.setdiff1d(hole_nodes, interface)
 
-    K = fem.assemble_stiffness(mesh)
-    M = fem.assemble_mass(mesh)
-    A_full = (K + M).tocsr()
+    def forms(part, nodes):
+        sub = Mesh(mesh.nodes, mesh.triangles[region == part],
+                   np.empty((0, 2), dtype=np.int64),
+                   np.empty(0, dtype=np.int64))
+        return tuple(F[nodes][:, nodes] for F in (
+            fem.assemble_stiffness(sub), fem.assemble_mass(sub)))
 
-    # collar-only H1 form, on collar nodes
-    collar_mesh = Mesh(mesh.nodes, mesh.triangles[region == 1],
-                       np.empty((0, 2), dtype=np.int64),
-                       np.empty(0, dtype=np.int64))
-    Kg = fem.assemble_stiffness(collar_mesh)
-    Mg = fem.assemble_weighted_mass(collar_mesh, 1.0)
-    A_g = (Kg + Mg).tocsr()[collar_nodes][:, collar_nodes]
-
-    K_ii = K[inner][:, inner].tocsc()
-    K_ig = K[inner][:, interface].tocsr()
-    lift = factor_spd(K_ii)
-
-    n_full = mesh.num_nodes
-    pos_of = -np.ones(n_full, dtype=np.int64)
-    pos_of[collar_nodes] = np.arange(len(collar_nodes))
-    iface_pos = pos_of[interface]
+    collar = forms(1, collar_nodes)
+    hole = forms(0, np.concatenate([interface, inner]))
+    n_if = len(interface)
+    K_h = hole[0]
+    lift = np.vstack([np.eye(n_if), factor_spd(K_h[n_if:, n_if:]).solve(
+        -K_h[n_if:, :n_if].toarray())])
+    iface = np.searchsorted(collar_nodes, interface)
 
     def extend(v):
-        full = np.zeros(n_full)
+        full = np.zeros(mesh.num_nodes)
         full[collar_nodes] = v
-        full[inner] = lift.solve(-(K_ig @ v[iface_pos]))
+        full[inner] = lift[n_if:] @ v[iface]
         return full
 
-    def extend_t(z):
-        out = z[collar_nodes].copy()
-        out[iface_pos] -= K_ig.T @ lift.solve(z[inner])
-        return out
-
-    return A_g, A_full, extend, extend_t, collar_nodes
+    return collar, hole, lift, extend, collar_nodes, iface
 
 
 def _extension_norm_on(mesh: Mesh) -> float:
-    A_g, A_full, extend, extend_t, _ = _extension_parts(mesh)
+    """Squared extension norm sup ||E v||^2 / ||v||^2 in H1 norms.
 
-    def bmul(v):
-        return extend_t(A_full @ extend(v))
-
-    # the extension operator's spectrum clusters at 1, so give the Krylov
-    # space room to isolate the top
-    res = largest_pencil_eigs(A_g, bmul, 1, max_iter=400)
-    return float(res.values[0])
+    ||E v||^2 = ||v||^2_collar + (L v_G)^T A_h (L v_G) with L the harmonic
+    lift of the interface values v_G.  For fixed v_G the collar norm is
+    smallest at its own harmonic extension, where it equals v_G^T S v_G with
+    S the collar Schur complement onto the interface.  So the sup is
+    1 + lambda_max(L^T A_h L, S), a dense pencil of interface size.
+    """
+    (K_g, M_g), (K_h, M_h), lift, _, _, iface = _extension_parts(mesh)
+    S = schur_complement(K_g + M_g, iface)
+    H = lift.T @ ((K_h + M_h) @ lift)
+    n = len(iface)
+    top = scipy.linalg.eigh(H, S, eigvals_only=True,
+                            subset_by_index=[n - 1, n - 1])
+    return 1.0 + float(top[0])
 
 
 def harmonic_extension_norm(shape, h: float) -> Extrapolated:
@@ -429,22 +434,15 @@ def _lemma_convex_ratio(d, sample_count, rng):
 def _lemma_extension_ratio(shape, sample_count, rng):
     kind, k = ("circle", None) if shape == "disk" else (shape[0], int(shape[1]))
     mesh = shapes.mesh_ball_with_interface(kind, k, 0.1)
-    region = mesh.tri_cell
-    collar_nodes = np.unique(mesh.triangles[region == 1])
-    K_full = fem.assemble_stiffness(mesh)
-    collar_mesh = Mesh(mesh.nodes, mesh.triangles[region == 1],
-                       np.empty((0, 2), dtype=np.int64),
-                       np.empty(0, dtype=np.int64))
-    K_g = fem.assemble_stiffness(collar_mesh)
-    _, _, extend, _, cn = _extension_parts(mesh)
+    (K_g, _), (K_h, _), lift, _, cn, iface = _extension_parts(mesh)
     worst = 0.0
     for u in _sample_functions(mesh, sample_count, rng):
         v = u[cn]
-        g = float(v @ (K_g[cn][:, cn] @ v))
+        g = float(v @ (K_g @ v))
         if g < 1e-13:
             continue
-        full = extend(v)
-        worst = max(worst, float(full @ (K_full @ full)) / g)
+        w = lift @ v[iface]
+        worst = max(worst, (g + float(w @ (K_h @ w))) / g)
     return worst
 
 

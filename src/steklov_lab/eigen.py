@@ -40,14 +40,10 @@ class SpdFactorization:
         return self.lu.solve(rhs)
 
 
-def factor_spd(A: sp.spmatrix) -> SpdFactorization:
-    """SuperLU factorization in symmetric mode with a pivot-positivity check,
-    so a lost-SPD matrix (assembly or elimination bug) fails loudly."""
-    A = A.tocsc()
-    if A.shape[0] != A.shape[1]:
-        raise EigenError("matrix must be square")
-    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+def _check_pivots(lu) -> None:
+    """Raise unless every pivot of a symmetric-mode SuperLU factor is
+    positive, so a lost-SPD matrix (assembly or elimination bug) fails
+    loudly."""
     diag = lu.U.diagonal()
     bad = ~(np.isfinite(diag) & (diag > 0))
     if np.any(bad):
@@ -56,8 +52,55 @@ def factor_spd(A: sp.spmatrix) -> SpdFactorization:
         raise EigenError(
             f"non-positive pivot at elimination step {where} "
             f"(original row {orig}); matrix is not positive definite")
+
+
+# diagonal pivots in symmetric mode: SuperLU factors an SPD matrix without
+# row interchanges, as L U with U = D L^T
+_SPD_MODE = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
+def factor_spd(A: sp.spmatrix) -> SpdFactorization:
+    """SuperLU factorization in symmetric mode with a pivot-positivity check."""
+    A = A.tocsc()
+    if A.shape[0] != A.shape[1]:
+        raise EigenError("matrix must be square")
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", **_SPD_MODE)
+    _check_pivots(lu)
     fill = (lu.L.nnz + lu.U.nnz) / max(1, A.nnz)
     return SpdFactorization(lu=lu, n=A.shape[0], fill_ratio=float(fill))
+
+
+def schur_complement(A: sp.spmatrix, keep) -> np.ndarray:
+    """Dense Schur complement A_kk - A_kd A_dd^{-1} A_dk of an SPD matrix
+    onto the dofs keep, from one SuperLU factorization.
+
+    The eliminated dofs go first, in the minimum-degree order of their own
+    block, and keep last.  Factored in that order with diagonal pivots, the
+    trailing block of L U is the Schur complement, so no solve is needed.
+    """
+    A = A.tocsr()
+    n = A.shape[0]
+    keep = np.asarray(keep, dtype=np.int64)
+    drop = np.setdiff1d(np.arange(n), keep)
+    if len(drop):
+        # SuperLU's MMD order of the block, read off an incomplete factor
+        # at the coarsest drop tolerance, which costs little beyond the order
+        block = A[drop][:, drop].tocsc()
+        perm = spla.spilu(block, drop_tol=1.0, fill_factor=1,
+                          permc_spec="MMD_AT_PLUS_A", **_SPD_MODE).perm_c
+        drop = drop[np.argsort(perm)]
+    order = np.concatenate([drop, keep])
+    lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
+                   **_SPD_MODE)
+    _check_pivots(lu)
+    ident = np.arange(n)
+    if not (np.array_equal(lu.perm_r, ident)
+            and np.array_equal(lu.perm_c, ident)):
+        raise EigenError("SuperLU permuted the Schur complement ordering; "
+                         "matrix is not positive definite")
+    nd = len(drop)
+    S = lu.L[:, nd:][nd:].toarray() @ lu.U[:, nd:][nd:].toarray()
+    return 0.5 * (S + S.T)
 
 
 @dataclass

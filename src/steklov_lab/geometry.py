@@ -419,10 +419,18 @@ def max_admissible_beta(cells, constants=DEFAULT_CONSTANTS) -> float:
     return constants.c_sec / (2.0 * r_max)
 
 
+def max_hole_offset(c_sec: float) -> float:
+    """Largest offset max(|dx|, |dy|) of a hole from the center of its square
+    cell, in units of the inradius r, that the cell mesh admits: the secure
+    ball of radius c_sec * r keeps a transition layer of 0.05 r to the cell
+    sides."""
+    return 0.95 - c_sec
+
+
 def check_jitter(jitter, constants=DEFAULT_CONSTANTS):
-    """Raise unless jitter is None, ("random", frac) with 0 <= frac < 1, or
-    ("fixed", dx, dy) whose offset (dx, dy) * r keeps the secure distance
-    c_sec * r from the sides of a square cell of inradius r."""
+    """Raise unless jitter is None, ("random", frac), or ("fixed", dx, dy)
+    whose largest offset stays within max_hole_offset.  A random offset
+    has length frac * (1 - c_sec) * r in any direction."""
     if jitter is None:
         return
     spec = list(jitter) if isinstance(jitter, (list, tuple)) else []
@@ -431,13 +439,18 @@ def check_jitter(jitter, constants=DEFAULT_CONSTANTS):
             or not all(isinstance(v, numbers.Real) and math.isfinite(v)
                        for v in spec[1:])):
         raise GeometryError(f"unknown jitter spec {jitter!r}")
-    if kind == "random" and not 0 <= spec[1] < 1:
-        raise GeometryError("random jitter fraction must be in [0,1)")
-    if kind == "fixed" and max(map(abs, spec[1:])) > 1 - constants.c_sec:
+    bound = max_hole_offset(constants.c_sec)
+    if kind == "random":
+        frac_max = bound / (1.0 - constants.c_sec)
+        if not 0 <= spec[1] <= frac_max + 1e-12:
+            raise GeometryError(
+                f"random jitter fraction must be in [0, {frac_max:.6g}] = "
+                f"[0, (0.95 - c_sec) / (1 - c_sec)]")
+    elif max(map(abs, spec[1:])) > bound + 1e-12:
         raise GeometryError(
-            f"fixed jitter offset {jitter!r} breaks the secure distance: "
-            f"max(|dx|, |dy|) must be at most 1 - c_sec = "
-            f"{1 - constants.c_sec:.6g}")
+            f"fixed jitter offset {jitter!r} breaks the secure distance and "
+            f"transition layer: max(|dx|, |dy|) must be at most "
+            f"0.95 - c_sec = {bound:.6g}")
 
 
 def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
@@ -445,8 +458,7 @@ def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
     """One hole per cell at the Chebyshev center, enclosing radius beta*r^2.
 
     shape_spec is "circle" or ("kgon", k).  jitter is None, a fixed offset
-    ("fixed", dx, dy) in units of r, or ("random", frac) with frac < 1 of the
-    largest offset that keeps the secure-distance margin.
+    ("fixed", dx, dy) in units of r, or ("random", frac), see check_jitter.
     """
     if isinstance(shape_spec, str):
         kind, k = shape_spec, None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Hole
+from .geometry import Hole, max_hole_offset
 
 OUTER = -1
 
@@ -236,7 +236,6 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     ix, iy, m = cell.grid
     s = template.boundary_nodes_per_side
     n = template.hole_boundary_segments
-    eps = 1.0 / m
     r = cell.r_in
     hx, hy = hole.center
     d = hole.d
@@ -249,9 +248,8 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     balanced = round(math.log(ratio) / math.log(1.0 + 2.0 * math.pi / n))
     rings = min(template.ring_count, max(1, rings_needed, balanced))
     ccx, ccy = cell.center
-    half = 0.5 * eps
     off_inf = max(abs(hx - ccx), abs(hy - ccy))
-    if off_inf + rho_out > 0.95 * half:
+    if off_inf > (max_hole_offset(c_sec) + 1e-12) * r:
         raise MeshError(
             f"hole offset in cell {cell.index} leaves no room for the "
             "transition layer to the cell boundary")

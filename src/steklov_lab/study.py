@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -55,6 +56,11 @@ class StudyConfig:
 
     def validate(self):
         ms = list(self.m_values)
+        for m in ms:
+            if not isinstance(m, numbers.Integral) or isinstance(m, bool) \
+                    or m < 1:
+                raise StudyError(
+                    f"m_values must be positive integers, got {m!r}")
         if len(ms) < 1 or any(b <= a for a, b in zip(ms, ms[1:])):
             raise StudyError("m_values must be strictly increasing")
         if self.tol <= 0 or self.h_hom <= 0:

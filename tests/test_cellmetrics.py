@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from steklov_lab import cellmetrics as cm
 from steklov_lab import fem, oracles, shapes
-from steklov_lab.eigen import dense_reference_eigs
+from steklov_lab.eigen import dense_reference_eigs, largest_pencil_eigs
 from steklov_lab.meshgen import refine
 
 
@@ -104,7 +105,7 @@ def test_harmonic_extension_constant_bound():
 def test_harmonic_extension_energy_minimality():
     mesh = shapes.mesh_ball_with_interface("circle", None, 0.15)
     K = fem.assemble_stiffness(mesh)
-    a_g, a_full, extend, extend_t, cn = cm._extension_parts(mesh)
+    _, _, _, extend, cn, _ = cm._extension_parts(mesh)
     rng = np.random.default_rng(4)
     region = mesh.tri_cell
     hole_nodes = np.unique(mesh.triangles[region == 0])
@@ -119,6 +120,28 @@ def test_harmonic_extension_energy_minimality():
         e_h = harmonic @ (K @ harmonic)
         e_c = competitor @ (K @ competitor)
         assert e_h <= e_c + 1e-12
+
+
+@pytest.mark.parametrize("shape", ["disk", ("kgon", 3), ("kgon", 6)])
+@pytest.mark.parametrize("refined", [False, True])
+def test_extension_norm_matches_full_pencil(shape, refined):
+    # the interface eigenproblem against Lanczos on the full pencil
+    # (E^T A_full E, A_g) over every collar dof
+    kind, k = ("circle", None) if shape == "disk" else shape
+    mesh = shapes.mesh_ball_with_interface(kind, k, 0.15)
+    if refined:
+        mesh = refine(mesh)
+    (K_g, M_g), _, _, extend, cn, iface = cm._extension_parts(mesh)
+    E = sp.coo_matrix((np.ones(len(cn)), (cn, np.arange(len(cn)))),
+                      shape=(mesh.num_nodes, len(cn))).tolil()
+    for j in iface:
+        E[:, j] = extend(np.eye(1, len(cn), j)[0])[:, None]
+    E = E.tocsr()
+    A_full = (fem.assemble_stiffness(mesh) + fem.assemble_mass(mesh)).tocsr()
+    old = largest_pencil_eigs((K_g + M_g).tocsr(),
+                              lambda v: E.T @ (A_full @ (E @ v)), 1,
+                              max_iter=400).values[0]
+    assert cm._extension_norm_on(mesh) == pytest.approx(old, rel=1e-12)
 
 
 def test_faber_krahn_robin():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov_lab import eigen, fem
 from steklov_lab import geometry as geo
@@ -33,6 +35,33 @@ def test_factor_rejects_indefinite():
     A = sp.diags([1.0, -1.0, 2.0]).tocsc()
     with pytest.raises(eigen.EigenError, match="positive"):
         eigen.factor_spd(A)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 40), density=st.floats(0.02, 0.3),
+       n_keep=st.integers(1, 40), seed=st.integers(0, 2 ** 16))
+def test_schur_complement_matches_dense_formula(n, density, n_keep, seed):
+    rng = np.random.default_rng(seed)
+    R = sp.random(n, n, density=density, random_state=rng)
+    A = (R @ R.T + sp.diags(rng.uniform(0.1, 1.0, n))).tocsr()
+    keep = rng.permutation(n)[:min(n_keep, n)]
+    drop = np.setdiff1d(np.arange(n), keep)
+    D = A.toarray()
+    ref = D[np.ix_(keep, keep)]
+    if len(drop):
+        ref = ref - D[np.ix_(keep, drop)] @ np.linalg.solve(
+            D[np.ix_(drop, drop)], D[np.ix_(drop, keep)])
+    got = eigen.schur_complement(A, keep)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("dense", [
+    [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 2.0]],
+    [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]],
+])
+def test_schur_complement_rejects_indefinite(dense):
+    with pytest.raises(eigen.EigenError, match="positive definite"):
+        eigen.schur_complement(sp.csr_matrix(np.array(dense)), [2])
 
 
 def test_factor_solve_accuracy_on_pencil():

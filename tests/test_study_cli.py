@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -56,6 +57,9 @@ def test_l_shape_with_odd_m_fails_validation():
     ("random", "unknown jitter spec"),
     (["fixed", 0.8, 0.0], "secure distance"),
     (["fixed", 0.0, -2.0], "secure distance"),
+    # within the secure distance, but no room for the transition layer
+    (["fixed", 0.48, 0], "transition layer"),
+    (["random", 0.95], "fraction must be in"),
 ])
 def test_bad_jitter_fails_validation(jitter, message):
     spec = tuple(jitter) if isinstance(jitter, list) else jitter
@@ -66,6 +70,40 @@ def test_bad_jitter_fails_validation(jitter, message):
     with pytest.raises(study.StudyError) as early:
         study.config_from_dict({"jitter": jitter})
     assert str(early.value) == str(late.value)
+
+
+@pytest.mark.parametrize("jitter", [None, ["random", 0.3], ["random", 0.9],
+                                    ["fixed", 0.45, -0.45]])
+def test_jitter_within_the_offset_bound_validates_and_meshes(jitter):
+    study.config_from_dict({"jitter": jitter})
+    spec = tuple(jitter) if jitter else None
+    tpl = meshgen.CellMeshTemplate(**SMALL["template"])
+    for seed in range(5):
+        geom = geometry.build_perforated_geometry(
+            geometry.unit_square(), 2, 1.0, jitter=spec,
+            rng=np.random.default_rng(seed))
+        meshgen.mesh_perforated(geom, tpl)
+
+
+def test_hole_past_the_offset_bound_fails_in_meshing():
+    geom = geometry.build_perforated_geometry(geometry.unit_square(), 2, 1.0)
+    cell = geom.cells[0]
+    cx, cy = cell.center
+    bound = geometry.max_hole_offset(geometry.DEFAULT_CONSTANTS.c_sec)
+    geom.holes[0] = dataclasses.replace(
+        geom.holes[0], center=(cx, cy + (bound + 0.01) * cell.r_in))
+    with pytest.raises(meshgen.MeshError, match="transition layer"):
+        meshgen.mesh_perforated(geom,
+                                meshgen.CellMeshTemplate(**SMALL["template"]))
+
+
+@pytest.mark.parametrize("m_values,bad", [
+    ([0, 2], "0"), ([2.5, 4], "2.5"), ([-1, 2], "-1"), ([2, True], "True"),
+])
+def test_non_positive_integer_m_fails_validation(m_values, bad):
+    with pytest.raises(study.StudyError,
+                       match=f"m_values must be positive integers, got {bad}$"):
+        study.config_from_dict({"m_values": m_values})
 
 
 def test_short_ring_count_fails_validation():
@@ -200,6 +238,15 @@ def test_cli_invalid_study_config_exits_2(tmp_path):
     p.write_text(json.dumps({"m_values": [4, 2]}))
     r = run_cli("study", str(p))
     assert r.returncode == 2
+
+
+def test_cli_study_with_zero_m_exits_2_with_message(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"m_values": [0, 2]}))
+    r = run_cli("study", str(p))
+    assert r.returncode == 2
+    assert "m_values must be positive integers, got 0" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_validate_roundtrip(tmp_path):
