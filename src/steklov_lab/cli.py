@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from . import cellmetrics, geometry, meshgen, spectra, study
+from . import cellmetrics, eigen, fem, geometry, meshgen, spectra, study
 
 
 def _template_from_args(args) -> meshgen.CellMeshTemplate:
@@ -42,6 +43,29 @@ def _shape(spec: str):
     if spec.startswith("kgon:"):
         return ("kgon", int(spec.split(":")[1]))
     raise SystemExit(f"unknown hole shape {spec!r}")
+
+
+def _checked(kind, text, ok, rule):
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    return _checked(float, text, lambda v: 0 < v < math.inf,
+                    "a finite number > 0")
+
+
+def _positive_int(text: str) -> int:
+    return _checked(int, text, lambda v: v > 0, "an integer > 0")
+
+
+def _non_negative_int(text: str) -> int:
+    return _checked(int, text, lambda v: v >= 0, "an integer >= 0")
 
 
 def _cell_shape(spec: str):
@@ -178,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--shape", default="circle")
-    p.add_argument("--refine", type=int, default=0)
+    p.add_argument("--refine", type=_non_negative_int, default=0)
     p.add_argument("--export", help="write the plain-text mesh format here")
     _add_template_args(p)
     p.set_defaults(fn=cmd_mesh)
@@ -191,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--shape", default="circle")
-    p.add_argument("--q", type=float, default=1.0,
+    p.add_argument("--q", type=_positive_float, default=1.0,
                    help="constant weight for the homogenized problem")
-    p.add_argument("--h", type=float, default=0.02)
-    p.add_argument("-k", type=int, default=3)
+    p.add_argument("--h", type=_positive_float, default=0.02)
+    p.add_argument("-k", type=_positive_int, default=3)
     _add_template_args(p)
     p.set_defaults(fn=cmd_solve)
 
@@ -202,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "sweeps")
     p.add_argument("--shape", type=_cell_shape, default="disk",
                    help="disk | kgon:K")
-    p.add_argument("--h", type=float, default=0.08)
+    p.add_argument("--h", type=_positive_float, default=0.08)
     p.add_argument("--constants", action="store_true")
     p.add_argument("--lemma", help="inequality id, e.g. 3.2")
     p.set_defaults(fn=cmd_cell)
@@ -223,7 +247,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (geometry.GeometryError, meshgen.MeshError, study.StudyError,
-            spectra.SpectraError, cellmetrics.CellMetricsError) as exc:
+            spectra.SpectraError, cellmetrics.CellMetricsError,
+            eigen.EigenError, fem.FemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

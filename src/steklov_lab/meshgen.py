@@ -175,60 +175,91 @@ def _graded_fractions(length, first_band, count):
     return [v / acc for v in out]
 
 
-def _tri_min_angle(pa, pb, pc):
-    ax, ay = pb[0] - pa[0], pb[1] - pa[1]
-    bx, by = pc[0] - pb[0], pc[1] - pb[1]
-    cx, cy = pa[0] - pc[0], pa[1] - pc[1]
-    area2 = ax * by - ay * bx
-    if area2 <= 0:
-        return -1.0
-    worst = math.pi
-    for (ux, uy), (vx, vy) in (((ax, ay), (-cx, -cy)),
-                               ((bx, by), (-ax, -ay)),
-                               ((cx, cy), (-bx, -by))):
-        dot = ux * vx + uy * vy
-        nrm = math.hypot(ux, uy) * math.hypot(vx, vy)
-        worst = min(worst, math.acos(max(-1.0, min(1.0, dot / nrm))))
-    return worst
+def _quad_band(inner, outer):
+    """The quads (v0, v1, v2, v3) = (inner[j], outer[j], outer[j+1],
+    inner[j+1]) of the band between two equal-count rings (lists of node
+    ids), as an (n, 4) array; _triangulate_bands picks each diagonal."""
+    return np.array([inner, outer, outer[1:] + outer[:1],
+                     inner[1:] + inner[:1]]).T
 
 
-def _quad_band(tris, inner, outer, pts=None):
-    """Triangulate the band between two equal-count rings; with pts given,
-    each quad is split along whichever diagonal maximizes the min angle.
+def _doubling_band(inner, outer):
+    """The (3n, 3) triangles of the band between a ring of n nodes and one
+    of 2n: (a, c0, c1), (a, c1, b), (b, c1, c2) for each inner side a-b."""
+    a, b = inner, inner[1:] + inner[:1]
+    c0, c1, c2 = outer[0::2], outer[1::2], outer[2::2] + outer[:1]
+    return np.array([a, c0, c1, a, c1, b, b, c1, c2]).T.reshape(-1, 3)
+
+
+def _map(fn, *arrays):
+    """fn of Python floats over same-shape float arrays, elementwise."""
+    out = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.array(list(out)).reshape(arrays[0].shape)
+
+
+# Sides p_j - p_i of a quad (v0, v1, v2, v3), for (i, j) in _SIDES; the last
+# two reverse the diagonals.  _TRIS lists, for the triangles (v0, v1, v2),
+# (v0, v2, v3) of split A and (v0, v1, v3), (v1, v2, v3) of split B, their
+# sides a = p1 - p0, b = p2 - p1, c = p0 - p2 as rows of _SIDES.
+_SIDES = np.array([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (2, 0),
+                   (3, 1)]).T
+_TRIS = np.array([(0, 1, 6), (4, 2, 3), (0, 5, 3), (1, 2, 7)]).T
+_SPLIT_A = [0, 1, 2, 0, 2, 3]
+_SPLIT_B = [0, 1, 3, 1, 2, 3]
+
+
+def _min_angle(x, y, length):
+    """Smallest angle of each triangle from its sides a, b, c (axis 0 of
+    the x, y and length arrays); -1.0 where it is not positively oriented.
+    The same float expressions as a scalar evaluation of one triangle."""
+    (ax, bx, cx), (ay, by, cy), (la, lb, lc) = x, y, length
+    ok = ax * by - ay * bx > 0
+    dot = np.stack([ax * -cx + ay * -cy, bx * -ax + by * -ay,
+                    cx * -bx + cy * -by])
+    nrm = np.stack([la * lc, lb * la, lc * lb])
+    cos = np.divide(dot, nrm, out=np.zeros(dot.shape), where=ok)
+    angle = _map(math.acos, np.maximum(-1.0, np.minimum(1.0, cos)))
+    return np.where(ok, np.minimum(math.pi, angle.min(axis=0)), -1.0)
+
+
+def _triangulate_bands(bands, points):
+    """The triangles of a cell's bands, in order: an (n, 3) band is taken as
+    it is, and each quad of an (n, 4) band is split along whichever diagonal
+    maximizes the min angle of its two triangles, v0-v2 on a tie.
 
     On the plain rings every quad is an isosceles trapezoid, so both splits
     tie in exact arithmetic and the last ulp of acos/hypot picks the
-    diagonal: any change to this scoring arithmetic changes the meshes.
+    diagonal.  The scores must thus be, bit for bit, the floats of a scalar
+    per-triangle evaluation: numpy does only the correctly rounded + - * /,
+    min/max and comparisons, and hypot and acos stay in ``math``, mapped
+    over Python floats, because numpy's SIMD hypot and arccos differ from
+    libm in the last ulp for some inputs and so can flip ties.  Each side
+    length is computed once per quad, as x - y == -(y - x) and
+    hypot(-x, -y) == hypot(x, y) exactly.
     """
-    n = len(inner)
-    for j in range(n):
-        v0, v3 = inner[j], inner[(j + 1) % n]
-        v1, v2 = outer[j], outer[(j + 1) % n]
-        split_a = ((v0, v1, v2), (v0, v2, v3))
-        if pts is None:
-            tris.extend(split_a)
-            continue
-        split_b = ((v0, v1, v3), (v1, v2, v3))
-        score_a = min(_tri_min_angle(*(pts[i] for i in t)) for t in split_a)
-        score_b = min(_tri_min_angle(*(pts[i] for i in t)) for t in split_b)
-        tris.extend(split_a if score_a >= score_b else split_b)
-
-
-def _doubling_band(tris, inner, outer):
-    n = len(inner)
-    for j in range(n):
-        a, b = inner[j], inner[(j + 1) % n]
-        c0, c1, c2 = outer[2 * j], outer[2 * j + 1], outer[(2 * j + 2) % (2 * n)]
-        tris.append((a, c0, c1))
-        tris.append((a, c1, b))
-        tris.append((b, c1, c2))
+    q = np.concatenate([b for b in bands if b.shape[1] == 4])
+    p = np.array(points)[q].T                   # (x or y, vertex, quad)
+    x, y = p[:, _SIDES[1]] - p[:, _SIDES[0]]
+    length = _map(math.hypot, x[:6], y[:6])[[0, 1, 2, 3, 4, 5, 4, 5]]
+    score = _min_angle(x[_TRIS], y[_TRIS], length[_TRIS])
+    split_b = np.minimum(score[0], score[1]) < np.minimum(score[2], score[3])
+    pairs = np.where(split_b[:, None], q[:, _SPLIT_B], q[:, _SPLIT_A])
+    out, at = [], 0
+    for band in bands:
+        if band.shape[1] == 4:
+            band, at = pairs[at:at + len(band)].reshape(-1, 3), at + len(band)
+        out.append(band)
+    return np.concatenate(out)
 
 
 def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     """Nodes, triangles, hole edges, and lattice keys for one cell mesh.
 
-    Returns (points, lattice, triangles, hole_edges) where lattice[i] is the
-    integer lattice key of boundary node i (None off the boundary).
+    Returns (points, lattice, triangles, hole_edges) where triangles is an
+    (nt, 3) int64 array and lattice[i] is the integer lattice key of
+    boundary node i (None off the boundary).  Triangles come band by band,
+    from the hole outwards; the quads of all quad bands are split in one
+    array pass over the cell's points at the end (_triangulate_bands).
     """
     if cell.grid is None:
         raise MeshError("template meshing requires exact-tiling grid cells")
@@ -257,19 +288,21 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     points: list = []
     lattice: list = []
 
-    def add(pt, key=None):
-        points.append(pt)
-        lattice.append(key)
-        return len(points) - 1
+    def add(pts, keys=None):
+        """Append a ring of points; returns their node ids."""
+        start = len(points)
+        points.extend(pts)
+        lattice.extend(keys or [None] * len(pts))
+        return list(range(start, len(points)))
 
-    tris: list = []
+    bands: list = []
     p = template.doublings
     rings = max(rings, p + 1)
     plain = rings - p
     t = ratio ** (1.0 / rings)
 
     # ring 0: the polygonalized hole boundary
-    ring = [add(hole.boundary_point(2.0 * math.pi * j / n)) for j in range(n)]
+    ring = add([hole.boundary_point(2.0 * math.pi * j / n) for j in range(n)])
     hole_edges = [(ring[j], ring[(j + 1) % n]) for j in range(n)]
 
     count = n
@@ -281,11 +314,9 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
         pts = [(hx + rho * math.cos(2.0 * math.pi * q / nxt_count),
                 hy + rho * math.sin(2.0 * math.pi * q / nxt_count))
                for q in range(nxt_count)]
-        nxt = [add(pt) for pt in pts]
-        if double:
-            _doubling_band(tris, ring, nxt)
-        else:
-            _quad_band(tris, ring, nxt, points)
+        nxt = add(pts)
+        band = _doubling_band if double else _quad_band
+        bands.append(band(ring, nxt))
         ring, count = nxt, nxt_count
         circle_pts = pts
 
@@ -306,23 +337,23 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     weights = [_graded_fractions(length, t0, row_count) for length in lengths]
     for q in range(1, row_count + 1):
         if q == row_count:
-            nxt = [add(pt, key=key) for pt, key in zip(walk_pts, walk)]
+            nxt = add(walk_pts, walk)
         else:
-            nxt = [add(((1.0 - wq[q - 1]) * cpt[0] + wq[q - 1] * wpt[0],
-                        (1.0 - wq[q - 1]) * cpt[1] + wq[q - 1] * wpt[1]))
-                   for cpt, wpt, wq in zip(circle_pts, walk_pts, weights)]
-        _quad_band(tris, ring, nxt, points)
+            nxt = add([((1.0 - wq[q - 1]) * cpt[0] + wq[q - 1] * wpt[0],
+                        (1.0 - wq[q - 1]) * cpt[1] + wq[q - 1] * wpt[1])
+                       for cpt, wpt, wq in zip(circle_pts, walk_pts, weights)])
+        bands.append(_quad_band(ring, nxt))
         ring = nxt
 
-    return points, lattice, tris, hole_edges
+    return points, lattice, _triangulate_bands(bands, points), hole_edges
 
 
 def mesh_cell(cell, hole: Hole, template: CellMeshTemplate,
               c_sec: float = 0.5) -> Mesh:
     """Mesh a single cell; boundary edges carry only the hole tag."""
-    points, _, tris, hole_edges = _build_cell(cell, hole, template, c_sec)
+    points, _, triangles, hole_edges = _build_cell(cell, hole, template,
+                                                   c_sec)
     nodes = np.array(points)
-    triangles = np.array(tris, dtype=np.int64)
     edges = np.array(hole_edges, dtype=np.int64)
     tags = np.full(len(edges), cell.index, dtype=np.int64)
     mesh = Mesh(nodes, triangles, edges, tags,
@@ -372,7 +403,7 @@ def mesh_perforated(geometry, template: CellMeshTemplate) -> Mesh:
                     nodes.append(pt)
                     lattice_ids[key] = gid
                 local2global[i] = gid
-        tri_chunks.append(local2global[np.array(tris, dtype=np.int64)])
+        tri_chunks.append(local2global[tris])
         cell_ids.append(np.full(len(tris), cell.index, dtype=np.int64))
         for a, b in hole_edges:
             edge_list.append((local2global[a], local2global[b]))

@@ -310,7 +310,7 @@ def mesh_cell_with_hole(d: float, c_sec: float = 0.5, segments: int = 32,
                                 hole_boundary_segments=segments)
     pts, _, tris, _ = _build_cell(cell, hole, template, c_sec)
     nodes = list(pts)
-    tris = list(tris)
+    tris = tris.tolist()
     collar_tris = len(tris)
     ids = list(range(segments))
     angles = [TWO_PI * j / segments for j in range(segments)]

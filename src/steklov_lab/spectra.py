@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,10 +53,15 @@ class Condensed:
     r: np.ndarray                    # free-dof indices of R
     extend: object                   # rows u_R -> full free-dof rows
 
+    @cached_property
+    def _s_factor(self):
+        # built on the first solve: the Steklov pencils never call solve
+        return factor_spd(self.S)
+
     def solve(self, f: np.ndarray) -> np.ndarray:
         """Nodal u, zero on the outer boundary, with A u = B f on the free
         dofs: B f vanishes on cell interiors, so S u_R = (B f)_R exactly."""
-        u_r = factor_spd(self.S).solve((self.B @ f)[self.dofmap.free][self.r])
+        u_r = self._s_factor.solve((self.B @ f)[self.dofmap.free][self.r])
         return self.dofmap.expand(self.extend(u_r[None])[0])
 
 

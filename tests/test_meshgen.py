@@ -1,12 +1,16 @@
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov_lab import geometry as geo
 from steklov_lab import meshgen as mg
+from steklov_lab import shapes
 
 
 TPL = mg.CellMeshTemplate()
@@ -237,3 +241,139 @@ def test_structured_mesh_matches_cell_scan(domain, h):
     assert np.array_equal(mesh.triangles, triangles)
     assert np.array_equal(mesh.boundary_edges, edges)
 
+
+# Scalar reference for the quad splits: the per-triangle Python-float scoring
+# that the array pass in _triangulate_bands must reproduce bit for bit.
+
+def _tri_min_angle(pa, pb, pc):
+    ax, ay = pb[0] - pa[0], pb[1] - pa[1]
+    bx, by = pc[0] - pb[0], pc[1] - pb[1]
+    cx, cy = pa[0] - pc[0], pa[1] - pc[1]
+    area2 = ax * by - ay * bx
+    if area2 <= 0:
+        return -1.0
+    worst = math.pi
+    for (ux, uy), (vx, vy) in (((ax, ay), (-cx, -cy)),
+                               ((bx, by), (-ax, -ay)),
+                               ((cx, cy), (-bx, -by))):
+        dot = ux * vx + uy * vy
+        nrm = math.hypot(ux, uy) * math.hypot(vx, vy)
+        worst = min(worst, math.acos(max(-1.0, min(1.0, dot / nrm))))
+    return worst
+
+
+def _scalar_quad_band(tris, inner, outer, pts):
+    n = len(inner)
+    for j in range(n):
+        v0, v3 = inner[j], inner[(j + 1) % n]
+        v1, v2 = outer[j], outer[(j + 1) % n]
+        split_a = ((v0, v1, v2), (v0, v2, v3))
+        split_b = ((v0, v1, v3), (v1, v2, v3))
+        score_a = min(_tri_min_angle(*(pts[i] for i in t)) for t in split_a)
+        score_b = min(_tri_min_angle(*(pts[i] for i in t)) for t in split_b)
+        tris.extend(split_a if score_a >= score_b else split_b)
+
+
+def _scalar_doubling_band(tris, inner, outer):
+    n = len(inner)
+    for j in range(n):
+        a, b = inner[j], inner[(j + 1) % n]
+        c0, c1 = outer[2 * j], outer[2 * j + 1]
+        c2 = outer[(2 * j + 2) % (2 * n)]
+        tris.append((a, c0, c1))
+        tris.append((a, c1, b))
+        tris.append((b, c1, c2))
+
+
+def _scalar_build(monkeypatch, build):
+    """build() with every band triangulated in order by the scalar
+    reference loops."""
+    def fill(bands, points):
+        tris = []
+        for band, inner, outer in bands:
+            if band is _scalar_quad_band:
+                band(tris, inner, outer, points)
+            else:
+                band(tris, inner, outer)
+        return np.array(tris, dtype=np.int64)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mg, "_quad_band", lambda inner, outer: (
+            _scalar_quad_band, inner, outer))
+        mp.setattr(mg, "_doubling_band", lambda inner, outer: (
+            _scalar_doubling_band, inner, outer))
+        mp.setattr(mg, "_triangulate_bands", fill)
+        return build()
+
+
+_BENCH_TPL = mg.CellMeshTemplate(6, 2.0, 4, 16)
+_DOUBLING_TPL = mg.CellMeshTemplate(8, 2.0, 8, 16)   # one doubling band
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 4),
+       tpl=st.sampled_from([_BENCH_TPL, TPL, _DOUBLING_TPL]),
+       shape=st.sampled_from(["circle", ("kgon", 4), ("kgon", 8)]),
+       beta=st.sampled_from([0.25, 0.5]),
+       jitter=st.one_of(
+           st.none(),
+           st.tuples(st.just("random"), st.floats(0.0, 0.9)),
+           st.tuples(st.just("fixed"), st.floats(-0.45, 0.45),
+                     st.floats(-0.45, 0.45))),
+       seed=st.integers(0, 2 ** 16),
+       d=st.floats(0.005, 0.12))
+def test_array_quad_splits_match_the_scalar_reference(m, tpl, shape, beta,
+                                                      jitter, seed, d):
+    geom = geo.build_perforated_geometry(
+        geo.unit_square(), m, beta, shape_spec=shape, jitter=jitter,
+        rng=np.random.default_rng(seed))
+    c_sec = geom.constants.c_sec
+    segments, sides = tpl.hole_boundary_segments, tpl.boundary_nodes_per_side
+    with pytest.MonkeyPatch.context() as monkeypatch, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cell, hole in zip(geom.cells, geom.holes):
+            pts, lattice, tris, edges = mg._build_cell(cell, hole, tpl, c_sec)
+            ref = _scalar_build(monkeypatch, lambda: mg._build_cell(
+                cell, hole, tpl, c_sec))
+            assert (pts, lattice, edges) == (ref[0], ref[1], ref[3])
+            assert tris.dtype == np.int64
+            assert np.array_equal(tris, ref[2])
+        mesh = shapes.mesh_cell_with_hole(d, segments=segments, sides=sides)
+        ref = _scalar_build(monkeypatch, lambda: shapes.mesh_cell_with_hole(
+            d, segments=segments, sides=sides))
+    assert np.array_equal(mesh.nodes, ref.nodes)
+    assert np.array_equal(mesh.triangles, ref.triangles)
+
+
+_COORD = st.one_of(st.integers(-3, 3).map(lambda v: v / 3),
+                   st.floats(-1.0, 1.0).map(lambda v: round(v, 12)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rings=st.integers(2, 12).flatmap(lambda n: st.lists(
+    st.tuples(_COORD, _COORD), min_size=2 * n, max_size=2 * n)))
+def test_split_scores_match_the_scalar_reference_bit_for_bit(rings):
+    # coarse grid points give collinear, coincident and inverted triangles,
+    # which must score -1.0 without a warning; generic floats show a last-
+    # ulp difference of acos or hypot in the scores themselves
+    pts = list(rings)
+    n = len(pts) // 2
+    inner, outer = list(range(n)), list(range(n, 2 * n))
+    ref = []
+    _scalar_quad_band(ref, inner, outer, pts)
+    quads = mg._quad_band(inner, outer)
+    every = np.concatenate([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]],
+                            quads[:, [0, 1, 3]], quads[:, [1, 2, 3]]])
+    p = np.array(pts)
+    d = np.stack([p[every[:, j]] - p[every[:, i]]
+                  for i, j in ((0, 1), (1, 2), (2, 0))])
+    length = np.array([[math.hypot(x, y) for x, y in side.tolist()]
+                       for side in d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mg._triangulate_bands([quads], pts)
+        scores = mg._min_angle(d[..., 0], d[..., 1], length)
+    assert got.tolist() == [list(t) for t in ref]
+    assert scores.tolist() == [_tri_min_angle(*(pts[i] for i in t))
+                               for t in every.tolist()]

@@ -36,6 +36,20 @@ def test_steklov_spectrum_contract():
     assert np.abs(1.0 / (res.steklov + 1.0) - res.values).max() < 1e-15
 
 
+def test_steklov_mu_converges_at_second_order():
+    # three meshes of the cheapest benchmark sweep point: the observed
+    # order log2(|e1| / |e2|) backs richardson's O(h^2) division by 3
+    tpl = mg.CellMeshTemplate(6, 2.0, 4, 16)
+    mesh = mg.mesh_perforated(
+        geo.build_perforated_geometry(geo.unit_square(), 2, 0.5), tpl)
+    mus = []
+    for _ in range(3):
+        mus.append(spectra.steklov_spectrum(mesh, 3).values)
+        mesh = mg.refine(mesh)
+    order = np.log2(np.abs(mus[0] - mus[1]) / np.abs(mus[1] - mus[2]))
+    assert np.all((order >= 1.75) & (order <= 2.25)), order
+
+
 def test_homogenized_spectrum_against_analytic():
     # Q = pi*beta/2 with beta = 1 rescales the square spectrum to 4*pi
     q = math.pi / 2

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from steklov_lab import eigen, fem, geometry, meshgen, spectra, study
+from steklov_lab import cli, eigen, fem, geometry, meshgen, spectra, study
 
 
 SMALL = {
@@ -249,6 +249,37 @@ def test_cli_study_with_zero_m_exits_2_with_message(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["cell", "--constants", "--h", "0"], "--h"),
+    (["cell", "--constants", "--h", "-1"], "--h"),
+    (["solve", "--homog", "--h", "nan"], "--h"),
+    (["solve", "--homog", "--q", "0"], "--q"),
+    (["solve", "--homog", "--q", "-1"], "--q"),
+    (["solve", "--steklov", "-k", "0"], "-k"),
+    (["solve", "--homog", "-k", "1.5"], "-k"),
+    (["mesh", "--refine", "-1"], "--refine"),
+])
+def test_cli_rejects_out_of_range_arguments(capsys, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err
+    assert "Traceback" not in err
+
+
+def test_cli_reports_library_errors_with_exit_1(capsys, monkeypatch):
+    # an empty homogenized system (FemError), and an EigenError from the
+    # solver, which argparse's k > 0 check keeps the CLI itself from causing
+    assert cli.main(["solve", "--homog", "--h", "10"]) == 1
+    assert "error: every node is constrained" in capsys.readouterr().err
+    solve = spectra.steklov_spectrum
+    monkeypatch.setattr(spectra, "steklov_spectrum",
+                        lambda mesh, k: solve(mesh, 0))
+    assert cli.main(["solve", "--steklov", "--m", "2"]) == 1
+    assert "error: k must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_validate_roundtrip(tmp_path):
     from steklov_lab import geometry
     g = geometry.build_perforated_geometry(geometry.unit_square(), 3, 1.0)
@@ -323,8 +354,15 @@ def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
         used.append(args[-1])
         return gap(*args)
 
+    factored, factor_spd = [], spectra.factor_spd
+
+    def counted_factor(A):
+        factored.append(A)
+        return factor_spd(A)
+
     monkeypatch.setattr(spectra, "condense", counted_condense)
     monkeypatch.setattr(spectra, "resolvent_gap", counted_gap)
+    monkeypatch.setattr(spectra, "factor_spd", counted_factor)
     descs = [{"kind": "sine", "px": p, "py": 1} for p in range(1, 4)]
     cfg = small_config(sources=descs[:sources])
     homog = spectra.homogenized_pair(cfg.domain_object(), np.pi / 2,
@@ -336,6 +374,8 @@ def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
     assert condensed[0] is condensed[2]
     assert all(perf is used[0] for perf in used)
     assert used[0].mesh is condensed[2]
+    # the gaps share one factor of the bundle's S
+    assert sum(A is used[0].S for A in factored) == 1
 
 
 def test_point_weight_must_match_study_q_limit():
