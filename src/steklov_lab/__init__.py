@@ -25,10 +25,11 @@ from .fem import (DofMap, FemError, apply_dirichlet, assemble_boundary_mass,
 from .eigen import (EigenError, SpdFactorization, SpectralResult,
                     dense_reference_eigs, factor_spd, largest_pencil_eigs,
                     smallest_pencil_eigs)
-from .spectra import (Condensed, HomogenizedPair, RateModel,
+from .spectra import (Condensed, GapReference, HomogenizedPair, RateModel,
                       ResolventGapSample, SpectrumPair, condense, fit_rate,
-                      hausdorff, homogenized_pair, homogenized_spectrum,
-                      rate_scale, resolvent_gap, spectrum_pair,
-                      steklov_spectrum, truncated_spectrum_distance)
+                      gap_reference, hausdorff, homogenized_pair,
+                      homogenized_spectrum, rate_scale, resolvent_gap,
+                      spectrum_pair, steklov_spectrum,
+                      truncated_spectrum_distance)
 from .study import (StudyConfig, StudyReport, config_from_dict, load_config,
                     oracle_selftest, run_study, write_report)

@@ -167,6 +167,10 @@ def _lanczos_run(A, afac, bmul, want, tol, rng, deflate, max_iter):
                 w -= deflate.T @ (adef @ w)
         aw = np.asarray(A @ w)
         beta = math.sqrt(max(float(w @ aw), 0.0))
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise EigenError(
+                f"Lanczos step {j} is not finite (alpha {alpha!r}, "
+                f"beta {beta!r}); the pencil overflows double precision")
         scale = max(scale, abs(alpha), beta)
         j += 1
         if beta <= 1e-13 * max(scale, 1e-300):
@@ -335,6 +339,9 @@ def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix, k: int,
         raise EigenError("mass matrix vanishes")
     vals, vecs, iterations, exhausted = _pencil_largest(
         K, lambda v: M @ v, k, tol, max_iter, initial_deflate=deflate)
+    if len(vals) == 0:
+        raise EigenError(f"no eigenvalue found on {K.shape[0]} dofs; "
+                         "M is numerically zero against K")
     if np.any(vals <= 0):
         raise EigenError("non-positive reciprocal eigenvalue; M not SPD "
                          "on the reduced space")

@@ -98,8 +98,9 @@ class CellMeshTemplate:
             raise MeshError("grading factor must exceed 1")
         if self.ring_count < 1:
             raise MeshError("ring_count must be >= 1")
-        if n % 8 != 0:
-            raise MeshError("hole_boundary_segments must be a multiple of 8")
+        if n < 8 or n % 8 != 0:
+            raise MeshError(
+                "hole_boundary_segments must be a positive multiple of 8")
         if s % 2 != 0:
             raise MeshError("boundary_nodes_per_side must be even")
         quot = 4 * s / n

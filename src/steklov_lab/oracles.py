@@ -1,9 +1,10 @@
 """Independent reference values for the main pipeline.
 
-Closed-form spectra, cylinder-function roots found by bisection, and
-per-element Gauss quadrature that re-evaluates norms without touching any
-assembled matrix.  Everything here is deliberately self-contained so it can
-act as a cross-check rather than share code with the solvers it certifies.
+Closed-form spectra, cylinder functions from scipy.special, roots by
+Brent's method, and per-element Gauss quadrature that re-evaluates norms
+without touching any assembled matrix.  Everything here is deliberately
+self-contained so it can act as a cross-check rather than share code with
+the solvers it certifies.
 """
 
 from __future__ import annotations
@@ -11,183 +12,32 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-EULER_GAMMA = 0.57721566490153286060651209008240243
-
-# Switchover between the ascending power series and the Hankel asymptotic
-# expansion.  Both are good to ~1e-11 absolute in double precision there.
-_SERIES_CUTOFF = 12.0
-
-
-def _bessel_series_j(order: int, x: float) -> float:
-    # ascending series, order 0 or 1
-    q = -0.25 * x * x
-    if order == 0:
-        term, total = 1.0, 1.0
-        for k in range(1, 60):
-            term *= q / (k * k)
-            total += term
-            if abs(term) < 1e-18 * abs(total) + 1e-300:
-                break
-        return total
-    term, total = 0.5 * x, 0.5 * x
-    for k in range(1, 60):
-        term *= q / (k * (k + 1))
-        total += term
-        if abs(term) < 1e-18 * abs(total) + 1e-300:
-            break
-    return total
-
-
-def _bessel_series_y(order: int, x: float) -> float:
-    # ascending log-series, order 0 or 1
-    q = 0.25 * x * x
-    lg = math.log(0.5 * x)
-    if order == 0:
-        total = 0.0
-        term = 1.0
-        hk = 0.0
-        for k in range(1, 60):
-            term *= -q / (k * k)
-            hk += 1.0 / k
-            total -= term * hk
-            if abs(term) < 1e-18:
-                break
-        return (2.0 / math.pi) * ((lg + EULER_GAMMA) * _bessel_series_j(0, x) + total)
-    total = 0.0
-    term = 0.5 * x
-    hk, hk1 = 0.0, 1.0
-    for k in range(0, 60):
-        if k > 0:
-            term *= -q / (k * (k + 1))
-            hk += 1.0 / k
-            hk1 += 1.0 / (k + 1)
-        total += term * (hk + hk1)
-        if abs(term) < 1e-18:
-            break
-    return (2.0 / math.pi) * ((lg + EULER_GAMMA) * _bessel_series_j(1, x) - 1.0 / x) \
-        - total / math.pi
-
-
-def _bessel_asymptotic(order: int, x: float) -> tuple[float, float]:
-    # Hankel expansion: returns (J_order(x), Y_order(x)) for large x
-    mu = 4.0 * order * order
-    p, q = 1.0, 0.0
-    term = 1.0
-    sign = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if k % 2 == 1:
-            q += sign * term
-        else:
-            sign = -sign
-            p += sign * term
-        if abs(term) < 1e-17 or k > 40:
-            break
-    omega = x - 0.5 * order * math.pi - 0.25 * math.pi
-    amp = math.sqrt(2.0 / (math.pi * x))
-    c, s = math.cos(omega), math.sin(omega)
-    return amp * (p * c - q * s), amp * (p * s + q * c)
-
-
-def bessel_j0(x: float) -> float:
-    x = abs(x)
-    if x < _SERIES_CUTOFF:
-        return _bessel_series_j(0, x)
-    return _bessel_asymptotic(0, x)[0]
-
-
-def bessel_j1(x: float) -> float:
-    s = -1.0 if x < 0 else 1.0
-    x = abs(x)
-    if x < _SERIES_CUTOFF:
-        return s * _bessel_series_j(1, x)
-    return s * _bessel_asymptotic(1, x)[0]
-
-
-def bessel_y0(x: float) -> float:
-    if x <= 0:
-        raise ValueError("Y0 requires x > 0")
-    if x < _SERIES_CUTOFF:
-        return _bessel_series_y(0, x)
-    return _bessel_asymptotic(0, x)[1]
-
-
-def bessel_y1(x: float) -> float:
-    if x <= 0:
-        raise ValueError("Y1 requires x > 0")
-    if x < _SERIES_CUTOFF:
-        return _bessel_series_y(1, x)
-    return _bessel_asymptotic(1, x)[1]
-
-
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _scan_bracket(f, lo: float, hi: float, step: float):
-    x0, f0 = lo, f(lo)
-    x = lo + step
-    while x <= hi + 1e-15:
-        f1 = f(x)
-        if f0 == 0.0:
-            return (x0 - step * 0.5, x0 + step * 0.5)
-        if f0 * f1 < 0:
-            return (x0, x)
-        x0, f0 = x, f1
-        x += step
-    raise ValueError(f"bracket scan failed on [{lo}, {hi}]")
+from scipy.optimize import brentq
+from scipy.special import j0, j1, jvp, yvp
 
 
 def j0_zero(index: int, tol: float = 1e-12) -> float:
-    """index-th positive zero of J0 (index >= 1), by scan + bisection."""
+    """index-th positive zero of J0 (index >= 1).
+
+    McMahon's expansion j_{0,n} = beta + 1/(8 beta) - ..., beta = (n - 1/4) pi,
+    puts the zero inside ((n - 1/4) pi, (n - 1/8) pi).
+    """
     if index < 1:
         raise ValueError("index must be >= 1")
-    found = 0
-    lo = 1.0
-    while True:
-        a, b = _scan_bracket(bessel_j0, lo, lo + 5.0, 0.05)
-        root = _bisect(bessel_j0, a, b, tol)
-        found += 1
-        if found == index:
-            return root
-        lo = root + 0.5
+    return brentq(j0, (index - 0.25) * math.pi, (index - 0.125) * math.pi,
+                  xtol=tol)
 
 
 def robin_disk_ground(alpha: float, tol: float = 1e-12) -> float:
     """Smallest eigenvalue of -Laplace on the unit disk with du/dn + alpha*u = 0.
 
     The radial ground state J0(sqrt(lam) r) gives the scalar equation
-    alpha*J0(s) = s*J1(s) with s = sqrt(lam); the first root sits below the
-    first zero of J0.
+    alpha*J0(s) = s*J1(s) with s = sqrt(lam).  The residual is alpha > 0 at
+    s = 0 and negative at the first zero of J0, which brackets the root.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-
-    def f(s):
-        return alpha * bessel_j0(s) - s * bessel_j1(s)
-
-    hi = j0_zero(1)
-    a, b = _scan_bracket(f, 1e-6, hi, hi / 400.0)
-    s = _bisect(f, a, b, tol)
+    s = brentq(lambda x: alpha * j0(x) - x * j1(x), 0.0, j0_zero(1), xtol=tol)
     return s * s
 
 
@@ -196,22 +46,21 @@ def annulus_neumann_gap(a: float, b: float, tol: float = 1e-12) -> float:
 
     For moderate aspect ratios the gap is the first azimuthal mode
     (cos(theta) angular factor); its radial part solves the cross-product
-    equation  C1'(ka) C1'(kb) determinant = 0  built from J1', Y1'.
+    equation  J1'(ka) Y1'(kb) - J1'(kb) Y1'(ka) = 0.  The first sign change
+    on a grid of step 0.01/b brackets the root.
     """
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
 
-    def dj1(x):
-        return bessel_j0(x) - bessel_j1(x) / x
-
-    def dy1(x):
-        return bessel_y0(x) - bessel_y1(x) / x
-
     def f(k):
-        return dj1(k * a) * dy1(k * b) - dj1(k * b) * dy1(k * a)
+        return jvp(1, k * a) * yvp(1, k * b) - jvp(1, k * b) * yvp(1, k * a)
 
-    lo, hi = _scan_bracket(f, 0.02 / b, 8.0 / (b - a), 0.01 / b)
-    k = _bisect(f, lo, hi, tol)
+    ks = np.arange(0.02 / b, 8.0 / (b - a) + 1e-15, 0.01 / b)
+    sign = np.sign(f(ks))
+    cells = np.flatnonzero(sign[:-1] * sign[1:] <= 0)
+    if len(cells) == 0:
+        raise ValueError(f"no sign change on [{ks[0]}, {ks[-1]}]")
+    k = brentq(f, ks[cells[0]], ks[cells[0] + 1], xtol=tol)
     return k * k
 
 

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, meshgen
-from .eigen import (SpectralResult, factor_spd, largest_pencil_eigs,
-                    smallest_pencil_eigs)
+from .eigen import (SpdFactorization, SpectralResult, factor_spd,
+                    largest_pencil_eigs, smallest_pencil_eigs)
 
 
 class SpectraError(ValueError):
@@ -254,24 +254,46 @@ class ResolventGapSample:
         return self.gap / self.f_norm
 
 
-def resolvent_gap(geom, template, descriptor, q_limit,
+@dataclass
+class GapReference:
+    """The plain-domain side of every resolvent gap at one sweep point: the
+    structured mesh, its K and q-weighted M, and one factor of the
+    Dirichlet-reduced K + M_q that every source reuses."""
+    mesh: object
+    K: sp.csr_matrix
+    Mq: sp.csr_matrix
+    dofmap: fem.DofMap
+    fac: SpdFactorization
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """(K + M_q)^{-1} M_q f with zero Dirichlet values."""
+        free = self.dofmap.free
+        return self.dofmap.expand(self.fac.solve((self.Mq @ f)[free]))
+
+
+def gap_reference(geom, template, q_limit) -> GapReference:
+    """Reference side of the gaps, meshed at h = 1/(2 s m)."""
+    s = template.boundary_nodes_per_side
+    hm, Kh, Mq, dmh = _structured(geom.domain, q_limit, 1.0 / (2 * s * geom.m))
+    Ah = (fem.apply_dirichlet(Kh, dmh) + fem.apply_dirichlet(Mq, dmh)).tocsr()
+    return GapReference(mesh=hm, K=Kh, Mq=Mq, dofmap=dmh, fac=factor_spd(Ah))
+
+
+def resolvent_gap(descriptor, ref: GapReference,
                   perf: Condensed) -> ResolventGapSample:
     """Apply both solution operators to one analytic source and measure the
-    energy-norm discrepancy on perf, the condensed perforated mesh; the
-    reference side is meshed at h = 1/(2 s m)."""
+    energy-norm discrepancy on perf, the condensed perforated mesh, against
+    the plain-domain solve on ref."""
     f = source_function(descriptor)
     pm = perf.mesh
     u_eps = perf.solve(f(pm.nodes[:, 0], pm.nodes[:, 1]))
 
-    s = template.boundary_nodes_per_side
-    hm, Kh, Mq, dmh = _structured(geom.domain, q_limit, 1.0 / (2 * s * geom.m))
-    Ah = (fem.apply_dirichlet(Kh, dmh) + fem.apply_dirichlet(Mq, dmh)).tocsr()
+    hm = ref.mesh
     f_hom = f(hm.nodes[:, 0], hm.nodes[:, 1])
-    u_hom = dmh.expand(factor_spd(Ah).solve((Mq @ f_hom)[dmh.free]))
-
-    u_restricted = fem.interpolate(hm, u_hom, pm)
+    u_restricted = fem.interpolate(hm, ref.solve(f_hom), pm)
     gap = fem.h_eps_norm(pm, u_eps - u_restricted, K=perf.K, B=perf.B)
-    f_norm = math.sqrt(float(f_hom @ (Kh @ f_hom) + f_hom @ (Mq @ f_hom)))
+    f_norm = math.sqrt(float(f_hom @ (ref.K @ f_hom)
+                             + f_hom @ (ref.Mq @ f_hom)))
     return ResolventGapSample(descriptor=dict(descriptor), gap=gap,
                               f_norm=f_norm)
 

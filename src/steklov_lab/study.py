@@ -217,10 +217,10 @@ def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
     pair = spectra.spectrum_pair(geo, pm, cfg.k, homog, kappa, tol=cfg.tol)
     gaps = []
     if cfg.run_gaps:
-        # condensed after the pair: held through the refined solve, it adds RSS
+        # built after the pair: held through the refined solve, they add RSS
         perf = spectra.condense(pm)
-        gaps = [spectra.resolvent_gap(geo, cfg.template, desc, q_limit, perf)
-                for desc in cfg.sources]
+        ref = spectra.gap_reference(geo, cfg.template, q_limit)
+        gaps = [spectra.resolvent_gap(desc, ref, perf) for desc in cfg.sources]
     validation = geometry.validate_assumptions(geo, wf).as_dict()
     return pair, gaps, validation
 

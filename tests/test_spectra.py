@@ -16,7 +16,8 @@ TPL = mg.CellMeshTemplate()
 
 def gap_of(geom, descriptor, q):
     perf = spectra.condense(mg.mesh_perforated(geom, TPL))
-    return spectra.resolvent_gap(geom, TPL, descriptor, q, perf)
+    ref = spectra.gap_reference(geom, TPL, q)
+    return spectra.resolvent_gap(descriptor, ref, perf)
 
 
 def pair_of(geom, k, homog):

@@ -268,6 +268,27 @@ def test_cli_rejects_out_of_range_arguments(capsys, args, flag):
     assert "Traceback" not in err
 
 
+def test_cli_mesh_rejects_zero_hole_segments(capsys):
+    assert cli.main(["mesh", "--segments", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "error: hole_boundary_segments must be a positive multiple of 8" \
+        in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("q,message", [
+    ("1e308", "error: Lanczos step 0 is not finite"),
+    ("1e-320", "error: no eigenvalue found"),
+])
+def test_cli_solve_homog_extreme_weight_exits_1(capsys, q, message):
+    # the weighted mass overflows the Lanczos recurrence, or underflows
+    # until no eigenvalue is left
+    assert cli.main(["solve", "--homog", "--q", q, "--h", "0.25"]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_cli_reports_library_errors_with_exit_1(capsys, monkeypatch):
     # an empty homogenized system (FemError), and an EigenError from the
     # solver, which argparse's k > 0 check keeps the CLI itself from causing
@@ -351,14 +372,14 @@ def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
         return condense(mesh)
 
     def counted_gap(*args):
-        used.append(args[-1])
+        used.append(args[-2:])
         return gap(*args)
 
     factored, factor_spd = [], spectra.factor_spd
 
     def counted_factor(A):
-        factored.append(A)
-        return factor_spd(A)
+        factored.append((A, factor_spd(A)))
+        return factored[-1][1]
 
     monkeypatch.setattr(spectra, "condense", counted_condense)
     monkeypatch.setattr(spectra, "resolvent_gap", counted_gap)
@@ -372,10 +393,12 @@ def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
     # the coarse and refined Steklov solves, then one bundle for the gaps
     assert len(condensed) == 3
     assert condensed[0] is condensed[2]
-    assert all(perf is used[0] for perf in used)
-    assert used[0].mesh is condensed[2]
-    # the gaps share one factor of the bundle's S
-    assert sum(A is used[0].S for A in factored) == 1
+    ref, perf = used[0]
+    assert all(r is ref and p is perf for r, p in used)
+    assert perf.mesh is condensed[2]
+    # the gaps share one factor of the bundle's S and one reference factor
+    assert sum(A is perf.S for A, _ in factored) == 1
+    assert sum(fac is ref.fac for _, fac in factored) == 1
 
 
 def test_point_weight_must_match_study_q_limit():
