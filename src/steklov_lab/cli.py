@@ -15,26 +15,28 @@ import sys
 from . import cellmetrics, eigen, fem, geometry, meshgen, spectra, study
 
 
+# CLI flag -> CellMeshTemplate field; defaults and types come from the class
+_TEMPLATE_FLAGS = {"rings": "ring_count", "grading": "grading",
+                   "sides": "boundary_nodes_per_side",
+                   "segments": "hole_boundary_segments"}
+
+
 def _template_from_args(args) -> meshgen.CellMeshTemplate:
-    return meshgen.CellMeshTemplate(
-        ring_count=args.rings, grading=args.grading,
-        boundary_nodes_per_side=args.sides,
-        hole_boundary_segments=args.segments)
+    return meshgen.CellMeshTemplate(**{
+        field: getattr(args, flag) for flag, field in _TEMPLATE_FLAGS.items()})
 
 
 def _add_template_args(p):
-    p.add_argument("--rings", type=int, default=8)
-    p.add_argument("--grading", type=float, default=2.0)
-    p.add_argument("--sides", type=int, default=8)
-    p.add_argument("--segments", type=int, default=32)
+    tpl = meshgen.CellMeshTemplate()
+    for flag, field in _TEMPLATE_FLAGS.items():
+        default = getattr(tpl, field)
+        p.add_argument(f"--{flag}", type=type(default), default=default)
 
 
 def _domain(name: str):
-    if name == "unit-square":
-        return geometry.unit_square()
-    if name == "l-shape":
-        return geometry.l_shape()
-    raise SystemExit(f"unknown domain {name!r}")
+    if name not in study.DOMAINS:
+        raise SystemExit(f"unknown domain {name!r}")
+    return study.DOMAINS[name]()
 
 
 def _shape(spec: str):
@@ -118,7 +120,7 @@ def cmd_solve(args) -> int:
             _domain(args.domain), args.m, args.beta,
             shape_spec=_shape(args.shape))
         mesh = meshgen.mesh_perforated(geom, _template_from_args(args))
-        res = spectra.steklov_spectrum(mesh, args.k)
+        res = spectra.steklov_spectrum(spectra.condense(mesh), args.k)
         print("boundary spectrum (mu, steklov lambda = 1/mu - 1):")
         rows = zip(res.values, res.steklov)
     for a, b in rows:

@@ -217,27 +217,3 @@ def h_eps_norm(mesh: Mesh, values, K=None, B=None) -> float:
     B = assemble_hole_mass(mesh) if B is None else B
     return math.sqrt(max(0.0, float(u @ (K @ u) + u @ (B @ u))))
 
-
-# ---------------------------------------------------------------------------
-# symmetric coordinate text export
-
-def export_sym_matrix(mat: sp.spmatrix) -> str:
-    coo = sp.triu(mat).tocoo()
-    lines = [f"{mat.shape[0]} {coo.nnz}"]
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        lines.append(f"{i} {j} {float(v)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def load_sym_matrix(text: str) -> sp.csr_matrix:
-    rows = text.strip().split("\n")
-    n, nnz = (int(v) for v in rows[0].split())
-    ri, ci, vals = [], [], []
-    for line in rows[1:1 + nnz]:
-        i, j, v = line.split()
-        ri.append(int(i))
-        ci.append(int(j))
-        vals.append(float(v))
-    upper = sp.coo_matrix((vals, (ri, ci)), shape=(n, n)).tocsr()
-    diag = sp.diags(upper.diagonal())
-    return (upper + upper.T - diag).tocsr()

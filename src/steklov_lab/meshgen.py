@@ -33,7 +33,6 @@ class Mesh:
     edge_tags: np.ndarray            # (e,) int: OUTER or hole id >= 0
     tri_cell: np.ndarray = None      # (m,) int, -1 when not cell-based
     hole_geoms: dict = field(default_factory=dict)
-    h_max: float = 0.0
     outer_curve: tuple | None = None  # ("circle", cx, cy, radius) if curved
     lattice: tuple | None = None      # (nd, origin, first_tri), structured
 
@@ -69,6 +68,13 @@ class Mesh:
             worst = min(worst, float(np.min(np.degrees(np.arccos(
                 np.clip(cosv, -1.0, 1.0))))))
         return worst
+
+    @property
+    def h_max(self) -> float:
+        """Longest edge; 0.0 for a mesh without triangles."""
+        if not len(self.triangles):
+            return 0.0
+        return float(np.max(self.edge_lengths()))
 
     def edge_lengths(self) -> np.ndarray:
         p = self.nodes[self.triangles]
@@ -360,7 +366,6 @@ def mesh_cell(cell, hole: Hole, template: CellMeshTemplate,
     mesh = Mesh(nodes, triangles, edges, tags,
                 tri_cell=np.full(len(triangles), cell.index, dtype=np.int64),
                 hole_geoms={cell.index: hole})
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
     _check_orientation(mesh)
     return mesh
 
@@ -435,7 +440,6 @@ def mesh_perforated(geometry, template: CellMeshTemplate) -> Mesh:
         tri_cell=np.concatenate(cell_ids),
         hole_geoms={h.cell_index: h for h in geometry.holes},
     )
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
     _check_orientation(mesh)
     _check_conformity(mesh)
     return mesh
@@ -500,11 +504,9 @@ def mesh_unperforated(domain, h: float) -> Mesh:
     first_tri = np.full(inside.shape, -1, dtype=np.int64)
     first_tri[jy, jx] = 2 * np.arange(len(jy))
     edges_once = _boundary_edges_oriented(triangles)
-    mesh = Mesh(nodes, triangles,
+    return Mesh(nodes, triangles,
                 edges_once, np.full(len(edges_once), OUTER, dtype=np.int64),
                 lattice=(nd, (ix0, iy0), first_tri))
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
-    return mesh
 
 
 def _sides(triangles):
@@ -580,12 +582,10 @@ def refine(mesh: Mesh) -> Mesh:
     child_cells = np.concatenate([mesh.tri_cell] * 4)
     halves = np.stack([be[:, 0], mid_ids[at], mid_ids[at], be[:, 1]], axis=1)
 
-    out = Mesh(nodes, children, halves.reshape(-1, 2),
-               np.repeat(mesh.edge_tags, 2), tri_cell=child_cells,
-               hole_geoms=dict(mesh.hole_geoms),
-               outer_curve=mesh.outer_curve)
-    out.h_max = float(np.max(out.edge_lengths()))
-    return out
+    return Mesh(nodes, children, halves.reshape(-1, 2),
+                np.repeat(mesh.edge_tags, 2), tri_cell=child_cells,
+                hole_geoms=dict(mesh.hole_geoms),
+                outer_curve=mesh.outer_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +617,5 @@ def load_mesh(text: str) -> Mesh:
         a, b, name = rows[1 + n + m + i].split()
         edges.append((int(a), int(b)))
         tags.append(OUTER if name == "outer" else int(name.split(":")[1]))
-    mesh = Mesh(nodes, tris, np.array(edges, dtype=np.int64),
+    return Mesh(nodes, tris, np.array(edges, dtype=np.int64),
                 np.array(tags, dtype=np.int64))
-    if len(tris):
-        mesh.h_max = float(np.max(mesh.edge_lengths()))
-    return mesh

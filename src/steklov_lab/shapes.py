@@ -88,16 +88,13 @@ def mesh_hole_shape(kind: str, k: int | None, h: float) -> Mesh:
     _fill_star_interior(nodes, tris, (0.0, 0.0), hole.boundary_point, ids, angles)
     edges = np.array([(ids[j], ids[(j + 1) % n]) for j in range(n)], dtype=np.int64)
     curve = ("circle", 0.0, 0.0, 1.0) if kind == "circle" else None
-    mesh = Mesh(np.array(nodes), np.array(tris, dtype=np.int64),
+    return Mesh(np.array(nodes), np.array(tris, dtype=np.int64),
                 edges, np.full(n, OUTER, dtype=np.int64), outer_curve=curve)
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
-    return mesh
 
 
 def mesh_disk(radius: float, h: float, center=(0.0, 0.0)) -> Mesh:
     mesh = mesh_hole_shape("circle", None, h / radius)
     mesh.nodes = mesh.nodes * radius + np.asarray(center)
-    mesh.h_max *= radius
     mesh.outer_curve = ("circle", center[0], center[1], radius)
     return mesh
 
@@ -138,12 +135,10 @@ def mesh_collar(kind: str, k: int | None, h: float,
     edges += [(outer_ids[j], outer_ids[(j + 1) % no]) for j in range(no)]
     tags += [OUTER] * no
     geoms = {0: hole} if kind == "circle" else {}
-    mesh = Mesh(np.array(nodes), np.array(tris, dtype=np.int64),
+    return Mesh(np.array(nodes), np.array(tris, dtype=np.int64),
                 np.array(edges, dtype=np.int64), np.array(tags, dtype=np.int64),
                 hole_geoms=geoms,
                 outer_curve=("circle", 0.0, 0.0, float(outer)))
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
-    return mesh
 
 
 def mesh_ball_with_interface(kind: str, k: int | None, h: float,
@@ -172,11 +167,9 @@ def mesh_ball_with_interface(kind: str, k: int | None, h: float,
     no = len(outer_ids)
     edges = np.array([(outer_ids[j], outer_ids[(j + 1) % no])
                       for j in range(no)], dtype=np.int64)
-    mesh = Mesh(np.array(nodes), np.array(tris, dtype=np.int64), edges,
+    return Mesh(np.array(nodes), np.array(tris, dtype=np.int64), edges,
                 np.full(no, OUTER, dtype=np.int64), tri_cell=region,
                 outer_curve=("circle", 0.0, 0.0, float(outer_radius)))
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
-    return mesh
 
 
 def mesh_secure_ball(d: float, ball_radius: float, n_hole: int = 32,
@@ -215,11 +208,9 @@ def mesh_secure_ball(d: float, ball_radius: float, n_hole: int = 32,
     n = len(cur)
     edges = np.array([(cur[j], cur[(j + 1) % n]) for j in range(n)],
                      dtype=np.int64)
-    mesh = Mesh(np.array(nodes), np.array(tris, dtype=np.int64), edges,
+    return Mesh(np.array(nodes), np.array(tris, dtype=np.int64), edges,
                 np.full(n, OUTER, dtype=np.int64), tri_cell=region,
                 outer_curve=("circle", 0.0, 0.0, float(ball_radius)))
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
-    return mesh
 
 
 def mesh_slit_collar(beta: float, h: float) -> Mesh:
@@ -270,10 +261,8 @@ def mesh_slit_collar(beta: float, h: float) -> Mesh:
     remap[used] = np.arange(len(used))
     tri_new = remap[keep]
     edges = _boundary_edges_oriented(tri_new)
-    mesh = Mesh(pts[used], tri_new, edges,
+    return Mesh(pts[used], tri_new, edges,
                 np.full(len(edges), OUTER, dtype=np.int64))
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
-    return mesh
 
 
 def mesh_convex_polygon(verts, h: float) -> Mesh:
@@ -287,7 +276,6 @@ def mesh_convex_polygon(verts, h: float) -> Mesh:
                      dtype=np.int64)
     mesh = Mesh(np.array(nodes), np.array(tris, dtype=np.int64), edges,
                 np.full(n, OUTER, dtype=np.int64))
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
     while mesh.h_max > h:
         mesh = refine(mesh)
     return mesh
@@ -320,10 +308,8 @@ def mesh_cell_with_hole(d: float, c_sec: float = 0.5, segments: int = 32,
     region[collar_tris:] = 0
     tri_arr = np.array(tris, dtype=np.int64)
     edges = _boundary_edges_oriented(tri_arr)
-    mesh = Mesh(np.array(nodes), tri_arr, edges,
+    return Mesh(np.array(nodes), tri_arr, edges,
                 np.full(len(edges), OUTER, dtype=np.int64), tri_cell=region)
-    mesh.h_max = float(np.max(mesh.edge_lengths()))
-    return mesh
 
 
 def interface_edges(mesh: Mesh):

@@ -31,14 +31,12 @@ MIN_SPAN = 4.0     # least max/min ratio of delta that a rate fit accepts
 _BLOCK = 16        # coupling slots per interior solve; bounds its memory
 
 
-def steklov_spectrum(mesh, k: int, tol: float = 1e-10) -> SpectralResult:
-    """Top-k mu of B u = mu (K + B) u on a perforated mesh, solved condensed
+def steklov_spectrum(op: Condensed, k: int,
+                     tol: float = 1e-10) -> SpectralResult:
+    """Top-k mu of B u = mu (K + B) u on a condensed perforated mesh
     (.steklov: 1/mu - 1); vectors are full length over the free dofs."""
-    op = condense(mesh)
-    S, B_RR, extend = op.S, op.B_RR, op.extend
-    del op          # the solve needs no K or B; held through it, they add RSS
-    res = largest_pencil_eigs(S, B_RR, k, tol=tol)
-    return replace(res, vectors=extend(res.vectors))
+    res = largest_pencil_eigs(op.S, op.B_RR, k, tol=tol)
+    return replace(res, vectors=op.extend(res.vectors))
 
 
 @dataclass
@@ -324,19 +322,16 @@ def rate_scale(r_eps: float, kappa: float) -> float:
     return max(kappa, r_eps * math.sqrt(abs(math.log(r_eps))))
 
 
-def spectrum_pair(geom, mesh, k: int, homog: HomogenizedPair, kappa: float,
-                  tol: float = 1e-10) -> SpectrumPair:
-    """Solve the perforated side on geom's mesh and its refinement, Richardson-
-    extrapolate eigenvalue by eigenvalue, pair it with the study's
-    homogenized side, and gate the pair on discretization error and on the
-    outcome of all four solves."""
+def spectrum_pair(geom, coarse: SpectralResult, fine: SpectralResult, k: int,
+                  homog: HomogenizedPair, kappa: float) -> SpectrumPair:
+    """Richardson-extrapolate the Steklov values solved on geom's mesh
+    (coarse) and its refinement (fine) eigenvalue by eigenvalue, pair them
+    with the study's homogenized side, and gate the pair on discretization
+    error and on the outcome of all four solves."""
     kk = k + EXTRA
-    st = [steklov_spectrum(pm, kk, tol)
-          for pm in (mesh, meshgen.refine(mesh))]
-    st_coarse, st_fine = st[0].values, st[1].values
-    n = min(len(st_coarse), len(st_fine))
-    st_mu = richardson(st_coarse[:n], st_fine[:n])
-    st_err = np.abs(st_fine[:n] - st_coarse[:n])
+    n = min(len(coarse.values), len(fine.values))
+    st_mu = richardson(coarse.values[:n], fine.values[:n])
+    st_err = np.abs(fine.values[:n] - coarse.values[:n])
     ho_mu, ho_err = homog.mu, homog.err
 
     r_eps = geom.r_eps
@@ -354,7 +349,7 @@ def spectrum_pair(geom, mesh, k: int, homog: HomogenizedPair, kappa: float,
         detail.append({"j": j + 1, "gap": float(gap), "disc_err": float(err),
                        "ok": bool(good)})
     # so does an unconverged or missing value among the first k of a solve
-    for label, res in (("steklov-coarse", st[0]), ("steklov-fine", st[1]),
+    for label, res in (("steklov-coarse", coarse), ("steklov-fine", fine),
                        ("homogenized-coarse", homog.coarse),
                        ("homogenized-fine", homog.fine)):
         bad = [j + 1 for j in range(k)
@@ -402,11 +397,11 @@ def fit_rate(deltas, distances) -> RateModel:
     distances = np.asarray(distances, dtype=float)
     if len(deltas) < MIN_POINTS:
         raise SpectraError(
-            f"rate fit needs at least {MIN_POINTS} usable sweep points, "
-            f"got {len(deltas)}")
-    if np.max(deltas) < MIN_SPAN * np.min(deltas):
-        raise SpectraError(
-            f"degenerate sweep: delta spans less than a factor {MIN_SPAN}")
+            f"only {len(deltas)} usable sweep points; rate fit skipped")
+    lo, hi = np.min(deltas), np.max(deltas)
+    if hi < MIN_SPAN * lo:
+        raise SpectraError(f"delta spans only a factor {hi / lo:.3g} "
+                           f"(a fit needs {MIN_SPAN}); rate fit skipped")
     if np.any(distances <= 0):
         raise SpectraError("distances must be positive for a log fit")
     lx, ly = np.log(deltas), np.log(distances)

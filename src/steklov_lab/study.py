@@ -29,7 +29,7 @@ class StudyError(ValueError):
     pass
 
 
-_DOMAINS = {
+DOMAINS = {
     "unit-square": geometry.unit_square,
     "l-shape": geometry.l_shape,
 }
@@ -69,7 +69,7 @@ class StudyConfig:
             raise StudyError("sigma must be positive")
         if self.k < 1:
             raise StudyError("k must be >= 1")
-        if self.domain not in _DOMAINS:
+        if self.domain not in DOMAINS:
             raise StudyError(f"unknown domain {self.domain!r}")
         self.template.validate(
             self.hole_shape[1] if isinstance(self.hole_shape, (list, tuple))
@@ -106,7 +106,7 @@ class StudyConfig:
         return int(raw)
 
     def domain_object(self):
-        return _DOMAINS[self.domain]()
+        return DOMAINS[self.domain]()
 
     def shape_spec(self):
         if isinstance(self.hole_shape, (list, tuple)):
@@ -214,15 +214,25 @@ def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
             f"q_limit {q_limit!r} the homogenized side was solved for")
     kappa = geometry.kappa(geo, wf, q_limit, cfg.sigma)
     pm = meshgen.mesh_perforated(geo, cfg.template)
-    pair = spectra.spectrum_pair(geo, pm, cfg.k, homog, kappa, tol=cfg.tol)
-    gaps = []
-    if cfg.run_gaps:
-        # built after the pair: held through the refined solve, they add RSS
-        perf = spectra.condense(pm)
-        ref = spectra.gap_reference(geo, cfg.template, q_limit)
-        gaps = [spectra.resolvent_gap(desc, ref, perf) for desc in cfg.sources]
+    coarse, gaps = _coarse_side(cfg, geo, pm, q_limit)
+    fine = spectra.steklov_spectrum(spectra.condense(meshgen.refine(pm)),
+                                    cfg.k + spectra.EXTRA, cfg.tol)
+    pair = spectra.spectrum_pair(geo, coarse, fine, cfg.k, homog, kappa)
     validation = geometry.validate_assumptions(geo, wf).as_dict()
     return pair, gaps, validation
+
+
+def _coarse_side(cfg: StudyConfig, geo, pm, q_limit: float):
+    """The coarse Steklov solve and every resolvent gap, on one condensed
+    bundle of pm; it and the gap reference are freed on return, before the
+    refined mesh is condensed."""
+    perf = spectra.condense(pm)
+    coarse = spectra.steklov_spectrum(perf, cfg.k + spectra.EXTRA, cfg.tol)
+    if not cfg.run_gaps:
+        return coarse, []
+    ref = spectra.gap_reference(geo, cfg.template, q_limit)
+    return coarse, [spectra.resolvent_gap(desc, ref, perf)
+                    for desc in cfg.sources]
 
 
 @dataclass
@@ -293,25 +303,21 @@ def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
     deltas = [p.delta for p in usable]
     if not report.oracle_ok:
         report.notes.append("oracle self-test failed; rate fit refused")
-    elif len(usable) < spectra.MIN_POINTS:
+        return report
+    try:
+        report.rate = spectra.fit_rate(deltas, [p.hausdorff for p in usable])
+    except spectra.SpectraError as exc:
+        report.notes.append(str(exc))
+        return report
+    if len(usable) < len(pairs):
+        skipped = [p.m for p in pairs if not p.gate_ok]
         report.notes.append(
-            f"only {len(usable)} usable sweep points; rate fit skipped")
-    elif max(deltas) < spectra.MIN_SPAN * min(deltas):
-        report.notes.append(
-            f"delta spans only a factor {max(deltas) / min(deltas):.3g} "
-            f"(a fit needs {spectra.MIN_SPAN}); rate fit skipped")
-    else:
-        report.rate = spectra.fit_rate(deltas,
-                                       [p.hausdorff for p in usable])
-        if len(usable) < len(pairs):
-            skipped = [p.m for p in pairs if not p.gate_ok]
-            report.notes.append(
-                f"points excluded by the discretization gate: m={skipped}")
-        if cfg.run_gaps:
-            for si in range(len(cfg.sources)):
-                vals = [gap_samples[i][si].normalized
-                        for i, p in enumerate(pairs) if p.gate_ok]
-                report.gap_rates.append(spectra.fit_rate(deltas, vals))
+            f"points excluded by the discretization gate: m={skipped}")
+    if cfg.run_gaps:
+        for si in range(len(cfg.sources)):
+            vals = [gap_samples[i][si].normalized
+                    for i, p in enumerate(pairs) if p.gate_ok]
+            report.gap_rates.append(spectra.fit_rate(deltas, vals))
     return report
 
 

@@ -106,13 +106,11 @@ def ref_refine(mesh):
         mid = lookup[(min(a, b), max(a, b))]
         new_edges += [(a, mid), (mid, b)]
         new_tags += [tag, tag]
-    out = mg.Mesh(nodes, children, np.array(new_edges, dtype=np.int64),
-                  np.array(new_tags, dtype=np.int64),
-                  tri_cell=np.concatenate([mesh.tri_cell] * 4),
-                  hole_geoms=dict(mesh.hole_geoms),
-                  outer_curve=mesh.outer_curve)
-    out.h_max = float(np.max(out.edge_lengths()))
-    return out
+    return mg.Mesh(nodes, children, np.array(new_edges, dtype=np.int64),
+                   np.array(new_tags, dtype=np.int64),
+                   tri_cell=np.concatenate([mesh.tri_cell] * 4),
+                   hole_geoms=dict(mesh.hole_geoms),
+                   outer_curve=mesh.outer_curve)
 
 
 def assert_same_mesh(got, want):

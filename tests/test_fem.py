@@ -233,10 +233,3 @@ def test_form_equivalence_ratio_bounded_across_eps():
             hi = max(hi, he / h1)
     assert 0.01 <= lo and hi <= 100.0
 
-
-def test_matrix_export_roundtrip():
-    _, mesh = perforated_setup(m=2)
-    K = fem.assemble_stiffness(mesh)
-    text = fem.export_sym_matrix(K)
-    back = fem.load_sym_matrix(text)
-    assert (back != K).nnz == 0

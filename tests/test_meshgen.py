@@ -199,6 +199,14 @@ def test_export_roundtrip_bit_exact():
     assert mg.export_mesh(back) == text
 
 
+def test_h_max_is_the_longest_edge_of_the_current_nodes():
+    disk = shapes.mesh_disk(0.3, 0.05, center=(0.7, 0.2))
+    assert disk.h_max == float(np.max(disk.edge_lengths()))
+    assert mg.refine(disk).h_max < disk.h_max
+    empty = mg.load_mesh("0 nodes 0 triangles 0 boundary_edges\n")
+    assert empty.h_max == 0.0
+
+
 def _structured_by_scan(domain, h):
     """Reference: one exact crossing test per grid cell, nodes numbered by
     first appearance."""

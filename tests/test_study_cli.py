@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -296,7 +297,7 @@ def test_cli_reports_library_errors_with_exit_1(capsys, monkeypatch):
     assert "error: every node is constrained" in capsys.readouterr().err
     solve = spectra.steklov_spectrum
     monkeypatch.setattr(spectra, "steklov_spectrum",
-                        lambda mesh, k: solve(mesh, 0))
+                        lambda op, k: solve(op, 0))
     assert cli.main(["solve", "--steklov", "--m", "2"]) == 1
     assert "error: k must be >= 1" in capsys.readouterr().err
 
@@ -364,16 +365,30 @@ def test_homogenized_side_solved_once_per_study(monkeypatch, m_values):
 @pytest.mark.parametrize("sources", [1, 3])
 def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
                                                            sources):
-    condensed, used = [], []
-    condense, gap = spectra.condense, spectra.resolvent_gap
+    # bundles and references are held weakly, so the test keeps none alive
+    condensed, refs, solved, used, alive = [], [], [], [], []
+    condense, solve = spectra.condense, spectra.steklov_spectrum
+    gap, gap_reference = spectra.resolvent_gap, spectra.gap_reference
 
     def counted_condense(mesh):
-        condensed.append(mesh)
-        return condense(mesh)
+        alive.append([w() is not None for w in condensed + refs])
+        op = condense(mesh)
+        condensed.append(weakref.ref(op))
+        return op
 
-    def counted_gap(*args):
-        used.append(args[-2:])
-        return gap(*args)
+    def counted_solve(op, *args):
+        solved.append((op is condensed[-1](), op.mesh))
+        return solve(op, *args)
+
+    def counted_reference(*args):
+        ref = gap_reference(*args)
+        refs.append(weakref.ref(ref))
+        return ref
+
+    def counted_gap(desc, ref, perf):
+        used.append((ref is refs[0](), perf is condensed[0](), ref.fac,
+                     perf.S))
+        return gap(desc, ref, perf)
 
     factored, factor_spd = [], spectra.factor_spd
 
@@ -382,6 +397,8 @@ def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
         return factored[-1][1]
 
     monkeypatch.setattr(spectra, "condense", counted_condense)
+    monkeypatch.setattr(spectra, "steklov_spectrum", counted_solve)
+    monkeypatch.setattr(spectra, "gap_reference", counted_reference)
     monkeypatch.setattr(spectra, "resolvent_gap", counted_gap)
     monkeypatch.setattr(spectra, "factor_spd", counted_factor)
     descs = [{"kind": "sine", "px": p, "py": 1} for p in range(1, 4)]
@@ -390,15 +407,21 @@ def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
                                      cfg.h_hom, cfg.k, cfg.tol)
     pair, gaps, _ = study._run_point(cfg, 2, homog)
     assert len(gaps) == sources and pair.gate_ok
-    # the coarse and refined Steklov solves, then one bundle for the gaps
-    assert len(condensed) == 3
-    assert condensed[0] is condensed[2]
-    ref, perf = used[0]
-    assert all(r is ref and p is perf for r, p in used)
-    assert perf.mesh is condensed[2]
+    # one bundle per mesh, the coarse one then its refinement, and each
+    # solves its own pencil
+    assert len(condensed) == 2 and len(refs) == 1
+    (own_coarse, coarse), (own_fine, fine) = solved
+    assert own_coarse and own_fine
+    assert fine.num_triangles == 4 * coarse.num_triangles
+    # every gap runs on the bundle that solved the coarse pencil and on one
+    # reference; neither is alive when the refined mesh is condensed
+    assert len(used) == sources
+    assert all(on_ref and on_perf for on_ref, on_perf, _, _ in used)
+    assert alive == [[], [False, False]]
     # the gaps share one factor of the bundle's S and one reference factor
-    assert sum(A is perf.S for A, _ in factored) == 1
-    assert sum(fac is ref.fac for _, fac in factored) == 1
+    _, _, ref_fac, perf_S = used[0]
+    assert sum(A is perf_S for A, _ in factored) == 1
+    assert sum(fac is ref_fac for _, fac in factored) == 1
 
 
 def test_point_weight_must_match_study_q_limit():
