@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .geometry import (AssumptionConstants, Cell, Domain, GeometryError,
                        Hole, PerforatedGeometry, WeightField,
                        build_perforated_geometry, build_square_tessellation,
-                       build_voronoi_tessellation, geometry_from_json,
-                       geometry_to_json, kappa, l_shape, make_domain,
-                       place_holes, rectangle, unit_square,
+                       geometry_from_json, geometry_to_json, kappa, l_shape,
+                       make_domain, place_holes, rectangle, unit_square,
                        validate_assumptions, weight_field)
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, export_mesh,
                       load_mesh, mesh_cell, mesh_perforated,

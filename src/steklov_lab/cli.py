@@ -39,14 +39,6 @@ def _domain(name: str):
     return study.DOMAINS[name]()
 
 
-def _shape(spec: str):
-    if spec == "circle":
-        return "circle"
-    if spec.startswith("kgon:"):
-        return ("kgon", int(spec.split(":")[1]))
-    raise SystemExit(f"unknown hole shape {spec!r}")
-
-
 def _checked(kind, text, ok, rule):
     try:
         value = kind(text)
@@ -70,19 +62,34 @@ def _non_negative_int(text: str) -> int:
     return _checked(int, text, lambda v: v >= 0, "an integer >= 0")
 
 
-def _cell_shape(spec: str):
-    if spec == "disk":
-        return spec
-    kind, _, k = spec.partition(":")
-    if kind == "kgon" and k.isdigit() and int(k) >= 3:
-        return ("kgon", int(k))
-    raise argparse.ArgumentTypeError(
-        f"unknown shape {spec!r}; accepted: disk, kgon:K (integer K >= 3)")
+def _shape_type(name: str):
+    """argparse type accepting `name` or kgon:K (integer K >= 3)."""
+    def parse(spec: str):
+        if spec == name:
+            return spec
+        kind, _, k = spec.partition(":")
+        if kind == "kgon" and k.isdigit() and int(k) >= 3:
+            return ("kgon", int(k))
+        raise argparse.ArgumentTypeError(
+            f"unknown shape {spec!r}; accepted: {name}, kgon:K "
+            "(integer K >= 3)")
+    return parse
+
+
+_cell_shape = _shape_type("disk")        # cellmetrics' reference shapes
+_hole_shape = _shape_type("circle")      # geometry's hole shapes
 
 
 def cmd_validate(args) -> int:
-    with open(args.geometry, "r", encoding="utf-8") as fh:
-        geom = geometry.geometry_from_json(fh.read())
+    try:
+        with open(args.geometry, "r", encoding="utf-8") as fh:
+            geom = geometry.geometry_from_json(fh.read())
+    except FileNotFoundError:
+        print(f"geometry file not found: {args.geometry}", file=sys.stderr)
+        return 2
+    except (geometry.GeometryError, UnicodeDecodeError) as exc:
+        print(f"invalid geometry: {exc}", file=sys.stderr)
+        return 2
     report = geometry.validate_assumptions(geom)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
@@ -95,7 +102,7 @@ def cmd_validate(args) -> int:
 
 def cmd_mesh(args) -> int:
     geom = geometry.build_perforated_geometry(
-        _domain(args.domain), args.m, args.beta, shape_spec=_shape(args.shape))
+        _domain(args.domain), args.m, args.beta, shape_spec=args.shape)
     mesh = meshgen.mesh_perforated(geom, _template_from_args(args))
     for _ in range(args.refine):
         mesh = meshgen.refine(mesh)
@@ -117,8 +124,7 @@ def cmd_solve(args) -> int:
         rows = zip(res.values, res.mu)
     else:
         geom = geometry.build_perforated_geometry(
-            _domain(args.domain), args.m, args.beta,
-            shape_spec=_shape(args.shape))
+            _domain(args.domain), args.m, args.beta, shape_spec=args.shape)
         mesh = meshgen.mesh_perforated(geom, _template_from_args(args))
         res = spectra.steklov_spectrum(spectra.condense(mesh), args.k)
         print("boundary spectrum (mu, steklov lambda = 1/mu - 1):")
@@ -203,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="unit-square")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--shape", default="circle")
+    p.add_argument("--shape", type=_hole_shape, default="circle",
+                   help="circle | kgon:K")
     p.add_argument("--refine", type=_non_negative_int, default=0)
     p.add_argument("--export", help="write the plain-text mesh format here")
     _add_template_args(p)
@@ -216,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="unit-square")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--shape", default="circle")
+    p.add_argument("--shape", type=_hole_shape, default="circle",
+                   help="circle | kgon:K")
     p.add_argument("--q", type=_positive_float, default=1.0,
                    help="constant weight for the homogenized problem")
     p.add_argument("--h", type=_positive_float, default=0.02)

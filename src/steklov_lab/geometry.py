@@ -1,9 +1,8 @@
 """Tessellations, holes, and weight fields for perforated planar domains.
 
-The exact-tiling path (axis-aligned polygons cut by a 1/m grid) runs on
-rational arithmetic wherever the inputs are rational, so tiling checks and
-cell areas carry no floating-point slack.  Voronoi tessellations are built
-for geometric validation only and are never meshed.
+Every cell is a square of the 1/m grid cut from an axis-aligned polygon.
+The tiling runs on rational arithmetic wherever the inputs are rational, so
+tiling checks and cell areas carry no floating-point slack.
 """
 
 from __future__ import annotations
@@ -17,15 +16,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from . import oracles
-
-
 class GeometryError(ValueError):
     pass
 
 
 # ---------------------------------------------------------------------------
-# polygon helpers (shared by the weight-defect integration and validators)
+# polygon helpers
 
 def poly_area(pts):
     """Signed shoelace area; exact when the coordinates are Fractions."""
@@ -36,30 +32,6 @@ def poly_area(pts):
         x1, y1 = pts[(i + 1) % n]
         acc += x0 * y1 - x1 * y0
     return acc / 2
-
-
-def clip_halfplane(pts, a, b, c):
-    """Sutherland-Hodgman clip of a convex polygon to a*x + b*y <= c."""
-    out = []
-    n = len(pts)
-    for i in range(n):
-        p, q = pts[i], pts[(i + 1) % n]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
-        if fp <= 0:
-            out.append(p)
-        if (fp < 0 < fq) or (fq < 0 < fp):
-            t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
-
-
-def clip_box(pts, x0, y0, x1, y1):
-    for a, b, c in ((1, 0, x1), (-1, 0, -x0), (0, 1, y1), (0, -1, -y0)):
-        pts = clip_halfplane(pts, a, b, c)
-        if not pts:
-            return []
-    return pts
 
 
 def dist_to_polygon_boundary(point, pts):
@@ -73,53 +45,6 @@ def dist_to_polygon_boundary(point, pts):
         t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
         t = min(1.0, max(0.0, t))
         best = min(best, math.hypot(px - ax - t * dx, py - ay - t * dy))
-    return best
-
-
-def _circle_from(points):
-    if len(points) == 1:
-        return points[0], 0.0
-    if len(points) == 2:
-        (ax, ay), (bx, by) = points
-        c = ((ax + bx) / 2, (ay + by) / 2)
-        return c, math.hypot(ax - c[0], ay - c[1])
-    (ax, ay), (bx, by), (cx, cy) = points
-    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0:
-        return None
-    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-          + (cx * cx + cy * cy) * (ay - by)) / d
-    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-          + (cx * cx + cy * cy) * (bx - ax)) / d
-    return (ux, uy), math.hypot(ax - ux, ay - uy)
-
-
-def min_enclosing_circle(pts):
-    """Smallest ball containing the points (brute force over supports)."""
-    pts = [tuple(map(float, p)) for p in pts]
-    tol = 1e-12
-    best = None
-    m = len(pts)
-    for i in range(m):
-        for j in range(i + 1, m):
-            c, r = _circle_from([pts[i], pts[j]])
-            if all(math.hypot(p[0] - c[0], p[1] - c[1]) <= r + tol for p in pts):
-                if best is None or r < best[1]:
-                    best = (c, r)
-    if best is not None:
-        return best
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                ck = _circle_from([pts[i], pts[j], pts[k]])
-                if ck is None:
-                    continue
-                c, r = ck
-                if all(math.hypot(p[0] - c[0], p[1] - c[1]) <= r + tol for p in pts):
-                    if best is None or r < best[1]:
-                        best = (c, r)
-    if best is None:
-        raise GeometryError("degenerate point set for enclosing circle")
     return best
 
 
@@ -169,9 +94,6 @@ class Domain:
     @property
     def area(self) -> Fraction:
         return poly_area(self.vertices)
-
-    def float_vertices(self) -> np.ndarray:
-        return np.array([[float(x), float(y)] for x, y in self.vertices])
 
     def bbox(self):
         xs = [v[0] for v in self.vertices]
@@ -223,13 +145,14 @@ def rectangle(width, height) -> Domain:
 
 @dataclass(frozen=True)
 class Cell:
-    """Convex tessellation cell with inscribed/enclosing radii."""
+    """Square [ix/m, (ix+1)/m] x [iy/m, (iy+1)/m] of the 1/m grid, with
+    inscribed/enclosing radii."""
     index: int
     polygon: tuple                   # vertices, CCW
     r_in: float
     r_out: float
-    center: tuple                    # Chebyshev center
-    grid: tuple | None = None        # (ix, iy, m) for exact-tiling cells
+    center: tuple
+    grid: tuple                      # (ix, iy, m)
 
     @property
     def area(self):
@@ -342,76 +265,6 @@ def build_square_tessellation(domain: Domain, m: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Voronoi tessellation (validation only, never meshed)
-
-@dataclass
-class VoronoiTessellation:
-    cells: list
-    seeds: np.ndarray
-    separation: float                # min pairwise seed distance
-    covering: float                  # max distance from box points to seeds
-    clipped: list                    # indices of cells cut by the box
-    skipped: list = field(default_factory=list)   # seeds outside the box
-
-    def check_radius_bounds(self):
-        """(separation <= 2 r_i on unclipped cells, r_out <= covering)."""
-        cut = set(self.clipped)
-        ok_sep = all(self.separation <= 2 * c.r_in + 1e-12
-                     for c in self.cells if c.index not in cut)
-        ok_cov = all(c.r_out <= self.covering + 1e-12 for c in self.cells)
-        return ok_sep, ok_cov
-
-
-def build_voronoi_tessellation(seeds, box=(0.0, 0.0, 1.0, 1.0)) -> VoronoiTessellation:
-    seeds = np.asarray(seeds, dtype=float)
-    if len(seeds) < 3:
-        raise GeometryError("need at least 3 seeds")
-    d2 = np.sum((seeds[:, None, :] - seeds[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    if np.min(d2) < 1e-24:
-        i, j = np.unravel_index(np.argmin(d2), d2.shape)
-        raise GeometryError(f"duplicate seeds {i} and {j}")
-    separation = math.sqrt(float(np.min(d2)))
-
-    bx0, by0, bx1, by1 = box
-    base = [(bx0, by0), (bx1, by0), (bx1, by1), (bx0, by1)]
-    cells = []
-    clipped = []
-    skipped = []
-    covering = 0.0
-    for i, s in enumerate(seeds):
-        poly = list(base)
-        for j, t in enumerate(seeds):
-            if j == i:
-                continue
-            # keep the side of the bisector closer to s
-            a, b = t - s
-            c = 0.5 * (t[0] ** 2 - s[0] ** 2 + t[1] ** 2 - s[1] ** 2)
-            poly = clip_halfplane(poly, a, b, c)
-            if not poly:
-                break
-        if not poly:
-            skipped.append(i)      # region lies entirely outside the box
-            continue
-        on_box = any(
-            abs(x - bx0) < 1e-12 or abs(x - bx1) < 1e-12
-            or abs(y - by0) < 1e-12 or abs(y - by1) < 1e-12
-            for x, y in poly)
-        if on_box:
-            clipped.append(i)
-        center, r_in = chebyshev_center(poly)
-        _, r_out = min_enclosing_circle(poly)
-        covering = max(covering, max(
-            math.hypot(x - s[0], y - s[1]) for x, y in poly))
-        cells.append(Cell(index=i, polygon=tuple(poly), r_in=r_in,
-                          r_out=r_out, center=center))
-    if not cells:
-        raise GeometryError("every seed region lies outside the box")
-    return VoronoiTessellation(cells, seeds, separation, covering, clipped,
-                               skipped)
-
-
-# ---------------------------------------------------------------------------
 # holes
 
 def max_admissible_beta(cells, constants=DEFAULT_CONSTANTS) -> float:
@@ -519,9 +372,6 @@ def build_perforated_geometry(domain, m, beta, shape_spec="circle",
 @dataclass
 class WeightField:
     per_cell: np.ndarray             # hole perimeter / cell area, per cell
-    q_limit: object = None           # float or callable, set by the study
-    sigma: float = 1.0
-    kappa: float | None = None
 
     @property
     def q_min(self) -> float:
@@ -538,68 +388,28 @@ def weight_field(geometry: PerforatedGeometry) -> WeightField:
         # a 1/m grid cell (r = 1/(2m), d = beta*r^2) weighs what a hole of
         # d = beta/4 does in a unit cell: the same float at every m, unlike
         # its rounded d over its area, which can be an ulp off
-        values[cell.index] = (hole.perimeter / float(cell.area)
-                              if cell.grid is None else
-                              replace(hole, d=geometry.beta / 4).perimeter)
+        values[cell.index] = replace(hole, d=geometry.beta / 4).perimeter
     return WeightField(per_cell=values)
 
 
-def _boxes_meeting(bbox):
-    x0, y0, x1, y1 = (float(v) for v in bbox)
-    kx0, kx1 = math.floor(x0), math.ceil(x1)
-    ky0, ky1 = math.floor(y0), math.ceil(y1)
-    for ky in range(ky0, ky1):
-        for kx in range(kx0, kx1):
-            yield kx, ky
-
-
-def kappa(geometry: PerforatedGeometry, wf: WeightField, q_limit,
+def kappa(geometry: PerforatedGeometry, wf: WeightField, q_limit: float,
           sigma: float = 1.0) -> float:
-    """Worst L^(1+sigma) defect of the piecewise weight against its limit,
-    over unit boxes of the integer lattice that meet the domain.
+    """Worst L^(1+sigma) defect of the piecewise weight against the constant
+    limit q_limit, over unit boxes of the integer lattice that meet the
+    domain.
 
-    Cell-against-box intersections are clipped exactly (rational vertices);
-    a callable limit weight is integrated with an order-4 Gauss rule on a
-    fan triangulation of each clipped piece.
+    The grid cell (ix, iy, m) lies in the one unit box (ix // m, iy // m)
+    and covers 1/m^2 of it, so each box sums its cells in cell order.
     """
     mu = 1.0 + sigma
+    q = float(q_limit)
     box_acc: dict = {}
     for cell in geometry.cells:
-        qi = wf.per_cell[cell.index]
-        for kx, ky in _boxes_meeting(_cell_bbox(cell)):
-            piece = clip_box(list(cell.polygon), kx, ky, kx + 1, ky + 1)
-            if len(piece) < 3:
-                continue
-            area = abs(poly_area(piece))
-            if area == 0:
-                continue
-            if callable(q_limit):
-                val = _gauss_defect(piece, qi, q_limit, mu)
-            else:
-                val = abs(qi - float(q_limit)) ** mu * float(area)
-            box_acc[(kx, ky)] = box_acc.get((kx, ky), 0.0) + val
-    if not box_acc:
-        return 0.0
-    return max(box_acc.values()) ** (1.0 / mu)
-
-
-def _cell_bbox(cell):
-    xs = [v[0] for v in cell.polygon]
-    ys = [v[1] for v in cell.polygon]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def _gauss_defect(piece, qi, q_limit, mu):
-    pts = np.array([[float(x), float(y)] for x, y in piece])
-    total = 0.0
-    for i in range(1, len(pts) - 1):
-        tri = np.array([pts[0], pts[i], pts[i + 1]])
-        area = abs(0.5 * ((tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-                          - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1])))
-        gp = oracles._TRI_B @ tri
-        for (x, y), w in zip(gp, oracles._TRI_W):
-            total += w * area * abs(qi - q_limit(x, y)) ** mu
-    return total
+        ix, iy, m = cell.grid
+        box = (ix // m, iy // m)
+        val = abs(wf.per_cell[cell.index] - q) ** mu * (1.0 / (m * m))
+        box_acc[box] = box_acc.get(box, 0.0) + val
+    return max(box_acc.values(), default=0.0) ** (1.0 / mu)
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +449,8 @@ def validate_assumptions(geometry: PerforatedGeometry,
     cells, holes = geometry.cells, geometry.holes
     checks = []
 
-    if all(c.grid is not None for c in cells):
-        # grid cells are exact 1/m squares regardless of how they were loaded
-        tiled = Fraction(len(cells), geometry.m ** 2)
-    else:
-        tiled = sum(c.area for c in cells)
+    # grid cells are exact 1/m squares regardless of how they were loaded
+    tiled = Fraction(len(cells), geometry.m ** 2)
     exact = tiled == geometry.domain.area
     checks.append(AssumptionCheck(
         "tiling-partition", exact, float(tiled), float(geometry.domain.area)))
@@ -705,7 +512,7 @@ def geometry_to_json(geometry: PerforatedGeometry, wf: WeightField | None = None
             {"id": c.index,
              "vertices": [[str(x), str(y)] for x, y in c.polygon],
              "r": c.r_in, "r_outer": c.r_out, "center": list(c.center),
-             "grid": list(c.grid) if c.grid else None}
+             "grid": list(c.grid)}
             for c in geometry.cells
         ],
         "holes": [
@@ -713,35 +520,51 @@ def geometry_to_json(geometry: PerforatedGeometry, wf: WeightField | None = None
              "center": list(h.center), "d": h.d}
             for h in geometry.holes
         ],
-        "weights": {
-            "per_cell": [float(v) for v in wf.per_cell],
-            "Q_limit": wf.q_limit if not callable(wf.q_limit) else None,
-            "kappa": wf.kappa,
-            "sigma": wf.sigma,
-        },
+        "weights": {"per_cell": [float(v) for v in wf.per_cell]},
     }
     return json.dumps(payload, indent=indent)
 
 
 def geometry_from_json(text: str) -> PerforatedGeometry:
-    data = json.loads(text)
-    domain = make_domain(
-        [(Fraction(x), Fraction(y)) for x, y in data["domain"]["vertices"]],
-        data["domain"]["kind"])
-    cst = AssumptionConstants(**data["constants"])
-    m = int(data["epsilon"]["m"])
-    cells = [
-        Cell(index=c["id"],
-             polygon=tuple((Fraction(x), Fraction(y))
-                           for x, y in c["vertices"]),
-             r_in=c["r"], r_out=c["r_outer"], center=tuple(c["center"]),
-             grid=tuple(c["grid"]) if c.get("grid") else None)
-        for c in data["cells"]
-    ]
-    holes = [
-        Hole(cell_index=h["cell"], kind=h["shape"], k=h["k"],
-             center=tuple(h["center"]), d=h["d"])
-        for h in data["holes"]
-    ]
+    """Inverse of geometry_to_json; GeometryError on a malformed payload."""
+    try:
+        data = json.loads(text)
+        domain = make_domain(
+            [(Fraction(x), Fraction(y)) for x, y in data["domain"]["vertices"]],
+            data["domain"]["kind"])
+        cst = AssumptionConstants(**data["constants"])
+        m = int(data["epsilon"]["m"])
+        cells = [
+            Cell(index=c["id"],
+                 polygon=tuple((Fraction(x), Fraction(y))
+                               for x, y in c["vertices"]),
+                 r_in=c["r"], r_out=c["r_outer"], center=tuple(c["center"]),
+                 grid=_grid_key(c))
+            for c in data["cells"]
+        ]
+        holes = [
+            Hole(cell_index=h["cell"], kind=h["shape"], k=h["k"],
+                 center=tuple(h["center"]), d=h["d"])
+            for h in data["holes"]
+        ]
+        beta = data["beta"]
+    except GeometryError:
+        raise
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise GeometryError(
+            f"malformed geometry JSON ({type(exc).__name__}: {exc})") from exc
+    if not cells or len(holes) != len(cells):
+        raise GeometryError("geometry needs at least one cell and one hole "
+                            f"per cell, got {len(cells)} cells and "
+                            f"{len(holes)} holes")
     return PerforatedGeometry(domain=domain, m=m, cells=cells, holes=holes,
-                              beta=data["beta"], constants=cst)
+                              beta=beta, constants=cst)
+
+
+def _grid_key(cell: dict) -> tuple:
+    if cell.get("grid") is None:
+        raise GeometryError(
+            f"cell {cell['id']!r} has no grid (ix, iy, m); only cells of the "
+            "1/m grid are supported")
+    ix, iy, m = map(int, cell["grid"])
+    return ix, iy, m

@@ -268,8 +268,6 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     from the hole outwards; the quads of all quad bands are split in one
     array pass over the cell's points at the end (_triangulate_bands).
     """
-    if cell.grid is None:
-        raise MeshError("template meshing requires exact-tiling grid cells")
     template.validate(hole.k if hole.kind == "kgon" else None)
     ix, iy, m = cell.grid
     s = template.boundary_nodes_per_side

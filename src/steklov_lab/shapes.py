@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from .geometry import Hole, chebyshev_center
-from .meshgen import (Mesh, MeshError, OUTER, _boundary_edges_oriented,
-                      _edge_table, refine)
+from .geometry import (Hole, build_square_tessellation, chebyshev_center,
+                       unit_square)
+from .meshgen import (CellMeshTemplate, Mesh, MeshError, OUTER,
+                      _boundary_edges_oriented, _edge_table, mesh_cell, refine)
 
 TWO_PI = 2.0 * math.pi
 
@@ -286,23 +287,18 @@ def mesh_cell_with_hole(d: float, c_sec: float = 0.5, segments: int = 32,
     """Unit cell [0,1]^2 with a centered circular hole of radius d meshed
     through: the graded cell template outside, a star fill inside, with the
     hole boundary kept as an interior interface (regions 0/1 in tri_cell)."""
-    from .geometry import Cell
-    from .meshgen import CellMeshTemplate, _build_cell
-
-    cell = Cell(index=0, polygon=((0, 0), (1, 0), (1, 1), (0, 1)),
-                r_in=0.5, r_out=math.sqrt(0.5), center=(0.5, 0.5),
-                grid=(0, 0, 1))
-    hole = _shape_hole("circle", None, d, center=(0.5, 0.5))
+    cell = build_square_tessellation(unit_square(), 1)[0]
+    hole = _shape_hole("circle", None, d, center=cell.center)
     template = CellMeshTemplate(ring_count=40, grading=1.9,
                                 boundary_nodes_per_side=sides,
                                 hole_boundary_segments=segments)
-    pts, _, tris, _ = _build_cell(cell, hole, template, c_sec)
-    nodes = list(pts)
-    tris = tris.tolist()
+    collar = mesh_cell(cell, hole, template, c_sec)
+    nodes = collar.nodes.tolist()
+    tris = collar.triangles.tolist()
     collar_tris = len(tris)
     ids = list(range(segments))
     angles = [TWO_PI * j / segments for j in range(segments)]
-    _fill_star_interior(nodes, tris, (0.5, 0.5), hole.boundary_point,
+    _fill_star_interior(nodes, tris, hole.center, hole.boundary_point,
                         ids, angles)
     region = np.ones(len(tris), dtype=np.int64)
     region[collar_tris:] = 0

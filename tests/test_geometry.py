@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -51,52 +52,6 @@ def test_tiling_partition_exact():
 def test_domain_requires_axis_aligned_edges():
     with pytest.raises(GeometryError, match="axis-aligned"):
         geo.make_domain([(0, 0), (1, 1), (0, 1), (-1, 0)])
-
-
-# ---------------------------------------------------------------------------
-# Voronoi tessellations (validation only)
-
-def test_voronoi_four_corner_seeds():
-    seeds = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
-    tess = geo.build_voronoi_tessellation(seeds)
-    assert len(tess.cells) == 4
-    for c in tess.cells:
-        assert abs(float(geo.poly_area(c.polygon)) - 0.25) < 1e-12
-        assert abs(c.r_in - 0.25) < 1e-9
-
-
-def test_voronoi_hexagonal_lattice_ratio():
-    # triangular seed lattice -> regular hexagonal cells, r_out/r_in = 2/sqrt(3)
-    seeds = []
-    a = 0.2
-    for row in range(-2, 9):
-        for col in range(-2, 9):
-            x = col * a + (row % 2) * a / 2
-            y = row * a * math.sqrt(3) / 2
-            seeds.append((x, y))
-    tess = geo.build_voronoi_tessellation(seeds, box=(-0.5, -0.5, 1.5, 1.5))
-    cut = set(tess.clipped)
-    interior = [c for c in tess.cells
-                if c.index not in cut
-                and 0.3 < c.center[0] < 0.7 and 0.3 < c.center[1] < 0.7]
-    assert interior
-    for c in interior:
-        assert abs(c.r_out / c.r_in - 2 / math.sqrt(3)) < 1e-6
-
-
-def test_voronoi_duplicate_seeds_rejected():
-    with pytest.raises(GeometryError, match="duplicate"):
-        geo.build_voronoi_tessellation([(0.2, 0.2), (0.2, 0.2), (0.7, 0.7)])
-
-
-def test_voronoi_radius_bounds_random_seeds():
-    # margin keeps the separation ball of every seed unclipped
-    rng = np.random.default_rng(11)
-    for trial in range(5):
-        seeds = rng.uniform(0.25, 0.75, size=(12, 2))
-        tess = geo.build_voronoi_tessellation(seeds)
-        ok_sep, ok_cov = tess.check_radius_bounds()
-        assert ok_sep and ok_cov
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +147,25 @@ def test_kappa_half_box_closed_form():
     assert abs(got - 0.1 * math.sqrt(0.5)) < 1e-14
 
 
-def test_kappa_callable_limit():
-    g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
+def test_kappa_is_the_worst_unit_box():
+    # rectangle(2, 1) at m = 4 is two unit boxes of 16 cells each; a defect
+    # of 0.1 on every cell of the right box gives (0.1^2 * 1)^(1/2) there
+    # and 0 in the left box, sigma = 1
+    g = geo.build_perforated_geometry(geo.rectangle(2, 1), 4, 1.0)
     wf = geo.weight_field(g)
     q0 = wf.per_cell[0]
-    got = geo.kappa(g, wf, lambda x, y: q0)
-    assert got < 1e-12
+    bumped = wf.per_cell.copy()
+    right = [c.index for c in g.cells if c.center[0] > 1]
+    assert len(right) == 16
+    bumped[right] = q0 + 0.1
+    got = geo.kappa(g, geo.WeightField(per_cell=bumped), q0, sigma=1.0)
+    assert abs(got - 0.1) < 1e-14
+    # a smaller defect in the left box leaves the sup alone; one box over
+    # both halves would give (0.1^2 + 0.05^2)^(1/2) instead
+    left = [c.index for c in g.cells if c.center[0] < 1]
+    bumped[left] = q0 + 0.05
+    got = geo.kappa(g, geo.WeightField(per_cell=bumped), q0, sigma=1.0)
+    assert abs(got - 0.1) < 1e-14
 
 
 def test_validate_flags_wrong_scaling():
@@ -251,6 +219,21 @@ def test_geometry_json_roundtrip():
     assert geo.validate_assumptions(back).passed
     # deterministic serialization
     assert geo.geometry_to_json(back) == text
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda d: d["cells"][0].pop("grid"), "cell 0 has no grid"),
+    (lambda d: d["cells"][0].update(grid=[0, 0]), "not enough values"),
+    (lambda d: d.pop("holes"), "KeyError"),
+    (lambda d: d["holes"].pop(), "one hole per cell"),
+    (lambda d: d.update(domain=1), "TypeError"),
+])
+def test_geometry_json_rejects_malformed_payload(edit, match):
+    g = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
+    data = json.loads(geo.geometry_to_json(g))
+    edit(data)
+    with pytest.raises(GeometryError, match=match):
+        geo.geometry_from_json(json.dumps(data))
 
 
 def test_weight_upper_bound_uses_trace_constant():

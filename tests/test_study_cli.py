@@ -312,6 +312,29 @@ def test_cli_validate_roundtrip(tmp_path):
     assert "PASS" in r.stdout
 
 
+def _geometry_payload_without_grid():
+    g = geometry.build_perforated_geometry(geometry.unit_square(), 2, 1.0)
+    data = json.loads(geometry.geometry_to_json(g))
+    del data["cells"][1]["grid"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "geometry file not found: "),
+    ("not json", "invalid geometry: malformed geometry JSON (JSONDecodeError"),
+    ('{"domain": 1}', "invalid geometry: malformed geometry JSON (TypeError"),
+    (_geometry_payload_without_grid(), "invalid geometry: cell 1 has no grid"),
+])
+def test_cli_validate_bad_input_exits_2(capsys, tmp_path, text, message):
+    p = tmp_path / "geom.json"
+    if text is not None:
+        p.write_text(text)
+    assert cli.main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_mesh_export_reloadable(tmp_path):
     out = tmp_path / "mesh.txt"
     r = run_cli("mesh", "--m", "2", "--export", str(out))
@@ -333,6 +356,17 @@ def test_cli_cell_rejects_unsupported_shape(shape):
     r = run_cli("cell", "--shape", shape, "--constants")
     assert r.returncode == 2
     assert "accepted: disk, kgon:K" in r.stderr
+
+
+@pytest.mark.parametrize("command", [["mesh"], ["solve", "--steklov"]])
+@pytest.mark.parametrize("shape", ["disk", "square", "kgon:2", "kgon:x"])
+def test_cli_mesh_and_solve_reject_unsupported_shape(capsys, command, shape):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--shape", shape])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "accepted: circle, kgon:K (integer K >= 3)" in err
+    assert "Traceback" not in err
 
 
 def test_env_var_overrides_parallelism(monkeypatch, tmp_path):
