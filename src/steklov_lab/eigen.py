@@ -3,16 +3,18 @@
 Both discrete problems reduce to the largest eigenvalues of B u = mu A u
 with A positive definite: the perforated resolvent uses A = K + B_hole
 (condensed onto hole and skeleton dofs), and the homogenized one arrives as
-the reciprocal pencil of (K, M_Q).  The solver is Lanczos on the
-A-self-adjoint operator A^{-1}B, fully reorthogonalized in the A-inner
-product, with deflated restarts so repeated eigenvalues are recovered copy
-by copy.  A dense LAPACK route provides the independent reference spectrum
-on small problems.
+the reciprocal pencil of (K, M_Q).  The solver is ARPACK's implicitly
+restarted Lanczos (scipy's eigsh) on the A-self-adjoint operator A^{-1}B,
+with B scaled by a power of two to unit norm so any normal weight stays in
+range.  A dense LAPACK route takes the pencils too small for ARPACK
+(k >= n - 1 once deflated) and provides the independent reference
+spectrum on small problems.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,206 +128,103 @@ class SpectralResult:
         return 1.0 / self.mu - 1.0
 
 
-def _lanczos_run(A, afac, bmul, want, tol, rng, deflate, max_iter):
-    """One deflated Lanczos sweep; returns converged Ritz pairs (desc)."""
+def _pencil_largest(A, B, k, deflate):
+    """Largest eigenpairs of B u = mu A u, values descending with
+    A-orthonormal vectors as rows, the operator applications and the route.
+
+    ARPACK's implicitly restarted Lanczos runs on A^{-1}B in the A inner
+    product.  B is scaled by the power of two that brings its infinity
+    norm into [1/2, 1), which is exact, so the recurrence stays in range
+    for any normal B; a B of subnormal norm gives no eigenvalue.  The
+    deflated rows are A-orthonormalized and projected out of B.
+    """
     n = A.shape[0]
-    Q = np.zeros((max_iter + 1, n))
-    AQ = np.zeros((max_iter + 1, n))
-    alphas: list = []
-    betas: list = []
-
-    adef = None
-    if deflate is not None and len(deflate):
-        adef = np.asarray((A @ deflate.T).T)     # rows: A * deflated vectors
-    q = rng.standard_normal(n)
-    if adef is not None:
-        q -= deflate.T @ (adef @ q)
-    aq = np.asarray(A @ q)
-    nrm = math.sqrt(max(q @ aq, 0.0))
-    if nrm == 0.0:
-        # the deflated space is everything: an exhausted, empty run
-        return np.empty(0), np.empty((0, n)), np.empty(0, dtype=bool), 0, True
-    q /= nrm
-    aq /= nrm
-    Q[0], AQ[0] = q, aq
-
-    scale = 0.0
-    breakdown = False
-    j = 0
-    while j < max_iter:
-        bq = bmul(Q[j])
-        w = afac.solve(bq)
-        alpha = float(Q[j] @ bq)
-        alphas.append(alpha)
-        w -= alpha * Q[j]
-        if j > 0:
-            w -= betas[-1] * Q[j - 1]
-        # full reorthogonalization, two passes, plus deflation
-        for _ in range(2):
-            w -= Q[:j + 1].T @ (AQ[:j + 1] @ w)
-            if adef is not None:
-                w -= deflate.T @ (adef @ w)
-        aw = np.asarray(A @ w)
-        beta = math.sqrt(max(float(w @ aw), 0.0))
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise EigenError(
-                f"Lanczos step {j} is not finite (alpha {alpha!r}, "
-                f"beta {beta!r}); the pencil overflows double precision")
-        scale = max(scale, abs(alpha), beta)
-        j += 1
-        if beta <= 1e-13 * max(scale, 1e-300):
-            breakdown = True
-            break
-        betas.append(beta)
-        Q[j] = w / beta
-        AQ[j] = aw / beta
-        if j >= want and (j % 5 == 0 or j == max_iter):
-            theta, S = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
-            top = np.argsort(theta)[::-1][:want]
-            bounds = betas[-1] * np.abs(S[-1, top])
-            if np.all(bounds <= tol):
-                break
-
-    kdim = len(alphas)
-    theta, S = scipy.linalg.eigh_tridiagonal(alphas, betas[:kdim - 1])
-    order = np.argsort(theta)[::-1]
-    if breakdown:
-        # invariant subspace found: every Ritz pair is exact, but drop the
-        # numerically-zero values that signal rank exhaustion of B
-        floor = 1e-12 * max(float(theta.max(initial=0.0)), 1e-300)
-        take = order[theta[order] > floor]
-        ok = np.ones(len(take), dtype=bool)
+    bnorm = spla.norm(B, np.inf)
+    if bnorm < sys.float_info.min:
+        return np.empty(0), np.empty((0, n)), 0, "none"
+    exp = math.frexp(bnorm)[1]
+    B = B.copy()
+    B.data = np.ldexp(B.data, -exp)
+    Bop = spla.aslinearoperator(B)
+    ndef = 0
+    if deflate is not None:
+        D = np.atleast_2d(np.asarray(deflate, dtype=float))
+        L = np.linalg.cholesky(D @ (A @ D.T))
+        D = scipy.linalg.solve_triangular(L, D, lower=True)
+        AD = np.asarray(A @ D.T).T
+        ndef = len(D)
+        # P = I - D^T (A D^T)^T is the A-orthogonal projector off the rows
+        P = spla.LinearOperator((n, n), dtype=float,
+                                matvec=lambda x: x - D.T @ (AD @ x),
+                                rmatvec=lambda y: y - AD.T @ (D @ y))
+        Bop = P.T @ Bop @ P
+    if k >= n - ndef - 1:
+        # ARPACK needs more Lanczos vectors than values (k < ncv <= n) in
+        # the n - ndef directions that the deflation leaves
+        res = dense_reference_eigs(A, Bop @ np.eye(n))
+        vals, vecs, applied, route = res.values, res.vectors, 0, "dense"
     else:
-        take = order[:want]
-        bound = np.abs(S[-1, take]) * (betas[-1] if len(betas) >= kdim else 0.0)
-        ok = bound <= max(tol, 1e-8)
-    vals = theta[take]
-    vecs = (Q[:kdim].T @ S[:, take]).T
-    return vals, vecs, ok, kdim, breakdown
+        afac = factor_spd(A)
+        applied = 0
+
+        def solve(x):
+            nonlocal applied
+            applied += 1
+            return afac.solve(x)
+
+        rng = np.random.default_rng(DEFAULT_SEED)
+        try:
+            vals, vecs = spla.eigsh(
+                Bop, k, M=A, Minv=spla.LinearOperator((n, n), matvec=solve,
+                                                      dtype=float),
+                which="LA", v0=rng.standard_normal(n), tol=0.0, rng=rng)
+        except spla.ArpackError as exc:
+            raise EigenError(f"ARPACK failed on {n} dofs: {exc}") from exc
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))):
+            raise EigenError(f"ARPACK returned non-finite eigenpairs on "
+                             f"{n} dofs")
+        order = np.argsort(vals)[::-1]
+        vals, vecs, route = vals[order], vecs[:, order].T, "arpack"
+    # the deflated directions and the null space of B are numerically zero
+    vmax = max(float(vals.max(initial=0.0)), 1e-300)
+    take = (vals > 1e-11 * vmax)[:n - ndef].nonzero()[0][:k]
+    vecs = vecs[take]
+    vecs = vecs / np.sqrt(np.einsum("ij,ij->i", vecs, (A @ vecs.T).T))[:, None]
+    return np.ldexp(vals[take], exp), vecs, applied, route
 
 
-def _pencil_largest(A, bmul, k, tol, max_iter, initial_deflate=None):
-    afac = factor_spd(A)
-    n = A.shape[0]
-    if max_iter is None:
-        max_iter = min(n, max(10 * k + 40, 120))
-    fixed_deflate: list = []
-    if initial_deflate is not None:
-        for v in np.atleast_2d(np.asarray(initial_deflate, dtype=float)):
-            nrm = math.sqrt(max(float(v @ (A @ v)), 1e-300))
-            fixed_deflate.append(v / nrm)
-    collected_vals: list = []
-    collected_vecs: list = []
-    iterations = 0
-    exhausted = False
-    vmax = None
-    for attempt in range(k + 3):
-        if len(collected_vals) >= k:
-            break
-        rng = np.random.default_rng(DEFAULT_SEED + attempt)
-        pool = fixed_deflate + collected_vecs
-        if len(pool) >= n:
-            # nothing is left to deflate into: a run would start from
-            # rounding noise and return spurious copies as exact pairs
-            exhausted = True
-            break
-        deflate = np.array(pool) if pool else None
-        want = k - len(collected_vals)
-        vals, vecs, ok, used, breakdown = _lanczos_run(
-            A, afac, bmul, want, tol, rng, deflate, max_iter)
-        iterations += used
-        if vmax is None and len(vals):
-            vmax = max(float(np.max(vals)), 1e-300)
-        stalled = not breakdown and not np.any(ok)
-        got = 0
-        for v, x, conv in zip(vals, vecs, ok):
-            if len(collected_vals) >= k:
-                break
-            if not conv and not stalled:
-                continue      # unconverged stragglers return in a later run
-            if vmax is not None and v <= 1e-11 * vmax:
-                continue      # rank of B exhausted; zero eigenvalues remain
-            # re-normalize in the A-inner product and keep
-            nrm = math.sqrt(max(float(x @ (A @ x)), 1e-300))
-            collected_vals.append(float(v))
-            collected_vecs.append(x / nrm)
-            got += 1
-        if stalled or got == 0:
-            exhausted = True
-            break
+def largest_pencil_eigs(A: sp.spmatrix, B: sp.spmatrix, k: int,
+                        tol: float = 1e-10, deflate=None) -> SpectralResult:
+    """k largest eigenvalues of B u = mu A u with A SPD and B PSD sparse.
 
-    # verification restarts: a single Krylov space sees one copy per
-    # eigenvalue, so hunt for missed multiplicity members until a deflated
-    # run finds nothing at or above the k-th kept value
-    rounds = 0
-    while (not exhausted and len(collected_vals) >= k and rounds < k + 2
-           and len(fixed_deflate) + len(collected_vecs) < n):
-        rounds += 1
-        rng = np.random.default_rng(DEFAULT_SEED + 7777 + rounds)
-        pool = fixed_deflate + collected_vecs
-        vals, vecs, ok, used, breakdown = _lanczos_run(
-            A, afac, bmul, 2, tol, rng, np.array(pool), max_iter)
-        iterations += used
-        kth = sorted(collected_vals, reverse=True)[k - 1]
-        guard = 1e-9 * max(abs(v) for v in collected_vals)
-        added = False
-        for v, x, conv in zip(vals, vecs, ok):
-            if not conv or v < kth - guard or (
-                    vmax is not None and v <= 1e-11 * vmax):
-                continue
-            nrm = math.sqrt(max(float(x @ (A @ x)), 1e-300))
-            collected_vals.append(float(v))
-            collected_vecs.append(x / nrm)
-            added = True
-        if not added:
-            break
-
-    order = np.argsort(collected_vals)[::-1][:k]
-    vals = np.array([collected_vals[i] for i in order])
-    vecs = np.array([collected_vecs[i] for i in order])
-    return vals, vecs, iterations, exhausted
-
-
-def largest_pencil_eigs(A: sp.spmatrix, B, k: int, tol: float = 1e-10,
-                        max_iter: int | None = None,
-                        deflate=None) -> SpectralResult:
-    """k largest eigenvalues of B u = mu A u with A SPD and B PSD.
-
-    B may be a sparse matrix or a matvec callable.  Eigenvectors come back
-    A-orthonormal; residuals are ||B u - mu A u||_2 and are checked against
-    tol * ||A||_inf.  Vectors in deflate span a known invariant subspace to
-    project out (e.g. the constant mode of a Neumann problem).
+    Eigenvectors come back A-orthonormal; residuals are ||B u - mu A u||_2
+    and are checked against tol * ||A||_inf.  Vectors in deflate span a
+    known invariant subspace to project out (e.g. the constant mode of a
+    Neumann problem).
     """
     if k < 1:
         raise EigenError("k must be >= 1")
     A = A.tocsr()
-    if callable(B):
-        bmul = B
-    else:
-        B = B.tocsr()
-        if B.nnz == 0 or spla.norm(B, np.inf) == 0.0:
-            raise EigenError("empty Steklov boundary: B vanishes")
-        bmul = lambda v: B @ v  # noqa: E731
-
-    vals, vecs, iterations, exhausted = _pencil_largest(
-        A, bmul, k, tol, max_iter, initial_deflate=deflate)
+    B = B.tocsr()
+    if spla.norm(B, np.inf) < sys.float_info.min:
+        raise EigenError("empty Steklov boundary: B vanishes")
+    vals, vecs, applied, route = _pencil_largest(A, B, k, deflate)
     warning = None
     if len(vals) < k:
         warning = (f"only {len(vals)} of {k} eigenvalues available "
                    "(pencil rank exhausted)")
     anorm = spla.norm(A, np.inf)
     residuals = np.array([
-        np.linalg.norm(bmul(x) - v * (A @ x)) for v, x in zip(vals, vecs)])
+        np.linalg.norm(B @ x - v * (A @ x)) for v, x in zip(vals, vecs)])
     converged = residuals <= max(tol * anorm, 1e-14)
     return SpectralResult(values=vals, kind="largest-mu",
-                          residuals=residuals, iterations=iterations,
-                          solver="lanczos", vectors=vecs,
+                          residuals=residuals, iterations=applied,
+                          solver=route, vectors=vecs,
                           converged=converged, warning=warning)
 
 
 def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix, k: int,
-                         tol: float = 1e-10, max_iter: int | None = None,
-                         deflate=None) -> SpectralResult:
+                         tol: float = 1e-10, deflate=None) -> SpectralResult:
     """k smallest eigenvalues of K u = lam M u (shift-invert at zero).
 
     Internally the largest eigenvalues theta of M u = theta K u, so K is
@@ -337,8 +236,7 @@ def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix, k: int,
     M = M.tocsr()
     if M.nnz == 0:
         raise EigenError("mass matrix vanishes")
-    vals, vecs, iterations, exhausted = _pencil_largest(
-        K, lambda v: M @ v, k, tol, max_iter, initial_deflate=deflate)
+    vals, vecs, applied, route = _pencil_largest(K, M, k, deflate)
     if len(vals) == 0:
         raise EigenError(f"no eigenvalue found on {K.shape[0]} dofs; "
                          "M is numerically zero against K")
@@ -361,8 +259,8 @@ def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix, k: int,
     knorm = spla.norm(K, np.inf)
     converged = residuals <= max(tol * knorm, 1e-14) * np.maximum(lam, 1.0)
     return SpectralResult(values=lam, kind="smallest-lambda",
-                          residuals=residuals, iterations=iterations,
-                          solver="lanczos-shift-invert", vectors=vecs,
+                          residuals=residuals, iterations=applied,
+                          solver=f"{route}-shift-invert", vectors=vecs,
                           converged=converged, warning=warning)
 
 

@@ -533,21 +533,26 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
             [(Fraction(x), Fraction(y)) for x, y in data["domain"]["vertices"]],
             data["domain"]["kind"])
         cst = AssumptionConstants(**data["constants"])
-        m = int(data["epsilon"]["m"])
+        m = data["epsilon"]["m"]
+        if type(m) is not int or m < 1:
+            raise GeometryError(f"epsilon m must be an integer >= 1, got {m!r}")
         cells = [
             Cell(index=c["id"],
                  polygon=tuple((Fraction(x), Fraction(y))
                                for x, y in c["vertices"]),
-                 r_in=c["r"], r_out=c["r_outer"], center=tuple(c["center"]),
+                 r_in=_real(c["r"], "cell r"),
+                 r_out=_real(c["r_outer"], "cell r_outer"),
+                 center=tuple(_real(x, "cell center") for x in c["center"]),
                  grid=_grid_key(c))
             for c in data["cells"]
         ]
         holes = [
-            Hole(cell_index=h["cell"], kind=h["shape"], k=h["k"],
-                 center=tuple(h["center"]), d=h["d"])
+            Hole(cell_index=h["cell"], kind=h["shape"], k=_hole_order(h),
+                 center=tuple(_real(x, "hole center") for x in h["center"]),
+                 d=_real(h["d"], "hole d"))
             for h in data["holes"]
         ]
-        beta = data["beta"]
+        beta = _real(data["beta"], "beta")
     except GeometryError:
         raise
     except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -559,6 +564,24 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
                             f"{len(holes)} holes")
     return PerforatedGeometry(domain=domain, m=m, cells=cells, holes=holes,
                               beta=beta, constants=cst)
+
+
+def _real(value, name: str):
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        raise GeometryError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _hole_order(hole: dict):
+    """The k of a kgon hole (an integer >= 3), None for a circle."""
+    kind, k = hole["shape"], hole["k"]
+    if kind == "circle":
+        return None
+    if kind != "kgon" or type(k) is not int or k < 3:
+        raise GeometryError(f"hole shape must be circle or kgon with an "
+                            f"integer k >= 3, got {kind!r} with k {k!r}")
+    return k
 
 
 def _grid_key(cell: dict) -> tuple:

@@ -125,7 +125,7 @@ def test_harmonic_extension_energy_minimality():
 @pytest.mark.parametrize("shape", ["disk", ("kgon", 3), ("kgon", 6)])
 @pytest.mark.parametrize("refined", [False, True])
 def test_extension_norm_matches_full_pencil(shape, refined):
-    # the interface eigenproblem against Lanczos on the full pencil
+    # the interface eigenproblem against ARPACK on the full pencil
     # (E^T A_full E, A_g) over every collar dof
     kind, k = ("circle", None) if shape == "disk" else shape
     mesh = shapes.mesh_ball_with_interface(kind, k, 0.15)
@@ -139,8 +139,7 @@ def test_extension_norm_matches_full_pencil(shape, refined):
     E = E.tocsr()
     A_full = (fem.assemble_stiffness(mesh) + fem.assemble_mass(mesh)).tocsr()
     old = largest_pencil_eigs((K_g + M_g).tocsr(),
-                              lambda v: E.T @ (A_full @ (E @ v)), 1,
-                              max_iter=400).values[0]
+                              (E.T @ A_full @ E).tocsr(), 1).values[0]
     assert cm._extension_norm_on(mesh) == pytest.approx(old, rel=1e-12)
 
 

@@ -234,3 +234,37 @@ def test_smallest_never_more_values_than_free_dofs(k):
     assert np.abs(res.values - dense[:k]).max() <= 1e-10 * dense.max()
     if k > n:
         assert res.warning == f"only {n} of {k} eigenvalues available"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_pencil_shape_goes_through_arpack(seed):
+    # the study's dense-vs-lanczos gate compares this shape against the
+    # dense route; a dense answer on both sides would make it vacuous
+    A, B = small_spd_pencil(50, 5, seed)
+    res = eigen.largest_pencil_eigs(A, B, 5)
+    assert res.solver == "arpack" and res.iterations > 0
+    dense = eigen.dense_reference_eigs(A, B).values[:5]
+    assert np.abs(res.values - dense).max() <= 1e-10
+
+
+def test_k_at_n_minus_1_takes_the_dense_route():
+    mesh = mg.mesh_unperforated(geo.unit_square(), 0.25)
+    dm = fem.build_dofmap(mesh)
+    K = fem.apply_dirichlet(fem.assemble_stiffness(mesh), dm)
+    M = fem.apply_dirichlet(fem.assemble_mass(mesh), dm)
+    assert K.shape[0] == 9
+    res = eigen.smallest_pencil_eigs(K, M, 20)
+    assert res.solver == "dense-shift-invert" and res.iterations == 0
+    assert res.warning == "only 9 of 20 eigenvalues available"
+    assert eigen.smallest_pencil_eigs(K, M, 6).solver == "arpack-shift-invert"
+
+
+def test_weighted_spectrum_scales_exactly_over_every_normal_weight(capfd):
+    # a convergence test must be relative to the values, which scale as 1/q
+    from steklov_lab import spectra
+    base = spectra.homogenized_spectrum(geo.unit_square(), 1.0, 0.05, 3)
+    for q in (1e-300, 1e-200, 1e-8, 1.0, 1e8, 1e200, 1e300):
+        res = spectra.homogenized_spectrum(geo.unit_square(), q, 0.05, 3)
+        assert np.all(res.converged)
+        assert np.abs(res.values * q / base.values - 1.0).max() <= 1e-12
+    assert capfd.readouterr().err == ""

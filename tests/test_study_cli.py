@@ -277,13 +277,26 @@ def test_cli_mesh_rejects_zero_hole_segments(capsys):
     assert "Traceback" not in err
 
 
+def _homog_lambdas(capsys, q):
+    assert cli.main(["solve", "--homog", "--q", q, "--h", "0.25"]) == 0
+    out = capsys.readouterr().out
+    return np.array([float(ln.split()[0]) for ln in out.splitlines()
+                     if ln.startswith("  ")])
+
+
+def test_cli_solve_homog_largest_weight_scales_the_spectrum(capsys):
+    # the weighted mass is near overflow; the solver scales it back in range
+    want = _homog_lambdas(capsys, "1") / 1e308
+    got = _homog_lambdas(capsys, "1e308")
+    assert len(got) == 3
+    assert np.abs(got / want - 1.0).max() <= 1e-12
+
+
 @pytest.mark.parametrize("q,message", [
-    ("1e308", "error: Lanczos step 0 is not finite"),
     ("1e-320", "error: no eigenvalue found"),
 ])
 def test_cli_solve_homog_extreme_weight_exits_1(capsys, q, message):
-    # the weighted mass overflows the Lanczos recurrence, or underflows
-    # until no eigenvalue is left
+    # the weighted mass underflows until no eigenvalue is left
     assert cli.main(["solve", "--homog", "--q", q, "--h", "0.25"]) == 1
     err = capsys.readouterr().err
     assert message in err
@@ -312,10 +325,11 @@ def test_cli_validate_roundtrip(tmp_path):
     assert "PASS" in r.stdout
 
 
-def _geometry_payload_without_grid():
-    g = geometry.build_perforated_geometry(geometry.unit_square(), 2, 1.0)
+def _edited_geometry_payload(edit, shape_spec="circle"):
+    g = geometry.build_perforated_geometry(geometry.unit_square(), 2, 1.0,
+                                           shape_spec=shape_spec)
     data = json.loads(geometry.geometry_to_json(g))
-    del data["cells"][1]["grid"]
+    edit(data)
     return json.dumps(data)
 
 
@@ -323,7 +337,23 @@ def _geometry_payload_without_grid():
     (None, "geometry file not found: "),
     ("not json", "invalid geometry: malformed geometry JSON (JSONDecodeError"),
     ('{"domain": 1}', "invalid geometry: malformed geometry JSON (TypeError"),
-    (_geometry_payload_without_grid(), "invalid geometry: cell 1 has no grid"),
+    (_edited_geometry_payload(lambda d: d["cells"][1].pop("grid")),
+     "invalid geometry: cell 1 has no grid"),
+    # well-formed JSON with bad values
+    pytest.param(
+        _edited_geometry_payload(lambda d: d["epsilon"].update(m=0)),
+        "invalid geometry: epsilon m must be an integer >= 1", id="m-zero"),
+    pytest.param(
+        _edited_geometry_payload(lambda d: d["holes"][0].update(k=None),
+                                 ("kgon", 4)),
+        "invalid geometry: hole shape must be circle or kgon with an integer "
+        "k >= 3", id="kgon-k-null"),
+    pytest.param(
+        _edited_geometry_payload(lambda d: d["cells"][0].update(r="0.25")),
+        "invalid geometry: cell r must be a finite number", id="r-string"),
+    pytest.param(
+        _edited_geometry_payload(lambda d: d.update(beta="1")),
+        "invalid geometry: beta must be a finite number", id="beta-string"),
 ])
 def test_cli_validate_bad_input_exits_2(capsys, tmp_path, text, message):
     p = tmp_path / "geom.json"
