@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", type=_cell_shape, default="disk",
                    help="disk | kgon:K")
     p.add_argument("--h", type=_positive_float, default=0.08)
-    p.add_argument("--constants", action="store_true")
     p.add_argument("--lemma", help="inequality id, e.g. 3.2")
     p.set_defaults(fn=cmd_cell)
 

@@ -34,20 +34,6 @@ def poly_area(pts):
     return acc / 2
 
 
-def dist_to_polygon_boundary(point, pts):
-    px, py = point
-    best = math.inf
-    n = len(pts)
-    for i in range(n):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % n]
-        dx, dy = bx - ax, by - ay
-        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-        t = min(1.0, max(0.0, t))
-        best = min(best, math.hypot(px - ax - t * dx, py - ay - t * dy))
-    return best
-
-
 def chebyshev_center(pts):
     """Center and radius of the largest ball inscribed in a convex polygon,
     by linear programming over the edge half-planes."""
@@ -145,21 +131,33 @@ def rectangle(width, height) -> Domain:
 
 @dataclass(frozen=True)
 class Cell:
-    """Square [ix/m, (ix+1)/m] x [iy/m, (iy+1)/m] of the 1/m grid, with
-    inscribed/enclosing radii."""
+    """The square [ix/m, (ix+1)/m] x [iy/m, (iy+1)/m] of the 1/m grid,
+    grid = (ix, iy, m).  Area, radii and center are derived from grid."""
     index: int
-    polygon: tuple                   # vertices, CCW
-    r_in: float
-    r_out: float
-    center: tuple
     grid: tuple                      # (ix, iy, m)
 
     @property
-    def area(self):
-        return poly_area(self.polygon)
+    def area(self) -> Fraction:
+        return Fraction(1, self.grid[2] ** 2)
 
-    def float_polygon(self) -> np.ndarray:
-        return np.array([[float(x), float(y)] for x, y in self.polygon])
+    @property
+    def r_in(self) -> float:
+        return 1.0 / (2 * self.grid[2])
+
+    @property
+    def r_out(self) -> float:
+        return math.sqrt(2.0) / (2 * self.grid[2])
+
+    @property
+    def center(self) -> tuple:
+        ix, iy, m = self.grid
+        return ((2 * ix + 1) / (2 * m), (2 * iy + 1) / (2 * m))
+
+    def inset(self, point) -> float:
+        """Distance from point to the nearest cell side; negative outside."""
+        ix, iy, m = self.grid
+        x, y = point
+        return min(x - ix / m, (ix + 1) / m - x, y - iy / m, (iy + 1) / m - y)
 
 
 @dataclass(frozen=True)
@@ -238,27 +236,12 @@ def build_square_tessellation(domain: Domain, m: int) -> list:
         raise GeometryError("m must be a positive integer")
     check_tiling(domain, m)
     x0, y0, x1, y1 = domain.bbox()
-    eps = Fraction(1, m)
-    ix0, ix1 = int(x0 * m), int(x1 * m)
-    iy0, iy1 = int(y0 * m), int(y1 * m)
     cells = []
-    r_in = 1.0 / (2 * m)
-    r_out = math.sqrt(2.0) / (2 * m)
-    for iy in range(iy0, iy1):
-        for ix in range(ix0, ix1):
-            cx = Fraction(2 * ix + 1, 2 * m)
-            cy = Fraction(2 * iy + 1, 2 * m)
-            if not domain.contains(cx, cy):
-                continue
-            poly = (
-                (ix * eps, iy * eps),
-                ((ix + 1) * eps, iy * eps),
-                ((ix + 1) * eps, (iy + 1) * eps),
-                (ix * eps, (iy + 1) * eps),
-            )
-            cells.append(Cell(
-                index=len(cells), polygon=poly, r_in=r_in, r_out=r_out,
-                center=(float(cx), float(cy)), grid=(ix, iy, m)))
+    for iy in range(int(y0 * m), int(y1 * m)):
+        for ix in range(int(x0 * m), int(x1 * m)):
+            if domain.contains(Fraction(2 * ix + 1, 2 * m),
+                               Fraction(2 * iy + 1, 2 * m)):
+                cells.append(Cell(len(cells), (ix, iy, m)))
     if not cells:
         raise GeometryError("tessellation produced no cells")
     return cells
@@ -347,7 +330,7 @@ def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
             mag = float(jitter[1]) * (1.0 - constants.c_sec) * r
             off = (mag * math.cos(ang), mag * math.sin(ang))
         center = (cx + off[0], cy + off[1])
-        dist = dist_to_polygon_boundary(center, cell.float_polygon())
+        dist = cell.inset(center)
         if dist < constants.c_sec * r - 1e-12:
             raise GeometryError(
                 f"jittered hole in cell {cell.index} breaks the secure "
@@ -463,8 +446,7 @@ def validate_assumptions(geometry: PerforatedGeometry,
 
     sec = []
     for cell, hole in zip(cells, holes):
-        dist = dist_to_polygon_boundary(hole.center, cell.float_polygon())
-        sec.append((dist / cell.r_in, cell.index))
+        sec.append((cell.inset(hole.center) / cell.r_in, cell.index))
     worst, idx = min(sec)
     checks.append(AssumptionCheck(
         "secure-distance", worst >= cst.c_sec - 1e-12, worst, cst.c_sec,
@@ -508,13 +490,6 @@ def geometry_to_json(geometry: PerforatedGeometry, wf: WeightField | None = None
             "c_d_minus": geometry.constants.c_d_minus,
             "c_d_plus": geometry.constants.c_d_plus,
         },
-        "cells": [
-            {"id": c.index,
-             "vertices": [[str(x), str(y)] for x, y in c.polygon],
-             "r": c.r_in, "r_outer": c.r_out, "center": list(c.center),
-             "grid": list(c.grid)}
-            for c in geometry.cells
-        ],
         "holes": [
             {"cell": h.cell_index, "shape": h.kind, "k": h.k,
              "center": list(h.center), "d": h.d}
@@ -536,16 +511,6 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
         m = data["epsilon"]["m"]
         if type(m) is not int or m < 1:
             raise GeometryError(f"epsilon m must be an integer >= 1, got {m!r}")
-        cells = [
-            Cell(index=c["id"],
-                 polygon=tuple((Fraction(x), Fraction(y))
-                               for x, y in c["vertices"]),
-                 r_in=_real(c["r"], "cell r"),
-                 r_out=_real(c["r_outer"], "cell r_outer"),
-                 center=tuple(_real(x, "cell center") for x in c["center"]),
-                 grid=_grid_key(c))
-            for c in data["cells"]
-        ]
         holes = [
             Hole(cell_index=h["cell"], kind=h["shape"], k=_hole_order(h),
                  center=tuple(_real(x, "hole center") for x in h["center"]),
@@ -558,12 +523,20 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
     except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GeometryError(
             f"malformed geometry JSON ({type(exc).__name__}: {exc})") from exc
-    if not cells or len(holes) != len(cells):
-        raise GeometryError("geometry needs at least one cell and one hole "
-                            f"per cell, got {len(cells)} cells and "
-                            f"{len(holes)} holes")
-    return PerforatedGeometry(domain=domain, m=m, cells=cells, holes=holes,
-                              beta=beta, constants=cst)
+    # a grid of 1/m squares has area * m^2 cells: check the count before
+    # tiling, so that a huge m cannot start a huge loop
+    check_tiling(domain, m)
+    if len(holes) != domain.area * m * m:
+        raise GeometryError(f"geometry needs one hole per cell, got "
+                            f"{domain.area * m * m} cells and {len(holes)} "
+                            "holes")
+    for i, hole in enumerate(holes):
+        if type(hole.cell_index) is not int or hole.cell_index != i:
+            raise GeometryError(f"hole {i} names cell {hole.cell_index!r}; "
+                                "holes list one hole per cell, in cell order")
+    return PerforatedGeometry(domain=domain, m=m,
+                              cells=build_square_tessellation(domain, m),
+                              holes=holes, beta=beta, constants=cst)
 
 
 def _real(value, name: str):
@@ -583,11 +556,3 @@ def _hole_order(hole: dict):
                             f"integer k >= 3, got {kind!r} with k {k!r}")
     return k
 
-
-def _grid_key(cell: dict) -> tuple:
-    if cell.get("grid") is None:
-        raise GeometryError(
-            f"cell {cell['id']!r} has no grid (ix, iy, m); only cells of the "
-            "1/m grid are supported")
-    ix, iy, m = map(int, cell["grid"])
-    return ix, iy, m

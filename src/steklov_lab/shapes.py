@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .geometry import (Hole, build_square_tessellation, chebyshev_center,
-                       unit_square)
+from .geometry import Cell, Hole, chebyshev_center
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, OUTER,
                       _boundary_edges_oriented, _edge_table, mesh_cell, refine)
 
@@ -287,7 +286,7 @@ def mesh_cell_with_hole(d: float, c_sec: float = 0.5, segments: int = 32,
     """Unit cell [0,1]^2 with a centered circular hole of radius d meshed
     through: the graded cell template outside, a star fill inside, with the
     hole boundary kept as an interior interface (regions 0/1 in tri_cell)."""
-    cell = build_square_tessellation(unit_square(), 1)[0]
+    cell = Cell(0, (0, 0, 1))
     hole = _shape_hole("circle", None, d, center=cell.center)
     template = CellMeshTemplate(ring_count=40, grading=1.9,
                                 boundary_nodes_per_side=sides,

@@ -77,14 +77,15 @@ class StudyConfig:
         cst = geometry.DEFAULT_CONSTANTS
         try:
             geometry.check_jitter(self.jitter, cst)
-            for m in ms:    # grid cells have r = 1/(2m), holes d = beta r^2
-                r = 1.0 / (2 * m)
-                beta_max = cst.c_sec / (2.0 * r)
+            for m in ms:    # holes have d = beta r^2
+                cells = geometry.build_square_tessellation(
+                    self.domain_object(), m)
+                r = cells[0].r_in
+                beta_max = geometry.max_admissible_beta(cells, cst)
                 if not 0 < self.beta <= beta_max:
                     raise StudyError(
                         f"beta={self.beta} inadmissible for m_min={m}: "
                         f"hole smallness requires beta <= {beta_max:.6g}")
-                geometry.check_tiling(self.domain_object(), m)
                 self.template.rings_needed(self.beta * r * r, cst.c_sec * r)
         except (geometry.GeometryError, meshgen.MeshError) as exc:
             raise StudyError(str(exc)) from exc

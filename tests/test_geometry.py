@@ -221,9 +221,54 @@ def test_geometry_json_roundtrip():
     assert geo.geometry_to_json(back) == text
 
 
+@pytest.mark.parametrize("domain,m,jitter", [
+    (geo.unit_square, 3, None),
+    (geo.l_shape, 4, None),
+    (geo.unit_square, 4, ("random", 0.3)),
+])
+def test_geometry_json_derives_cells_and_meshes_bit_identically(domain, m,
+                                                                jitter):
+    from steklov_lab import meshgen
+    g = geo.build_perforated_geometry(domain(), m, 1.0, jitter=jitter,
+                                      rng=np.random.default_rng(5))
+    text = geo.geometry_to_json(g)
+    assert "cells" not in json.loads(text)
+    back = geo.geometry_from_json(text)
+    assert back.cells == geo.build_square_tessellation(domain(), m)
+    tpl = meshgen.CellMeshTemplate(ring_count=8, grading=2.0,
+                                   boundary_nodes_per_side=4,
+                                   hole_boundary_segments=16)
+    mesh = meshgen.mesh_perforated(g, tpl)
+    again = meshgen.mesh_perforated(back, tpl)
+    assert np.array_equal(mesh.nodes, again.nodes)
+    assert np.array_equal(mesh.triangles, again.triangles)
+
+
+@pytest.mark.parametrize("domain", [geo.unit_square(), geo.l_shape(2)])
+def test_derived_cell_fields_equal_the_exact_grid_values(domain):
+    for m in range(1, 14):
+        for c in geo.build_square_tessellation(domain, m):
+            ix, iy, _ = c.grid
+            assert c.center == (float(Fraction(2 * ix + 1, 2 * m)),
+                                float(Fraction(2 * iy + 1, 2 * m)))
+            assert c.r_in == 1.0 / (2 * m)
+            assert c.r_out == math.sqrt(2) / (2 * m)
+            assert c.area == Fraction(1, m * m)
+
+
+L_SHAPE_JSON = {"kind": "L-shape", "vertices": [
+    [str(x), str(y)] for x, y in geo.l_shape().vertices]}
+
+
 @pytest.mark.parametrize("edit,match", [
-    (lambda d: d["cells"][0].pop("grid"), "cell 0 has no grid"),
-    (lambda d: d["cells"][0].update(grid=[0, 0]), "not enough values"),
+    (lambda d: d["holes"].reverse(), "hole 0 names cell 3; holes list one "
+                                     "hole per cell, in cell order"),
+    (lambda d: d["holes"][2].update(cell=2.0), "hole 2 names cell 2.0"),
+    (lambda d: d.update(domain=L_SHAPE_JSON, epsilon={"m": 3}),
+     r"domain vertex \(1, 1/2\) is not on the 1/3 grid"),
+    # the hole count is checked before the 1/m grid is enumerated
+    (lambda d: d["epsilon"].update(m=10 ** 6),
+     "got 1000000000000 cells and 4 holes"),
     (lambda d: d.pop("holes"), "KeyError"),
     (lambda d: d["holes"].pop(), "one hole per cell"),
     (lambda d: d.update(domain=1), "TypeError"),

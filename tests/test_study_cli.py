@@ -251,8 +251,8 @@ def test_cli_study_with_zero_m_exits_2_with_message(tmp_path):
 
 
 @pytest.mark.parametrize("args,flag", [
-    (["cell", "--constants", "--h", "0"], "--h"),
-    (["cell", "--constants", "--h", "-1"], "--h"),
+    (["cell", "--h", "0"], "--h"),
+    (["cell", "--h", "-1"], "--h"),
     (["solve", "--homog", "--h", "nan"], "--h"),
     (["solve", "--homog", "--q", "0"], "--q"),
     (["solve", "--homog", "--q", "-1"], "--q"),
@@ -325,20 +325,37 @@ def test_cli_validate_roundtrip(tmp_path):
     assert "PASS" in r.stdout
 
 
-def _edited_geometry_payload(edit, shape_spec="circle"):
-    g = geometry.build_perforated_geometry(geometry.unit_square(), 2, 1.0,
+def _edited_geometry_payload(edit, shape_spec="circle",
+                             domain=geometry.unit_square):
+    g = geometry.build_perforated_geometry(domain(), 2, 1.0,
                                            shape_spec=shape_spec)
     data = json.loads(geometry.geometry_to_json(g))
     edit(data)
     return json.dumps(data)
 
 
+def _swap_holes(data):
+    holes = data["holes"]
+    holes[0], holes[1] = holes[1], holes[0]
+
+
 @pytest.mark.parametrize("text,message", [
     (None, "geometry file not found: "),
     ("not json", "invalid geometry: malformed geometry JSON (JSONDecodeError"),
     ('{"domain": 1}', "invalid geometry: malformed geometry JSON (TypeError"),
-    (_edited_geometry_payload(lambda d: d["cells"][1].pop("grid")),
-     "invalid geometry: cell 1 has no grid"),
+    # holes must name their cells in cell order, and m must tile the domain
+    pytest.param(
+        _edited_geometry_payload(_swap_holes),
+        "invalid geometry: hole 0 names cell 1; holes list one hole per "
+        "cell, in cell order", id="holes-swapped"),
+    pytest.param(
+        _edited_geometry_payload(lambda d: d["holes"][1].update(cell="1")),
+        "invalid geometry: hole 1 names cell '1'", id="cell-string"),
+    pytest.param(
+        _edited_geometry_payload(lambda d: d["epsilon"].update(m=3),
+                                 domain=geometry.l_shape),
+        "invalid geometry: domain vertex (1, 1/2) is not on the 1/3 grid",
+        id="untileable-m"),
     # well-formed JSON with bad values
     pytest.param(
         _edited_geometry_payload(lambda d: d["epsilon"].update(m=0)),
@@ -348,9 +365,6 @@ def _edited_geometry_payload(edit, shape_spec="circle"):
                                  ("kgon", 4)),
         "invalid geometry: hole shape must be circle or kgon with an integer "
         "k >= 3", id="kgon-k-null"),
-    pytest.param(
-        _edited_geometry_payload(lambda d: d["cells"][0].update(r="0.25")),
-        "invalid geometry: cell r must be a finite number", id="r-string"),
     pytest.param(
         _edited_geometry_payload(lambda d: d.update(beta="1")),
         "invalid geometry: beta must be a finite number", id="beta-string"),
@@ -363,6 +377,19 @@ def test_cli_validate_bad_input_exits_2(capsys, tmp_path, text, message):
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_validate_fails_a_hole_moved_into_the_next_cell(capsys,
+                                                            tmp_path):
+    # hole 0 sits at the center of cell 1: r = 1/4 from cell 0's side, but
+    # outside cell 0, so its inset into cell 0 is -r
+    p = tmp_path / "geom.json"
+    p.write_text(_edited_geometry_payload(
+        lambda d: d["holes"][0].update(center=[0.75, 0.25])))
+    assert cli.main(["validate", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  secure-distance: measured -1 vs bound 0.5 (cell 0)" in out
+    assert out.endswith("FAIL\n")
 
 
 def test_cli_mesh_export_reloadable(tmp_path):
@@ -383,7 +410,7 @@ def test_cli_cell_lemma_csv():
 @pytest.mark.parametrize("shape", ["square", "slit_collar:0.3", "kgon:2",
                                    "kgon:x"])
 def test_cli_cell_rejects_unsupported_shape(shape):
-    r = run_cli("cell", "--shape", shape, "--constants")
+    r = run_cli("cell", "--shape", shape)
     assert r.returncode == 2
     assert "accepted: disk, kgon:K" in r.stderr
 
