@@ -210,10 +210,9 @@ def interpolate(source_mesh: Mesh, values, target) -> np.ndarray:
     return v[:, 0] * (1.0 - l1 - l2) + v[:, 1] * l1 + v[:, 2] * l2
 
 
-def h_eps_norm(mesh: Mesh, values, K=None, B=None) -> float:
+def h_eps_norm(mesh: Mesh, values) -> float:
     """Energy norm of the perforated form: sqrt(u' (K + B) u)."""
     u = np.asarray(values, dtype=float)
-    K = assemble_stiffness(mesh) if K is None else K
-    B = assemble_hole_mass(mesh) if B is None else B
+    K, B = assemble_stiffness(mesh), assemble_hole_mass(mesh)
     return math.sqrt(max(0.0, float(u @ (K @ u) + u @ (B @ u))))
 

@@ -296,14 +296,8 @@ def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
     shape_spec is "circle" or ("kgon", k).  jitter is None, a fixed offset
     ("fixed", dx, dy) in units of r, or ("random", frac), see check_jitter.
     """
-    if isinstance(shape_spec, str):
-        kind, k = shape_spec, None
-    else:
-        kind, k = shape_spec[0], int(shape_spec[1])
-    if kind not in ("circle", "kgon"):
-        raise GeometryError(f"unsupported hole shape {shape_spec!r}")
-    if kind == "kgon" and (k is None or k < 3):
-        raise GeometryError("kgon holes need k >= 3")
+    k = hole_order(shape_spec)
+    kind = "circle" if k is None else "kgon"
 
     r_max = max(c.r_in for c in cells)
     beta_max = max_admissible_beta(cells, constants)
@@ -512,7 +506,8 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
         if type(m) is not int or m < 1:
             raise GeometryError(f"epsilon m must be an integer >= 1, got {m!r}")
         holes = [
-            Hole(cell_index=h["cell"], kind=h["shape"], k=_hole_order(h),
+            Hole(cell_index=h["cell"], kind=h["shape"], k=hole_order(
+                h["shape"] if h["k"] is None else (h["shape"], h["k"])),
                  center=tuple(_real(x, "hole center") for x in h["center"]),
                  d=_real(h["d"], "hole d"))
             for h in data["holes"]
@@ -546,13 +541,15 @@ def _real(value, name: str):
     return value
 
 
-def _hole_order(hole: dict):
-    """The k of a kgon hole (an integer >= 3), None for a circle."""
-    kind, k = hole["shape"], hole["k"]
-    if kind == "circle":
+def hole_order(shape_spec):
+    """The k of a ("kgon", k) hole spec (an integer >= 3), None for
+    "circle"; GeometryError on any other spec."""
+    if shape_spec == "circle":
         return None
-    if kind != "kgon" or type(k) is not int or k < 3:
+    if not (isinstance(shape_spec, (list, tuple)) and len(shape_spec) == 2
+            and shape_spec[0] == "kgon" and type(shape_spec[1]) is int
+            and shape_spec[1] >= 3):
         raise GeometryError(f"hole shape must be circle or kgon with an "
-                            f"integer k >= 3, got {kind!r} with k {k!r}")
-    return k
+                            f"integer k >= 3, got {shape_spec!r}")
+    return shape_spec[1]
 

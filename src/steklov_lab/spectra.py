@@ -34,61 +34,59 @@ _BLOCK = 16        # coupling slots per interior solve; bounds its memory
 def steklov_spectrum(op: Condensed, k: int,
                      tol: float = 1e-10) -> SpectralResult:
     """Top-k mu of B u = mu (K + B) u on a condensed perforated mesh
-    (.steklov: 1/mu - 1); vectors are full length over the free dofs."""
-    res = largest_pencil_eigs(op.S, op.B_RR, k, tol=tol)
-    return replace(res, vectors=op.extend(res.vectors))
+    (.steklov: 1/mu - 1); vectors are S-orthonormal over the R dofs op.r."""
+    return largest_pencil_eigs(op.S, op.B_RR, k, tol=tol)
 
 
 @dataclass
 class Condensed:
     """A perforated mesh's A = K + B condensed onto hole and skeleton dofs."""
     mesh: object
-    K: sp.csr_matrix                 # full stiffness and hole mass
-    B: sp.csr_matrix
     dofmap: fem.DofMap
+    A: sp.csr_matrix                 # K + B on the free dofs
     S: sp.csr_matrix                 # A_RR - A_RI A_II^-1 A_IR
     B_RR: sp.csr_matrix
     r: np.ndarray                    # free-dof indices of R
-    extend: object                   # rows u_R -> full free-dof rows
 
     @cached_property
-    def _s_factor(self):
+    def _solver(self):
         # built on the first solve: the Steklov pencils never call solve
-        return factor_spd(self.S)
+        i = np.setdiff1d(np.arange(self.A.shape[0]), self.r)
+        A_I = self.A[i]
+        return (factor_spd(self.S), factor_spd(A_I[:, i]), i,
+                A_I[:, self.r])
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """Nodal u, zero on the outer boundary, with A u = B f on the free
-        dofs: B f vanishes on cell interiors, so S u_R = (B f)_R exactly."""
-        u_r = self._s_factor.solve((self.B @ f)[self.dofmap.free][self.r])
-        return self.dofmap.expand(self.extend(u_r[None])[0])
+        dofs.  B lives on hole nodes, all in R, so (B f)_R = B_RR f_R and
+        (B f)_I = 0: S u_R = B_RR f_R, then u_I = -A_II^-1 A_IR u_R."""
+        s_fac, i_fac, i, A_IR = self._solver
+        u = np.zeros(self.A.shape[0])
+        u[self.r] = s_fac.solve(self.B_RR @ f[self.dofmap.free[self.r]])
+        u[i] = -i_fac.solve(A_IR @ u[self.r])
+        return self.dofmap.expand(u)
+
+    def energy(self, u: np.ndarray) -> float:
+        """Perforated energy norm sqrt(u' A u) of nodal u over the free
+        dofs; equals fem.h_eps_norm when u vanishes on the outer nodes."""
+        u_f = u[self.dofmap.free]
+        return math.sqrt(max(0.0, float(u_f @ (self.A @ u_f))))
 
 
 def condense(mesh) -> Condensed:
     """The one place a perforated mesh's operator is assembled and reduced.
     Eliminating every cell interior I is exact: B has no entry on I, so
-    B_RR u = mu S u keeps every nonzero mu of B u = mu A u.  extend(U) sets
-    u_I = -A_II^-1 A_IR u_R: S-orthonormal rows extend A-orthonormally."""
-    K = fem.assemble_stiffness(mesh)
-    B = fem.assemble_hole_mass(mesh)
+    B_RR u = mu S u keeps every nonzero mu of B u = mu A u.  The factor of
+    A_II serves _schur only and is dropped on return."""
     dm = fem.build_dofmap(mesh, "outer")
-    Br = fem.apply_dirichlet(B, dm)
-    A = (fem.apply_dirichlet(K, dm) + Br).tocsr()
+    Br = fem.apply_dirichlet(fem.assemble_hole_mass(mesh), dm)
+    A = (fem.apply_dirichlet(fem.assemble_stiffness(mesh), dm) + Br).tocsr()
     on_r, cell = _skeleton(mesh, dm)
     r, i = np.flatnonzero(on_r), np.flatnonzero(~on_r)
     if Br[i].nnz:
         raise SpectraError("hole mass has entries on cell-interior dofs")
-    A_IR = A[i][:, r]
-    fac = factor_spd(A[i][:, i])
-
-    def extend(U):
-        full = np.zeros((len(U), len(on_r)))
-        full[:, r] = U
-        full[:, i] = -fac.solve(np.asarray(A_IR @ U.T)).T
-        return full
-
-    return Condensed(mesh=mesh, K=K, B=B, dofmap=dm,
-                     S=_schur(A[r][:, r], A_IR, cell[i], fac),
-                     B_RR=Br[r][:, r], r=r, extend=extend)
+    S = _schur(A[r][:, r], A[i][:, r], cell[i], factor_spd(A[i][:, i]))
+    return Condensed(mesh=mesh, dofmap=dm, A=A, S=S, B_RR=Br[r][:, r], r=r)
 
 
 def _skeleton(mesh, dm):
@@ -289,7 +287,7 @@ def resolvent_gap(descriptor, ref: GapReference,
     hm = ref.mesh
     f_hom = f(hm.nodes[:, 0], hm.nodes[:, 1])
     u_restricted = fem.interpolate(hm, ref.solve(f_hom), pm)
-    gap = fem.h_eps_norm(pm, u_eps - u_restricted, K=perf.K, B=perf.B)
+    gap = perf.energy(u_eps - u_restricted)
     f_norm = math.sqrt(float(f_hom @ (ref.K @ f_hom)
                              + f_hom @ (ref.Mq @ f_hom)))
     return ResolventGapSample(descriptor=dict(descriptor), gap=gap,

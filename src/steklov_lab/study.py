@@ -17,6 +17,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,6 +34,29 @@ DOMAINS = {
     "unit-square": geometry.unit_square,
     "l-shape": geometry.l_shape,
 }
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# (fields, test, rule) of the scalar config fields
+_FIELD_RULES = (
+    (("beta", "template.grading"), _number, "a finite number"),
+    (("sigma", "tol", "h_hom"), lambda v: _number(v) and v > 0,
+     "a positive finite number"),
+    (("k", "parallelism", "template.ring_count",
+      "template.boundary_nodes_per_side", "template.hole_boundary_segments"),
+     lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    (("seed",), lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+    (("run_gaps",), lambda v: isinstance(v, bool), "true or false"),
+    (("domain", "output_dir"), lambda v: isinstance(v, str), "a string"),
+)
 
 
 @dataclass(frozen=True)
@@ -55,27 +79,23 @@ class StudyConfig:
     run_gaps: bool = True
 
     def validate(self):
+        for names, ok, rule in _FIELD_RULES:
+            for name in names:
+                value = attrgetter(name)(self)
+                if not ok(value):
+                    raise StudyError(f"{name} must be {rule}, got {value!r}")
         ms = list(self.m_values)
         for m in ms:
-            if not isinstance(m, numbers.Integral) or isinstance(m, bool) \
-                    or m < 1:
+            if not _integer(m) or m < 1:
                 raise StudyError(
                     f"m_values must be positive integers, got {m!r}")
         if len(ms) < 1 or any(b <= a for a, b in zip(ms, ms[1:])):
             raise StudyError("m_values must be strictly increasing")
-        if self.tol <= 0 or self.h_hom <= 0:
-            raise StudyError("tolerances must be positive")
-        if self.sigma <= 0:
-            raise StudyError("sigma must be positive")
-        if self.k < 1:
-            raise StudyError("k must be >= 1")
         if self.domain not in DOMAINS:
             raise StudyError(f"unknown domain {self.domain!r}")
-        self.template.validate(
-            self.hole_shape[1] if isinstance(self.hole_shape, (list, tuple))
-            else None)
         cst = geometry.DEFAULT_CONSTANTS
         try:
+            self.template.validate(geometry.hole_order(self.hole_shape))
             geometry.check_jitter(self.jitter, cst)
             for m in ms:    # holes have d = beta r^2
                 cells = geometry.build_square_tessellation(
@@ -109,27 +129,22 @@ class StudyConfig:
     def domain_object(self):
         return DOMAINS[self.domain]()
 
-    def shape_spec(self):
-        if isinstance(self.hole_shape, (list, tuple)):
-            return (self.hole_shape[0], int(self.hole_shape[1]))
-        return self.hole_shape
-
 
 def config_from_dict(data: dict) -> StudyConfig:
-    data = dict(data)
-    if "template" in data:
-        data["template"] = meshgen.CellMeshTemplate(**data["template"])
-    if "m_values" in data:
-        data["m_values"] = tuple(data["m_values"])
-    if "sources" in data:
-        data["sources"] = tuple(dict(s) for s in data["sources"])
-    if "hole_shape" in data and isinstance(data["hole_shape"], list):
-        data["hole_shape"] = tuple(data["hole_shape"])
-    if "jitter" in data and isinstance(data["jitter"], list):
-        data["jitter"] = tuple(data["jitter"])
     try:
+        data = dict(data)
+        if "template" in data:
+            data["template"] = meshgen.CellMeshTemplate(**data["template"])
+        if "m_values" in data:
+            data["m_values"] = tuple(data["m_values"])
+        if "sources" in data:
+            data["sources"] = tuple(dict(s) for s in data["sources"])
+        if "hole_shape" in data and isinstance(data["hole_shape"], list):
+            data["hole_shape"] = tuple(data["hole_shape"])
+        if "jitter" in data and isinstance(data["jitter"], list):
+            data["jitter"] = tuple(data["jitter"])
         cfg = StudyConfig(**data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise StudyError(f"bad config field: {exc}") from exc
     cfg.validate()
     return cfg
@@ -200,7 +215,7 @@ def oracle_selftest(seed: int = 0) -> list:
 
 def _geometry(cfg: StudyConfig, m: int):
     return geometry.build_perforated_geometry(
-        cfg.domain_object(), m, cfg.beta, shape_spec=cfg.shape_spec(),
+        cfg.domain_object(), m, cfg.beta, shape_spec=cfg.hole_shape,
         jitter=cfg.jitter,
         rng=np.random.default_rng(cfg.seed + m) if cfg.jitter else None)
 
@@ -296,8 +311,7 @@ def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
 
     if with_cell_summary:
         consts = cellmetrics.cell_constants(
-            "disk" if cfg.shape_spec() == "circle"
-            else ("kgon", cfg.shape_spec()[1]), h=0.12)
+            "disk" if cfg.hole_shape == "circle" else cfg.hole_shape, h=0.12)
         report.cell_summary = consts.as_dict()
 
     usable = [p for p in pairs if p.gate_ok]

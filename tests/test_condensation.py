@@ -2,9 +2,11 @@
 
 The reference solves B u = mu (K + B) u over every free dof, as the solver
 did before the cell interiors were eliminated.  The condensed values must
-equal it, and the recovered vectors must be eigenvectors of that full
-pencil.
+equal it, and the condensed vectors, extended harmonically into the cell
+interiors, must be eigenvectors of that full pencil.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -49,11 +51,17 @@ def test_condensed_values_and_vectors_match_full_pencil(domain, m, hole,
     for mesh in (coarse, mg.refine(coarse)):
         A, B = full_pencil(mesh)
         want = largest_pencil_eigs(A, B, K_VALUES, tol=TOL)
-        got = spectra.steklov_spectrum(spectra.condense(mesh), K_VALUES, TOL)
+        op = spectra.condense(mesh)
+        got = spectra.steklov_spectrum(op, K_VALUES, TOL)
         assert len(got.values) == K_VALUES and np.all(got.converged)
         assert np.max(np.abs(got.values - want.values) / want.values) <= 1e-10
-        u = got.vectors
-        assert u.shape == (K_VALUES, A.shape[0])
+        assert got.vectors.shape == (K_VALUES, len(op.r))
+        # u_I = -A_II^-1 A_IR u_R, from the full pencil's own blocks
+        i = np.setdiff1d(np.arange(A.shape[0]), op.r)
+        u = np.zeros((K_VALUES, A.shape[0]))
+        u[:, op.r] = got.vectors
+        u[:, i] = -factor_spd(A[i][:, i]).solve(
+            np.asarray(A[i][:, op.r] @ got.vectors.T)).T
         anorm = np.abs(A).sum(axis=1).max()
         for mu, x in zip(got.values, u):
             assert np.linalg.norm(B @ x - mu * (A @ x)) <= TOL * anorm
@@ -135,7 +143,43 @@ def test_condensed_source_solve_matches_full_operator(domain, m, hole,
         A, _ = full_pencil(mesh)
         x, y = mesh.nodes.T
         f = np.sin(np.pi * x) * np.sin(np.pi * y) + x * y
+        B = fem.assemble_hole_mass(mesh)
         want = op.dofmap.expand(
-            factor_spd(A).solve((op.B @ f)[op.dofmap.free]))
+            factor_spd(A).solve((B @ f)[op.dofmap.free]))
         got = op.solve(f)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("domain,m,hole,jitter", CASES)
+def test_condensed_energy_matches_h_eps_norm(domain, m, hole, jitter):
+    coarse = perforated(domain, m, hole, jitter, seed=m)
+    for mesh in (coarse, mg.refine(coarse)):
+        op = spectra.condense(mesh)
+        x, y = mesh.nodes.T
+        u = op.dofmap.expand((np.cos(3 * x) + x * y)[op.dofmap.free])
+        want = fem.h_eps_norm(mesh, u)
+        assert abs(op.energy(u) - want) <= 1e-13 * want
+
+
+def test_condensed_bundle_holds_no_factor_until_its_first_solve(
+        monkeypatch):
+    built = []
+    factor_spd = spectra.factor_spd
+
+    def recorded(A):
+        fac = factor_spd(A)
+        built.append((A.shape[0], weakref.ref(fac)))
+        return fac
+
+    monkeypatch.setattr(spectra, "factor_spd", recorded)
+    mesh = perforated("unit-square", 2, "circle", ("random", 0.5))
+    op = spectra.condense(mesh)
+    # the A_II factor behind S is gone once condense returns
+    assert len(built) == 1 and built[0][1]() is None
+    n_i = op.A.shape[0] - len(op.r)
+    assert built[0][0] == n_i
+    f = np.ones(mesh.num_nodes)
+    u = op.solve(f)
+    assert [n for n, _ in built[1:]] == [len(op.r), n_i]
+    assert all(ref() is not None for _, ref in built[1:])
+    assert np.array_equal(op.solve(f), u) and len(built) == 3

@@ -250,6 +250,26 @@ def test_cli_study_with_zero_m_exits_2_with_message(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("field,value", [
+    ("hole_shape", ["kgon", "4"]), ("hole_shape", ["kgon"]),
+    ("hole_shape", "square"), ("hole_shape", ["kgon", 2]),
+    ("hole_shape", ["kgon", 4.5]),
+    ("seed", "a"), ("parallelism", "2"), ("beta", "0.5"), ("tol", "x"),
+    ("k", 2.5), ("run_gaps", "no"),
+])
+def test_cli_study_with_mistyped_field_exits_2_with_one_line(tmp_path, field,
+                                                            value):
+    # each once ended in a traceback, a late error, or a silent default
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"m_values": [2], "beta": 0.5, field: value}))
+    r = run_cli("study", str(p), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config: ")
+    assert field.replace("_", " ") in lines[0].replace("_", " ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args,flag", [
     (["cell", "--h", "0"], "--h"),
     (["cell", "--h", "-1"], "--h"),
