@@ -214,5 +214,8 @@ def h_eps_norm(mesh: Mesh, values) -> float:
     """Energy norm of the perforated form: sqrt(u' (K + B) u)."""
     u = np.asarray(values, dtype=float)
     K, B = assemble_stiffness(mesh), assemble_hole_mass(mesh)
-    return math.sqrt(max(0.0, float(u @ (K @ u) + u @ (B @ u))))
+    form = float(u @ (K @ u) + u @ (B @ u))
+    if not math.isfinite(form):
+        raise FemError(f"energy form is {form!r}")
+    return math.sqrt(max(0.0, form))
 

@@ -12,9 +12,10 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
+
 
 class GeometryError(ValueError):
     pass
@@ -35,26 +36,24 @@ def poly_area(pts):
 
 
 def chebyshev_center(pts):
-    """Center and radius of the largest ball inscribed in a convex polygon,
-    by linear programming over the edge half-planes."""
-    n = len(pts)
-    rows, rhs = [], []
-    area = poly_area(pts)
-    sgn = 1.0 if area > 0 else -1.0
-    for i in range(n):
-        ax, ay = map(float, pts[i])
-        bx, by = map(float, pts[(i + 1) % n])
-        # inward normal for CCW ordering is (-(by-ay), bx-ax)
-        nx, ny = sgn * (ay - by), sgn * (bx - ax)
-        norm = math.hypot(nx, ny)
-        # n.(x - a) >= r*|n|  <=>  -n.x + r|n| <= -n.a
-        rows.append((-nx, -ny, norm))
-        rhs.append(-(nx * ax + ny * ay))
-    res = linprog(c=(0.0, 0.0, -1.0), A_ub=rows, b_ub=rhs,
-                  bounds=((None, None), (None, None), (0, None)), method="highs")
-    if not res.success:
-        raise GeometryError("Chebyshev LP failed")
-    return (res.x[0], res.x[1]), res.x[2]
+    """Center and radius of the largest ball inscribed in a convex polygon:
+    the LP optimum is a point equidistant from three edge lines, so keep the
+    triple point farthest from its nearest edge line."""
+    p = np.array(pts, dtype=float)
+    area = float(poly_area(pts))
+    if area == 0.0:
+        raise GeometryError("polygon has zero area")
+    e = np.roll(p, -1, axis=0) - p           # inward normal (-ey, ex) if CCW
+    nrm = math.copysign(1.0, area) * np.column_stack((-e[:, 1], e[:, 0]))
+    nrm /= np.hypot(nrm[:, 0], nrm[:, 1])[:, None]
+    c = np.einsum("ij,ij->i", nrm, p)
+    tri = np.array(list(combinations(range(len(p)), 3)))
+    rows = np.concatenate((nrm[tri], -np.ones(tri.shape + (1,))), axis=2)
+    ok = np.linalg.det(rows) != 0.0
+    xr = np.linalg.solve(rows[ok], c[tri[ok]][..., None])[..., 0]
+    dist = (xr[:, :2] @ nrm.T - c).min(axis=1)
+    best = int(np.argmax(dist))
+    return (float(xr[best, 0]), float(xr[best, 1])), float(dist[best])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Independent reference values for the main pipeline.
 
 Closed-form spectra, cylinder functions from scipy.special, roots by
-Brent's method, and per-element Gauss quadrature that re-evaluates norms
+bisection, and per-element Gauss quadrature that re-evaluates norms
 without touching any assembled matrix.  Everything here is deliberately
 self-contained so it can act as a cross-check rather than share code with
 the solvers it certifies.
@@ -12,8 +12,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import j0, j1, jvp, yvp
+
+
+def _bisect(f, a: float, b: float, tol: float) -> float:
+    """Midpoint of a bracket of f's root narrower than tol (or than the float
+    spacing); f(a) and f(b) must not share a sign."""
+    fa, mid = f(a), 0.5 * (a + b)
+    while b - a > tol and a < mid < b:
+        fm = f(mid)
+        if fa * fm > 0:
+            a, fa = mid, fm
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    return float(mid)
 
 
 def j0_zero(index: int, tol: float = 1e-12) -> float:
@@ -24,8 +37,8 @@ def j0_zero(index: int, tol: float = 1e-12) -> float:
     """
     if index < 1:
         raise ValueError("index must be >= 1")
-    return brentq(j0, (index - 0.25) * math.pi, (index - 0.125) * math.pi,
-                  xtol=tol)
+    return _bisect(j0, (index - 0.25) * math.pi, (index - 0.125) * math.pi,
+                   tol)
 
 
 def robin_disk_ground(alpha: float, tol: float = 1e-12) -> float:
@@ -37,7 +50,7 @@ def robin_disk_ground(alpha: float, tol: float = 1e-12) -> float:
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    s = brentq(lambda x: alpha * j0(x) - x * j1(x), 0.0, j0_zero(1), xtol=tol)
+    s = _bisect(lambda x: alpha * j0(x) - x * j1(x), 0.0, j0_zero(1), tol)
     return s * s
 
 
@@ -60,7 +73,7 @@ def annulus_neumann_gap(a: float, b: float, tol: float = 1e-12) -> float:
     cells = np.flatnonzero(sign[:-1] * sign[1:] <= 0)
     if len(cells) == 0:
         raise ValueError(f"no sign change on [{ks[0]}, {ks[-1]}]")
-    k = brentq(f, ks[cells[0]], ks[cells[0] + 1], xtol=tol)
+    k = _bisect(f, ks[cells[0]], ks[cells[0] + 1], tol)
     return k * k
 
 

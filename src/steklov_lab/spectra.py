@@ -10,6 +10,7 @@ flagged and excluded from rate fitting.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -70,7 +71,10 @@ class Condensed:
         """Perforated energy norm sqrt(u' A u) of nodal u over the free
         dofs; equals fem.h_eps_norm when u vanishes on the outer nodes."""
         u_f = u[self.dofmap.free]
-        return math.sqrt(max(0.0, float(u_f @ (self.A @ u_f))))
+        form = float(u_f @ (self.A @ u_f))
+        if not math.isfinite(form):
+            raise SpectraError(f"energy form is {form!r}")
+        return math.sqrt(max(0.0, form))
 
 
 def condense(mesh) -> Condensed:
@@ -217,19 +221,29 @@ def truncated_spectrum_distance(steklov_mu, homog_mu, k: int,
 
 def source_function(descriptor):
     """Vectorized analytic source from a descriptor; all members vanish on
-    the boundary of the unit square."""
+    the boundary of the unit square.  Refuses px, py other than integers
+    >= 1, a w <= 0 and non-finite numbers."""
     kind = descriptor.get("kind", "sine")
-    scale = float(descriptor.get("scale", 1.0))
+    num = {key: descriptor.get(key, default) for key, default in
+           (("scale", 1.0), ("x0", 0.5), ("y0", 0.5), ("w", 0.2))}
+    for key, value in num.items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise SpectraError(f"{key} must be a finite number, got {value!r}")
+    scale = num["scale"]
     if kind == "sine":
-        px, py = int(descriptor.get("px", 1)), int(descriptor.get("py", 1))
+        px, py = descriptor.get("px", 1), descriptor.get("py", 1)
+        if not all(isinstance(p, numbers.Integral) and p >= 1
+                   for p in (px, py)):
+            raise SpectraError(
+                f"px and py must be integers >= 1, got {px!r}, {py!r}")
 
         def f(x, y):
             return scale * np.sin(math.pi * px * x) * np.sin(math.pi * py * y)
         return f
     if kind == "bump":
-        x0 = float(descriptor.get("x0", 0.5))
-        y0 = float(descriptor.get("y0", 0.5))
-        w = float(descriptor.get("w", 0.2))
+        x0, y0, w = num["x0"], num["y0"], num["w"]
+        if w <= 0:
+            raise SpectraError(f"w must be positive, got {w!r}")
 
         def f(x, y):
             env = x * (1.0 - x) * y * (1.0 - y)

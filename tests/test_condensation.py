@@ -159,6 +159,9 @@ def test_condensed_energy_matches_h_eps_norm(domain, m, hole, jitter):
         u = op.dofmap.expand((np.cos(3 * x) + x * y)[op.dofmap.free])
         want = fem.h_eps_norm(mesh, u)
         assert abs(op.energy(u) - want) <= 1e-13 * want
+        u[op.dofmap.free[0]] = np.nan
+        with pytest.raises(spectra.SpectraError, match="energy form"):
+            op.energy(u)
 
 
 def test_condensed_bundle_holds_no_factor_until_its_first_solve(

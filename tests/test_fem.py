@@ -193,6 +193,9 @@ def test_h_eps_norm_basics():
     per = 4 * 2 * n * (1 / 16) * math.sin(math.pi / n)
     assert fem.h_eps_norm(mesh, ones) == pytest.approx(math.sqrt(per),
                                                        rel=1e-13)
+    ones[0] = np.nan            # max(0.0, nan) once turned this into 0.0
+    with pytest.raises(fem.FemError, match="nan"):
+        fem.h_eps_norm(mesh, ones)
 
 
 def test_h_eps_norm_linear_against_closed_form():

@@ -54,6 +54,47 @@ def test_domain_requires_axis_aligned_edges():
         geo.make_domain([(0, 0), (1, 1), (0, 1), (-1, 0)])
 
 
+def test_chebyshev_center_of_a_triangle_is_its_incircle():
+    A, B, C = np.array([0.1, 0.2]), np.array([0.9, 0.3]), np.array([0.4, 0.8])
+    a, b, c = (np.linalg.norm(B - C), np.linalg.norm(C - A),
+               np.linalg.norm(A - B))
+    area = abs(geo.poly_area([A, B, C]))
+    center, r = geo.chebyshev_center([tuple(A), tuple(B), tuple(C)])
+    assert type(r) is float and all(type(v) is float for v in center)
+    np.testing.assert_allclose(center, (a * A + b * B + c * C) / (a + b + c),
+                               rtol=0, atol=1e-14)
+    assert abs(r - 2 * area / (a + b + c)) < 1e-14
+
+
+def test_chebyshev_center_of_a_regular_hexagon():
+    R = 0.7
+    pts = [(R * math.cos(t), R * math.sin(t))
+           for t in np.arange(6) * math.pi / 3]
+    center, r = geo.chebyshev_center(pts)
+    assert math.hypot(*center) < 1e-15
+    assert abs(r - R * math.cos(math.pi / 6)) < 1e-15
+
+
+def test_chebyshev_center_ignores_orientation_and_collinear_vertices():
+    def flat(pts):
+        (x, y), r = geo.chebyshev_center(pts)
+        return x, y, r
+
+    quad = [(0.0, 0.0), (1.0, 0.25), (0.75, 1.0), (0.0, 0.75)]
+    want = flat(quad)
+    assert flat(quad[::-1]) == pytest.approx(want, rel=0, abs=1e-15)
+    # a vertex inside an edge repeats that edge's line: singular triples
+    on_edge = quad[:1] + [(0.5, 0.125)] + quad[1:]
+    assert flat(on_edge) == pytest.approx(want, rel=0, abs=1e-15)
+
+
+def test_chebyshev_center_rejects_collinear_polygons():
+    with pytest.raises(GeometryError, match="zero area"):
+        geo.chebyshev_center([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
+    with pytest.raises(GeometryError, match="zero area"):
+        geo.chebyshev_center([(0, 0), (1, 0), (2, 0), (3, 0)])
+
+
 # ---------------------------------------------------------------------------
 # holes and weights
 

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +23,20 @@ def test_root_stability_under_tightening():
     loose = oracles.j0_zero(1, tol=1e-8)
     tight = oracles.j0_zero(1, tol=1e-10)
     assert abs(loose - tight) < 1e-8
+    refs = scipy.special.jn_zeros(0, 5)
+    for tol in (1e-8, 1e-10):
+        for idx in range(1, 6):
+            assert abs(oracles.j0_zero(idx, tol=tol) - refs[idx - 1]) <= tol
+    # a tolerance below the float spacing stops at adjacent floats
+    assert abs(oracles.j0_zero(5, tol=0.0) - refs[4]) < 1e-14
 
 
 def test_robin_disk_ground_solves_its_equation():
+    for alpha in (0.5, 1.0, 2.0):
+        s = math.sqrt(oracles.robin_disk_ground(alpha))
+        assert abs(alpha * scipy.special.j0(s)
+                   - s * scipy.special.j1(s)) < 1e-10
     lam = oracles.robin_disk_ground(1.0)
-    s = math.sqrt(lam)
-    assert abs(scipy.special.j0(s) - s * scipy.special.j1(s)) < 1e-9
     assert 0 < lam < oracles.j0_zero(1) ** 2
     # monotone in alpha
     assert oracles.robin_disk_ground(0.5) < lam < oracles.robin_disk_ground(2.0)
@@ -41,14 +52,13 @@ def test_annulus_gap_root_of_cross_product():
     def dy1(x):
         return scipy.special.yvp(1, x)
 
-    assert abs(dj1(k) * dy1(2 * k) - dj1(2 * k) * dy1(k)) < 1e-9
+    assert abs(dj1(k) * dy1(2 * k) - dj1(2 * k) * dy1(k)) < 1e-10
 
 
 def test_oracles_import_only_math_numpy_and_scipy():
     # the oracles certify the FEM/SuperLU/Lanczos path, so they must not
     # import any of it
-    allowed = {"__future__", "math", "numpy", "scipy.special",
-               "scipy.optimize"}
+    allowed = {"__future__", "math", "numpy", "scipy.special"}
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -57,6 +67,19 @@ def test_oracles_import_only_math_numpy_and_scipy():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported and imported <= allowed, imported - allowed
+
+
+def test_package_never_imports_scipy_optimize():
+    # cli imports every module; scipy.optimize would add its HiGHS, fft and
+    # spatial imports to the start-up of every process
+    src = str(Path(oracles.__file__).resolve().parents[1])
+    code = ("import sys, steklov_lab.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.optimize')])")
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_square_dirichlet_spectrum():

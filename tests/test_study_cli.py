@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -267,6 +268,28 @@ def test_cli_study_with_mistyped_field_exits_2_with_one_line(tmp_path, field,
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid config: ")
     assert field.replace("_", " ") in lines[0].replace("_", " ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source,key", [
+    ({"kind": "sine", "px": 0}, "px"), ({"kind": "sine", "py": 1.5}, "py"),
+    ({"kind": "sine", "px": "2"}, "px"), ({"kind": "bump", "w": 0}, "w"),
+    ({"kind": "bump", "w": -0.2}, "w"), ({"kind": "bump", "w": None}, "w"),
+    ({"kind": "bump", "x0": float("inf")}, "x0"),
+    ({"kind": "bump", "y0": float("nan")}, "y0"),
+    ({"kind": "sine", "scale": float("nan")}, "scale"),
+])
+def test_cli_study_with_degenerate_source_exits_2_with_one_line(tmp_path,
+                                                                source, key):
+    # px 0 once gave f_norm 0 and w 0 gave f_norm NaN, and both passed
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"m_values": [2], "beta": 0.5,
+                             "sources": [source]}))
+    r = run_cli("study", str(p), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config: bad source")
+    assert re.search(rf"\b{key}\b", lines[0])
     assert not (tmp_path / "out").exists()
 
 
