@@ -300,7 +300,7 @@ def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
 
     r_max = max(c.r_in for c in cells)
     beta_max = max_admissible_beta(cells, constants)
-    if beta <= 0 or beta > beta_max:
+    if not 0 < beta <= beta_max:
         raise GeometryError(
             f"beta={beta} violates hole smallness (2*d <= c_sec*r); "
             f"max admissible beta is {beta_max:.6g}")

@@ -100,8 +100,9 @@ class CellMeshTemplate:
 
     def validate(self, hole_k: int | None = None):
         n, s = self.hole_boundary_segments, self.boundary_nodes_per_side
-        if self.grading <= 1.0:
-            raise MeshError("grading factor must exceed 1")
+        if not 1.0 < self.grading < math.inf:
+            raise MeshError("grading factor must be finite and exceed 1, "
+                            f"got {self.grading!r}")
         if self.ring_count < 1:
             raise MeshError("ring_count must be >= 1")
         if n < 8 or n % 8 != 0:

@@ -29,7 +29,6 @@ class SpectraError(ValueError):
 EXTRA = 2          # values solved beyond k, headroom for the truncation floor
 MIN_POINTS = 4     # least number of usable sweep points a rate fit accepts
 MIN_SPAN = 4.0     # least max/min ratio of delta that a rate fit accepts
-_BLOCK = 16        # coupling slots per interior solve; bounds its memory
 
 
 def steklov_spectrum(op: Condensed, k: int,
@@ -80,8 +79,8 @@ class Condensed:
 def condense(mesh) -> Condensed:
     """The one place a perforated mesh's operator is assembled and reduced.
     Eliminating every cell interior I is exact: B has no entry on I, so
-    B_RR u = mu S u keeps every nonzero mu of B u = mu A u.  The factor of
-    A_II serves _schur only and is dropped on return."""
+    B_RR u = mu S u keeps every nonzero mu of B u = mu A u.  S is summed
+    from per-cell Schur blocks; no factor outlives the call."""
     dm = fem.build_dofmap(mesh, "outer")
     Br = fem.apply_dirichlet(fem.assemble_hole_mass(mesh), dm)
     A = (fem.apply_dirichlet(fem.assemble_stiffness(mesh), dm) + Br).tocsr()
@@ -89,7 +88,7 @@ def condense(mesh) -> Condensed:
     r, i = np.flatnonzero(on_r), np.flatnonzero(~on_r)
     if Br[i].nnz:
         raise SpectraError("hole mass has entries on cell-interior dofs")
-    S = _schur(A[r][:, r], A[i][:, r], cell[i], factor_spd(A[i][:, i]))
+    S = _schur(A, r, i, cell[i])
     return Condensed(mesh=mesh, dofmap=dm, A=A, S=S, B_RR=Br[r][:, r], r=r)
 
 
@@ -109,37 +108,28 @@ def _skeleton(mesh, dm):
     return on_r[dm.free], lo[dm.free]
 
 
-def _schur(A_RR, A_IR, cell, fac):
-    """S = A_RR - A_RI A_II^-1 A_IR for block-diagonal A_II (factored in
-    fac), made exactly symmetric.
-
-    Each (cell, R dof) coupling gets a slot number within its cell.  The
-    interiors are disjoint, so one right-hand-side column holds slot s of
-    every cell, and one solve per column block serves all cells.
-    """
-    nr = A_IR.shape[1]
-    coo = A_IR.tocoo()
-    pairs, pair_of = np.unique(cell[coo.row] * nr + coo.col,
-                               return_inverse=True)
-    pair_cell, pair_r = np.divmod(pairs, nr)
-    slot = np.arange(len(pairs)) - np.searchsorted(pair_cell, pair_cell)
-    width = int(slot.max()) + 1
-    r_at = np.full((int(cell.max()) + 1, width), -1)
-    r_at[pair_cell, slot] = pair_r
-    rhs = sp.csc_matrix((coo.data, (coo.row, slot[pair_of])),
-                        shape=(A_IR.shape[0], width))
-    to_pairs = sp.csr_matrix((coo.data, (pair_of, coo.row)),
-                             shape=(len(pairs), A_IR.shape[0]))
-    blocks = []
-    for s0 in range(0, width, _BLOCK):
-        # to_pairs @ X: per (cell, R dof), A_R,I(cell) A_II(cell)^-1 slots
-        G = to_pairs @ fac.solve(rhs[:, s0:s0 + _BLOCK].toarray())
-        cols = r_at[pair_cell, s0:s0 + _BLOCK]
-        keep = cols >= 0
-        blocks.append(sp.coo_matrix(
-            (G[keep], (np.broadcast_to(pair_r[:, None], keep.shape)[keep],
-                       cols[keep])), shape=(nr, nr)).tocsr())
-    S = (A_RR - sum(blocks, sp.csr_matrix((nr, nr)))).tocsr()
+def _schur(A, r, i, cell):
+    """S = A_RR - sum_c A_R,I(c) A_I(c)^-1 A_I(c),R, made exactly symmetric.
+    Cell interiors never couple across cells, so A_II is block-diagonal and
+    each cell's block is factored and dropped on its own."""
+    i = i[np.argsort(cell, kind="stable")]
+    A_I = A[i]
+    A_II, A_IR = A_I[:, i], A_I[:, r]
+    counts = np.unique(cell, return_counts=True)[1]
+    ends = np.cumsum(counts)
+    rows, cols, vals = [], [], []
+    for a, b in zip(ends - counts, ends):
+        rc = np.unique(A_IR[a:b].indices)
+        C = A_IR[a:b][:, rc]
+        # a sparse C.T keeps these small products off the BLAS thread pool
+        G = C.T @ factor_spd(A_II[a:b, a:b]).solve(C.toarray())
+        rows.append(np.repeat(rc, len(rc)))
+        cols.append(np.tile(rc, len(rc)))
+        vals.append(G.ravel())
+    nr = len(r)
+    S = (A[r][:, r] - sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nr, nr))).tocsr()
     return ((S + S.T) * 0.5).tocsr()
 
 

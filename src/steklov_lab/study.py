@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, asdict
 from operator import attrgetter
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from . import cellmetrics, fem, geometry, meshgen, oracles, spectra
@@ -114,17 +115,6 @@ class StudyConfig:
                 spectra.source_function(desc)
             except ValueError as exc:
                 raise StudyError(f"bad source: {exc}") from exc
-        self.workers()
-
-    def workers(self) -> int:
-        """STEKLOV_LAB_THREADS when set, else parallelism."""
-        raw = os.environ.get("STEKLOV_LAB_THREADS")
-        if raw is None:
-            return self.parallelism
-        if not (raw.isdecimal() and int(raw) >= 1):
-            raise StudyError(
-                f"STEKLOV_LAB_THREADS={raw!r} is not an integer >= 1")
-        return int(raw)
 
     def domain_object(self):
         return DOMAINS[self.domain]()
@@ -201,7 +191,6 @@ def oracle_selftest(seed: int = 0) -> list:
         A = R @ R.T + n * np.eye(n)
         S = trng.standard_normal((n, 5))
         B = S @ S.T
-        import scipy.sparse as sp
         it = largest_pencil_eigs(sp.csr_matrix(A), sp.csr_matrix(B), 5)
         dn = dense_reference_eigs(A, B)
         worst = max(worst, float(np.abs(it.values - dn.values[:5]).max()))
@@ -241,14 +230,20 @@ def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
 def _coarse_side(cfg: StudyConfig, geo, pm, q_limit: float):
     """The coarse Steklov solve and every resolvent gap, on one condensed
     bundle of pm; it and the gap reference are freed on return, before the
-    refined mesh is condensed."""
+    refined mesh is condensed.  A source that is zero on every reference
+    node has no normalized gap and fails the study here."""
     perf = spectra.condense(pm)
     coarse = spectra.steklov_spectrum(perf, cfg.k + spectra.EXTRA, cfg.tol)
     if not cfg.run_gaps:
         return coarse, []
     ref = spectra.gap_reference(geo, cfg.template, q_limit)
-    return coarse, [spectra.resolvent_gap(desc, ref, perf)
-                    for desc in cfg.sources]
+    gaps = [spectra.resolvent_gap(desc, ref, perf) for desc in cfg.sources]
+    for g in gaps:
+        if g.f_norm == 0:
+            raise StudyError(
+                f"m={geo.m}: source {g.descriptor!r} is zero on every node "
+                "of the gap reference mesh; its gap cannot be normalized")
+    return coarse, gaps
 
 
 @dataclass
@@ -284,7 +279,6 @@ class StudyReport:
 
 def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
     cfg.validate()
-    workers = cfg.workers()
     checks = oracle_selftest(cfg.seed)
 
     # the limit problem does not depend on m: solve it once, for the weight
@@ -294,8 +288,8 @@ def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
     homog = spectra.homogenized_pair(cfg.domain_object(), q_limit, cfg.h_hom,
                                      cfg.k, cfg.tol)
     points = len(cfg.m_values)
-    if workers > 1 and points > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.parallelism > 1 and points > 1:
+        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             results = list(pool.map(_run_point, [cfg] * points,
                                     cfg.m_values, [homog] * points))
     else:

@@ -69,6 +69,21 @@ def test_condensed_values_and_vectors_match_full_pencil(domain, m, hole,
         assert np.abs(gram - np.eye(K_VALUES)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("domain,m,hole,jitter", CASES)
+def test_schur_complement_matches_dense_elimination(domain, m, hole, jitter):
+    coarse = perforated(domain, m, hole, jitter, seed=m)
+    for mesh in (coarse, mg.refine(coarse)):
+        op = spectra.condense(mesh)
+        # one global factor of A_II, as condense built S before
+        i = np.setdiff1d(np.arange(op.A.shape[0]), op.r)
+        A_I = op.A[i]
+        A_IR = A_I[:, op.r].toarray()
+        want = (op.A[op.r][:, op.r].toarray()
+                - A_IR.T @ factor_spd(A_I[:, i]).solve(A_IR))
+        got = op.S.toarray()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("domain,m", [("unit-square", 1), ("l-shape", 2)])
 def test_dense_reference_on_condensed_pencil(domain, m):
     mesh = perforated(domain, m, "circle", ("random", 0.5), seed=3)
@@ -177,12 +192,17 @@ def test_condensed_bundle_holds_no_factor_until_its_first_solve(
     monkeypatch.setattr(spectra, "factor_spd", recorded)
     mesh = perforated("unit-square", 2, "circle", ("random", 0.5))
     op = spectra.condense(mesh)
-    # the A_II factor behind S is gone once condense returns
-    assert len(built) == 1 and built[0][1]() is None
+    # S is summed from one factor per cell with interior dofs, and every
+    # one of them is gone once condense returns
     n_i = op.A.shape[0] - len(op.r)
-    assert built[0][0] == n_i
+    dm = fem.build_dofmap(mesh, "outer")
+    on_r, cell = spectra._skeleton(mesh, dm)
+    cells = len(np.unique(cell[~on_r]))
+    assert cells == 4 and len(built) == cells
+    assert sum(n for n, _ in built) == n_i
+    assert all(ref() is None for _, ref in built)
     f = np.ones(mesh.num_nodes)
     u = op.solve(f)
-    assert [n for n, _ in built[1:]] == [len(op.r), n_i]
-    assert all(ref() is not None for _, ref in built[1:])
-    assert np.array_equal(op.solve(f), u) and len(built) == 3
+    assert [n for n, _ in built[cells:]] == [len(op.r), n_i]
+    assert all(ref() is not None for _, ref in built[cells:])
+    assert np.array_equal(op.solve(f), u) and len(built) == cells + 2
