@@ -42,11 +42,11 @@ class SpdFactorization:
         return self.lu.solve(rhs)
 
 
-def _check_pivots(lu) -> None:
+def _check_pivots(lu, U) -> None:
     """Raise unless every pivot of a symmetric-mode SuperLU factor is
     positive, so a lost-SPD matrix (assembly or elimination bug) fails
-    loudly."""
-    diag = lu.U.diagonal()
+    loudly.  U is lu.U, which SuperLU builds anew on every access."""
+    diag = U.diagonal()
     bad = ~(np.isfinite(diag) & (diag > 0))
     if np.any(bad):
         where = int(np.nonzero(bad)[0][0])
@@ -67,8 +67,10 @@ def factor_spd(A: sp.spmatrix) -> SpdFactorization:
     if A.shape[0] != A.shape[1]:
         raise EigenError("matrix must be square")
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", **_SPD_MODE)
-    _check_pivots(lu)
-    fill = (lu.L.nnz + lu.U.nnz) / max(1, A.nnz)
+    U = lu.U
+    _check_pivots(lu, U)
+    # without row exchanges L has the pattern of U^T, so L.nnz == U.nnz
+    fill = 2 * U.nnz / max(1, A.nnz)
     return SpdFactorization(lu=lu, n=A.shape[0], fill_ratio=float(fill))
 
 
@@ -94,14 +96,15 @@ def schur_complement(A: sp.spmatrix, keep) -> np.ndarray:
     order = np.concatenate([drop, keep])
     lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
                    **_SPD_MODE)
-    _check_pivots(lu)
+    U = lu.U
+    _check_pivots(lu, U)
     ident = np.arange(n)
     if not (np.array_equal(lu.perm_r, ident)
             and np.array_equal(lu.perm_c, ident)):
         raise EigenError("SuperLU permuted the Schur complement ordering; "
                          "matrix is not positive definite")
     nd = len(drop)
-    S = lu.L[:, nd:][nd:].toarray() @ lu.U[:, nd:][nd:].toarray()
+    S = lu.L[:, nd:][nd:].toarray() @ U[:, nd:][nd:].toarray()
     return 0.5 * (S + S.T)
 
 

@@ -2,9 +2,10 @@
 
 Assembled matrices realize three quadratic forms: the Dirichlet energy, the
 mass of the hole boundaries (1D mass matrices summed over tagged edges), and
-weighted bulk mass.  Assembly is element-symmetric, so every matrix is
-exactly symmetric at the floating-point level, and Dirichlet conditions are
-imposed by true row/column elimination to keep spectra unpolluted.
+weighted bulk mass.  Assembly sums the upper triangle of the element blocks
+once, then mirrors it, so every matrix is exactly symmetric at the
+floating-point level, and Dirichlet conditions are imposed by true
+row/column elimination to keep spectra unpolluted.
 """
 
 from __future__ import annotations
@@ -34,19 +35,39 @@ def _tri_geometry(mesh: Mesh):
     return x, y, area
 
 
+def _symmetric(rows, cols, vals, n: int) -> sp.csr_matrix:
+    """n x n CSR from triplets with rows <= cols: duplicates are summed
+    once, then each off-diagonal sum is mirrored, so the matrix is exactly
+    symmetric by construction.  Sums that cancel to 0 stay stored."""
+    up = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    row = np.repeat(np.arange(n, dtype=up.indices.dtype), np.diff(up.indptr))
+    off = row != up.indices
+    full = (np.concatenate([up.data, up.data[off]]),
+            (np.concatenate([row, up.indices[off]]),
+             np.concatenate([up.indices, row[off]])))
+    # dropped before the last conversion, which otherwise sets the peak
+    del up, row, off
+    return sp.csr_matrix(full, shape=(n, n))
+
+
 def _scatter(conn, local, n: int) -> sp.csr_matrix:
-    """Sum element blocks into an n x n matrix: local(i, j) holds entry
-    (i, j) of every element's block, conn its global node ids."""
-    pairs = [divmod(q, conn.shape[1]) for q in range(conn.shape[1] ** 2)]
-    # held until the matrix is built: freeing them first raised peak RSS
-    vals = [local(i, j) for i, j in pairs]
-    mat = sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate([conn[:, i] for i, _ in pairs]),
-          np.concatenate([conn[:, j] for _, j in pairs]))),
-        shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    return mat
+    """Sum symmetric element blocks into an n x n matrix: local(i, j) holds
+    entry (i, j) of every element's block, conn its global node ids.  Each
+    element side gives one upper-triangle triplet; the diagonal is summed
+    per node over the nodes the elements touch."""
+    conn = conn.astype(np.int32)
+    k = conn.shape[1]
+    sides = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    diag = sum(np.bincount(conn[:, i], local(i, i), n) for i in range(k))
+    touched = np.zeros(n, dtype=bool)
+    touched[conn] = True
+    nodes = np.flatnonzero(touched).astype(np.int32)
+    return _symmetric(
+        np.concatenate([np.minimum(conn[:, i], conn[:, j])
+                        for i, j in sides] + [nodes]),
+        np.concatenate([np.maximum(conn[:, i], conn[:, j])
+                        for i, j in sides] + [nodes]),
+        np.concatenate([local(i, j) for i, j in sides] + [diag[nodes]]), n)
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
@@ -114,17 +135,15 @@ def assemble_hole_mass(mesh: Mesh) -> sp.csr_matrix:
 
 def edge_mass(mesh: Mesh, edges) -> sp.csr_matrix:
     """1D P1 mass over an explicit edge list (e.g. an interior interface)."""
-    return _edge_mass(mesh, np.asarray(edges, dtype=np.int64))
+    return _edge_mass(mesh, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 
 def _edge_mass(mesh: Mesh, edges) -> sp.csr_matrix:
     # not edge_mass: perfbench's trace counts one assembly span per call
-    n = mesh.num_nodes
-    if len(edges) == 0:
-        return sp.csr_matrix((n, n))
     pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
     length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    return _scatter(edges, lambda i, j: length * _EDGE_LOCAL[i, j], n)
+    return _scatter(edges, lambda i, j: length * _EDGE_LOCAL[i, j],
+                    mesh.num_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -109,28 +109,30 @@ def _skeleton(mesh, dm):
 
 
 def _schur(A, r, i, cell):
-    """S = A_RR - sum_c A_R,I(c) A_I(c)^-1 A_I(c),R, made exactly symmetric.
+    """S = A_RR - sum_c A_R,I(c) A_I(c)^-1 A_I(c),R, exactly symmetric.
     Cell interiors never couple across cells, so A_II is block-diagonal and
-    each cell's block is factored and dropped on its own."""
+    each cell's block is factored and dropped on its own.  Only the upper
+    triangles of A_RR and of each cell's block are summed, then mirrored
+    (fem._symmetric); the R ids rc of a block are sorted, so its local upper
+    triangle is a global one."""
     i = i[np.argsort(cell, kind="stable")]
     A_I = A[i]
     A_II, A_IR = A_I[:, i], A_I[:, r]
     counts = np.unique(cell, return_counts=True)[1]
     ends = np.cumsum(counts)
-    rows, cols, vals = [], [], []
+    up = sp.triu(A[r][:, r], format="coo")
+    rows, cols, vals = [up.row], [up.col], [up.data]
     for a, b in zip(ends - counts, ends):
         rc = np.unique(A_IR[a:b].indices)
         C = A_IR[a:b][:, rc]
         # a sparse C.T keeps these small products off the BLAS thread pool
         G = C.T @ factor_spd(A_II[a:b, a:b]).solve(C.toarray())
-        rows.append(np.repeat(rc, len(rc)))
-        cols.append(np.tile(rc, len(rc)))
-        vals.append(G.ravel())
-    nr = len(r)
-    S = (A[r][:, r] - sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nr, nr))).tocsr()
-    return ((S + S.T) * 0.5).tocsr()
+        lo, hi = np.triu_indices(len(rc))
+        rows.append(rc[lo])
+        cols.append(rc[hi])
+        vals.append(-G[lo, hi])
+    return fem._symmetric(np.concatenate(rows), np.concatenate(cols),
+                          np.concatenate(vals), len(r))
 
 
 def homogenized_spectrum(domain, q, h: float, k: int,

@@ -80,6 +80,7 @@ def test_schur_complement_matches_dense_elimination(domain, m, hole, jitter):
         A_IR = A_I[:, op.r].toarray()
         want = (op.A[op.r][:, op.r].toarray()
                 - A_IR.T @ factor_spd(A_I[:, i]).solve(A_IR))
+        assert (op.S != op.S.T).nnz == 0
         got = op.S.toarray()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

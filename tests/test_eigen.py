@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from steklov_lab import eigen, fem
 from steklov_lab import geometry as geo
 from steklov_lab import meshgen as mg
-from steklov_lab import oracles
+from steklov_lab import oracles, spectra
 
 
 def steklov_pencil(m=2, beta=1.0, tpl=None):
@@ -35,6 +35,16 @@ def test_factor_rejects_indefinite():
     A = sp.diags([1.0, -1.0, 2.0]).tocsc()
     with pytest.raises(eigen.EigenError, match="positive"):
         eigen.factor_spd(A)
+
+
+def test_fill_ratio_counts_both_factors():
+    A, _, mesh = steklov_pencil()
+    op = spectra.condense(mesh)
+    # the condensation's bordered form: interior dofs first, R last
+    order = np.concatenate([np.setdiff1d(np.arange(A.shape[0]), op.r), op.r])
+    for M in (A, op.S, A[order][:, order]):
+        fac = eigen.factor_spd(M)
+        assert fac.fill_ratio == (fac.lu.L.nnz + fac.lu.U.nnz) / M.nnz
 
 
 @settings(max_examples=25, deadline=None)

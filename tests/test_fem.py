@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov_lab import fem
+from steklov_lab import fem, shapes
 from steklov_lab import geometry as geo
 from steklov_lab import meshgen as mg
 
@@ -74,6 +74,113 @@ def test_edge_mass_single_edge_measure():
     B = fem.edge_mass(mesh, [(0, 1)])
     ones = np.ones(2)
     assert ones @ (B @ ones) == pytest.approx(0.5, abs=1e-15)
+
+
+def reference_sum(conn, block):
+    """Plain per-element loop: entry (a, b) of element e's block, block(e),
+    added at (conn[e][a], conn[e][b]); every entry summed exactly."""
+    terms = {}
+    for e, nodes in enumerate(conn.tolist()):
+        local = block(e)
+        for a, i in enumerate(nodes):
+            for b, j in enumerate(nodes):
+                terms.setdefault((i, j), []).append(local[a][b])
+    return {key: math.fsum(v) for key, v in terms.items()}
+
+
+def reference_matrices(mesh, weight, inner):
+    """Each assembly routine's matrix with its element list and per-element
+    block, for reference_sum; inner is the edge list given to edge_mass."""
+    tri = mesh.triangles
+    pts = mesh.nodes[tri].tolist()
+
+    def area(e):
+        (x0, y0), (x1, y1), (x2, y2) = pts[e]
+        return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+
+    def stiffness(e):
+        (x0, y0), (x1, y1), (x2, y2) = pts[e]
+        b, c = (y1 - y2, y2 - y0, y0 - y1), (x2 - x1, x0 - x2, x1 - x0)
+        return [[(b[i] * b[j] + c[i] * c[j]) / (4.0 * area(e))
+                 for j in range(3)] for i in range(3)]
+
+    def mass(w):
+        return lambda e: [[w(e) * area(e) * (2.0 if i == j else 1.0) / 12.0
+                           for j in range(3)] for i in range(3)]
+
+    def edges(sel):
+        ends = mesh.nodes[sel].tolist()
+        return sel, lambda e: [[math.hypot(ends[e][1][0] - ends[e][0][0],
+                                           ends[e][1][1] - ends[e][0][1])
+                                * (2.0 if i == j else 1.0) / 6.0
+                                for j in range(2)] for i in range(2)]
+
+    def w(e):
+        if callable(weight):
+            return weight(*(sum(p) / 3.0 for p in zip(*pts[e])))
+        return float(weight[mesh.tri_cell[e]])
+
+    hole = mesh.edge_tags != mg.OUTER
+    return [
+        (fem.assemble_stiffness(mesh), tri, stiffness),
+        (fem.assemble_mass(mesh), tri, mass(lambda e: 1.0)),
+        (fem.assemble_weighted_mass(mesh, weight), tri, mass(w)),
+        (fem.assemble_hole_mass(mesh), *edges(mesh.boundary_edges[hole])),
+        (fem.assemble_boundary_mass(mesh, "outer"),
+         *edges(mesh.boundary_edges[~hole])),
+        (fem.assemble_boundary_mass(mesh, "all"),
+         *edges(mesh.boundary_edges)),
+        (fem.edge_mass(mesh, inner), *edges(np.asarray(inner))),
+    ]
+
+
+def exactness_mesh(name):
+    """The mesh and the edge list that edge_mass sums over."""
+    if name == "ball":
+        mesh = shapes.mesh_ball_with_interface("kgon", 3, 0.3)
+        return mesh, shapes.interface_edges(mesh)
+    if name == "structured":
+        mesh = mg.mesh_unperforated(geo.unit_square(), 0.25)
+    else:
+        mesh = mg.mesh_perforated(
+            geo.build_perforated_geometry(geo.unit_square(), 2, 0.5),
+            mg.CellMeshTemplate(6, 2.0, 4, 16))
+        mesh = mg.refine(mesh) if name == "refined" else mesh
+    return mesh, mesh.boundary_edges[:7]
+
+
+@pytest.mark.parametrize("name", ["structured", "perforated", "refined",
+                                  "ball"])
+def test_assembly_matches_a_per_element_loop(name):
+    mesh, inner = exactness_mesh(name)
+    weight = (1.0 + np.arange(mesh.tri_cell.max() + 1)
+              if np.all(mesh.tri_cell >= 0)
+              else (lambda x, y: 1.0 + x * x + y))
+    zeros = 0
+    for mat, conn, block in reference_matrices(mesh, weight, inner):
+        want = reference_sum(conn, block)
+        coo = mat.tocoo()
+        got = dict(zip(zip(coo.row.tolist(), coo.col.tolist()),
+                       coo.data.tolist()))
+        # the stored pattern, entries that sum to exactly 0 included
+        assert len(got) == mat.nnz and got.keys() == want.keys()
+        scale = max((abs(v) for v in want.values()), default=0.0)
+        assert all(abs(got[k] - want[k]) <= 1e-15 * scale for k in want)
+        zeros += int(np.sum(coo.data == 0.0))
+    if name in ("structured", "perforated"):
+        assert zeros > 0
+
+
+def test_empty_element_list_gives_a_zero_matrix():
+    mesh = mg.Mesh(np.array([[0.0, 0.0], [0.3, 0.4]]),
+                   np.empty((0, 3), dtype=np.int64),
+                   np.empty((0, 2), dtype=np.int64),
+                   np.empty(0, dtype=np.int64))
+    for mat in (fem.assemble_stiffness(mesh), fem.assemble_mass(mesh),
+                fem.assemble_weighted_mass(mesh, 2.0),
+                fem.assemble_hole_mass(mesh), fem.edge_mass(mesh, []),
+                fem.edge_mass(mesh, np.empty((0, 2), dtype=np.int64))):
+        assert mat.format == "csr" and mat.shape == (2, 2) and mat.nnz == 0
 
 
 def test_weighted_mass_constant_and_linearity():
