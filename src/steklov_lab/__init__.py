@@ -15,8 +15,7 @@ from .geometry import (AssumptionConstants, Cell, Domain, GeometryError,
                        make_domain, place_holes, rectangle, unit_square,
                        validate_assumptions, weight_field)
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, export_mesh,
-                      load_mesh, mesh_cell, mesh_perforated,
-                      mesh_unperforated, refine)
+                      load_mesh, mesh_perforated, mesh_unperforated, refine)
 from .fem import (DofMap, FemError, apply_dirichlet, assemble_boundary_mass,
                   assemble_hole_mass, assemble_mass, assemble_stiffness,
                   assemble_weighted_mass, build_dofmap, h_eps_norm,

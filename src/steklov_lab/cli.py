@@ -1,8 +1,8 @@
 """Command-line interface: one-shot solves, mesh export, cell constants,
 and configuration-driven studies.
 
-Exit codes: 0 on success, 1 when a gate or validation fails, 2 on usage
-errors (argparse's convention).
+Exit codes: 0 on success, 1 when a gate, a validation or a file operation
+fails, 2 on usage errors (argparse's convention) and malformed inputs.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import cellmetrics, eigen, fem, geometry, meshgen, spectra, study
@@ -31,12 +32,6 @@ def _add_template_args(p):
     for flag, field in _TEMPLATE_FLAGS.items():
         default = getattr(tpl, field)
         p.add_argument(f"--{flag}", type=type(default), default=default)
-
-
-def _domain(name: str):
-    if name not in study.DOMAINS:
-        raise SystemExit(f"unknown domain {name!r}")
-    return study.DOMAINS[name]()
 
 
 def _checked(kind, text, ok, rule):
@@ -102,7 +97,8 @@ def cmd_validate(args) -> int:
 
 def cmd_mesh(args) -> int:
     geom = geometry.build_perforated_geometry(
-        _domain(args.domain), args.m, args.beta, shape_spec=args.shape)
+        study.DOMAINS[args.domain](), args.m, args.beta,
+        shape_spec=args.shape)
     mesh = meshgen.mesh_perforated(geom, _template_from_args(args))
     for _ in range(args.refine):
         mesh = meshgen.refine(mesh)
@@ -117,14 +113,14 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    dom = study.DOMAINS[args.domain]()
     if args.homog:
-        dom = _domain(args.domain)
         res = spectra.homogenized_spectrum(dom, args.q, args.h, args.k)
         print("weighted Dirichlet eigenvalues (lambda, mu):")
         rows = zip(res.values, res.mu)
     else:
         geom = geometry.build_perforated_geometry(
-            _domain(args.domain), args.m, args.beta, shape_spec=args.shape)
+            dom, args.m, args.beta, shape_spec=args.shape)
         mesh = meshgen.mesh_perforated(geom, _template_from_args(args))
         res = spectra.steklov_spectrum(spectra.condense(mesh), args.k)
         print("boundary spectrum (mu, steklov lambda = 1/mu - 1):")
@@ -174,8 +170,10 @@ def cmd_study(args) -> int:
     except (study.StudyError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    report = study.run_study(cfg)
     out_dir = args.out or cfg.output_dir
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise NotADirectoryError(f"output directory {out_dir} is a file")
+    report = study.run_study(cfg)
     paths = study.write_report(report, out_dir)
     for name, ok, detail in report.oracle_checks:
         print(f"{'pass' if ok else 'FAIL'}  oracle/{name}")
@@ -206,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("mesh", help="mesh a perforated domain")
-    p.add_argument("--domain", default="unit-square")
+    p.add_argument("--domain", default="unit-square",
+                   choices=sorted(study.DOMAINS))
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--shape", type=_hole_shape, default="circle",
@@ -220,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--steklov", action="store_true")
     grp.add_argument("--homog", action="store_true")
-    p.add_argument("--domain", default="unit-square")
+    p.add_argument("--domain", default="unit-square",
+                   choices=sorted(study.DOMAINS))
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--shape", type=_hole_shape, default="circle",
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (geometry.GeometryError, meshgen.MeshError, study.StudyError,
             spectra.SpectraError, cellmetrics.CellMetricsError,
-            eigen.EigenError, fem.FemError) as exc:
+            eigen.EigenError, fem.FemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

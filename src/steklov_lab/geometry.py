@@ -501,6 +501,8 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
             [(Fraction(x), Fraction(y)) for x, y in data["domain"]["vertices"]],
             data["domain"]["kind"])
         cst = AssumptionConstants(**data["constants"])
+        for name, value in vars(cst).items():
+            _real(value, f"constant {name}")
         m = data["epsilon"]["m"]
         if type(m) is not int or m < 1:
             raise GeometryError(f"epsilon m must be an integer >= 1, got {m!r}")
@@ -528,6 +530,8 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
         if type(hole.cell_index) is not int or hole.cell_index != i:
             raise GeometryError(f"hole {i} names cell {hole.cell_index!r}; "
                                 "holes list one hole per cell, in cell order")
+        if len(hole.center) != 2:
+            raise GeometryError(f"hole {i} center must be two numbers")
     return PerforatedGeometry(domain=domain, m=m,
                               cells=build_square_tessellation(domain, m),
                               holes=holes, beta=beta, constants=cst)

@@ -261,13 +261,13 @@ def _triangulate_bands(bands, points):
 
 
 def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
-    """Nodes, triangles, hole edges, and lattice keys for one cell mesh.
+    """Nodes, triangles, hole edges, and boundary walk for one cell mesh.
 
-    Returns (points, lattice, triangles, hole_edges) where triangles is an
-    (nt, 3) int64 array and lattice[i] is the integer lattice key of
-    boundary node i (None off the boundary).  Triangles come band by band,
-    from the hole outwards; the quads of all quad bands are split in one
-    array pass over the cell's points at the end (_triangulate_bands).
+    Returns (points, walk, triangles, hole_edges) where triangles is an
+    (nt, 3) int64 array and walk lists the lattice keys of the 4s cell
+    boundary nodes, which are the last 4s points.  Triangles come band by
+    band, from the hole outwards; the quads of all quad bands are split in
+    one array pass over the cell's points at the end (_triangulate_bands).
     """
     template.validate(hole.k if hole.kind == "kgon" else None)
     ix, iy, m = cell.grid
@@ -292,13 +292,11 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
             "transition layer to the cell boundary")
 
     points: list = []
-    lattice: list = []
 
-    def add(pts, keys=None):
+    def add(pts):
         """Append a ring of points; returns their node ids."""
         start = len(points)
         points.extend(pts)
-        lattice.extend(keys or [None] * len(pts))
         return list(range(start, len(points)))
 
     bands: list = []
@@ -343,7 +341,7 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     weights = [_graded_fractions(length, t0, row_count) for length in lengths]
     for q in range(1, row_count + 1):
         if q == row_count:
-            nxt = add(walk_pts, walk)
+            nxt = add(walk_pts)
         else:
             nxt = add([((1.0 - wq[q - 1]) * cpt[0] + wq[q - 1] * wpt[0],
                         (1.0 - wq[q - 1]) * cpt[1] + wq[q - 1] * wpt[1])
@@ -351,106 +349,69 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
         bands.append(_quad_band(ring, nxt))
         ring = nxt
 
-    return points, lattice, _triangulate_bands(bands, points), hole_edges
-
-
-def mesh_cell(cell, hole: Hole, template: CellMeshTemplate,
-              c_sec: float = 0.5) -> Mesh:
-    """Mesh a single cell; boundary edges carry only the hole tag."""
-    points, _, triangles, hole_edges = _build_cell(cell, hole, template,
-                                                   c_sec)
-    nodes = np.array(points)
-    edges = np.array(hole_edges, dtype=np.int64)
-    tags = np.full(len(edges), cell.index, dtype=np.int64)
-    mesh = Mesh(nodes, triangles, edges, tags,
-                tri_cell=np.full(len(triangles), cell.index, dtype=np.int64),
-                hole_geoms={cell.index: hole})
-    _check_orientation(mesh)
-    return mesh
-
-
-def _check_orientation(mesh):
-    areas = mesh.signed_areas()
-    if np.any(areas <= 0):
-        bad = int(np.argmin(areas))
-        raise MeshError(f"non-positive triangle {bad} (area {areas[bad]:.3g})")
+    return points, walk, _triangulate_bands(bands, points), hole_edges
 
 
 def mesh_perforated(geometry, template: CellMeshTemplate) -> Mesh:
     """Stitched conforming mesh of the perforated domain.
 
-    Shared cell-boundary nodes are generated from integer lattice formulas in
-    every adjacent cell, so deduplication is an exact key match.
+    A cell point's label is a fresh negative id, or on the cell boundary
+    walk the rank of its lattice key, which adjacent cells share; nodes are
+    numbered by the first appearance of their label in cell order.
     """
-    s = template.boundary_nodes_per_side
     c_sec = geometry.constants.c_sec
-    occupied = {cell.grid[:2] for cell in geometry.cells}
-
-    nodes: list = []
-    lattice_ids: dict = {}
-    tri_chunks: list = []
-    cell_ids: list = []
-    edge_list: list = []
-    tag_list: list = []
-
+    points, walks, on_walk, tris, hole_edges = [], [], [], [], []
     for cell, hole in zip(geometry.cells, geometry.holes):
-        points, lattice, tris, hole_edges = _build_cell(
-            cell, hole, template, c_sec)
-        local2global = np.empty(len(points), dtype=np.int64)
-        for i, (pt, key) in enumerate(zip(points, lattice)):
-            if key is None:
-                local2global[i] = len(nodes)
-                nodes.append(pt)
-            else:
-                gid = lattice_ids.get(key)
-                if gid is None:
-                    gid = len(nodes)
-                    nodes.append(pt)
-                    lattice_ids[key] = gid
-                local2global[i] = gid
-        tri_chunks.append(local2global[tris])
-        cell_ids.append(np.full(len(tris), cell.index, dtype=np.int64))
-        for a, b in hole_edges:
-            edge_list.append((local2global[a], local2global[b]))
-            tag_list.append(cell.index)
-
-    # outer boundary edges: cell sides with no occupied neighbour
-    for cell in geometry.cells:
-        ix, iy, _ = cell.grid
-        x0, y0 = ix * s, iy * s
-        sides = {
-            (ix, iy - 1): [(x0 + k, y0) for k in range(s + 1)],
-            (ix + 1, iy): [(x0 + s, y0 + k) for k in range(s + 1)],
-            (ix, iy + 1): [(x0 + s - k, y0 + s) for k in range(s + 1)],
-            (ix - 1, iy): [(x0, y0 + s - k) for k in range(s + 1)],
-        }
-        for nbr, walk in sides.items():
-            if nbr in occupied:
-                continue
-            for a, b in zip(walk[:-1], walk[1:]):
-                edge_list.append((lattice_ids[a], lattice_ids[b]))
-                tag_list.append(OUTER)
-
-    mesh = Mesh(
-        np.array(nodes),
-        np.concatenate(tri_chunks),
-        np.array(edge_list, dtype=np.int64),
-        np.array(tag_list, dtype=np.int64),
-        tri_cell=np.concatenate(cell_ids),
-        hole_geoms={h.cell_index: h for h in geometry.holes},
-    )
-    _check_orientation(mesh)
-    _check_conformity(mesh)
+        pts, walk, t, edges = _build_cell(cell, hole, template, c_sec)
+        tris.append(t + len(points))
+        hole_edges.append(np.add(edges, len(points)))
+        points += pts
+        walks += walk
+        on_walk.append(np.arange(len(pts)) >= len(pts) - len(walk))
+    labels = -1 - np.arange(len(points))
+    labels[np.concatenate(on_walk)] = np.unique(
+        walks, axis=0, return_inverse=True)[1].ravel()
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    node_of = np.argsort(np.argsort(first))[inverse]
+    keep = np.sort(first)
+    nodes = np.array(points)[keep]
+    triangles = node_of[np.concatenate(tris)]
+    index = [cell.index for cell in geometry.cells]
+    tags = np.repeat(index, [len(e) for e in hole_edges])
+    hole_edges = node_of[np.concatenate(hole_edges)]
+    outer = _outer_edges(nodes, triangles, hole_edges, labels[keep] >= 0)
+    mesh = Mesh(nodes, triangles, np.concatenate([hole_edges, outer]),
+                np.concatenate([tags, np.full(len(outer), OUTER)]),
+                tri_cell=np.repeat(index, [len(t) for t in tris]),
+                hole_geoms={h.cell_index: h for h in geometry.holes})
+    areas = mesh.signed_areas()
+    if np.any(areas <= 0):
+        bad = int(np.argmin(areas))
+        raise MeshError(f"non-positive triangle {bad} (area {areas[bad]:.3g})")
     return mesh
 
 
-def _check_conformity(mesh):
-    uniq, _, counts = _edge_table(mesh.triangles)
+def _outer_edges(nodes, triangles, hole_edges, lattice):
+    """The directed edges of exactly one triangle that are not hole edges.
+    MeshError on an edge of three triangles or more, and on an outer edge
+    off the cell boundary nodes marked in lattice (a stitching defect)."""
+    uniq, inverse, counts = _edge_table(triangles)
     if np.any(counts > 2):
         bad = uniq[counts > 2][0]
         raise MeshError(
             f"edge ({bad[0]}, {bad[1]}) shared by more than two triangles at "
-            f"{mesh.nodes[bad[0]]}, {mesh.nodes[bad[1]]}")
+            f"{nodes[bad[0]]}, {nodes[bad[1]]}")
+    once = _sides(triangles)[counts[inverse] == 1]
+    base = len(nodes)
+    outer = once[~np.isin(
+        once.min(axis=1) * base + once.max(axis=1),
+        hole_edges.min(axis=1) * base + hole_edges.max(axis=1))]
+    stray = outer[~lattice[outer].all(axis=1)]
+    if len(stray):
+        raise MeshError(f"outer edge {stray[0].tolist()} at "
+                        f"{nodes[stray[0]].tolist()} is off the cell boundary")
+    return outer
 
 
 def mesh_unperforated(domain, h: float) -> Mesh:

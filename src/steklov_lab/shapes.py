@@ -15,7 +15,8 @@ import numpy as np
 
 from .geometry import Cell, Hole, chebyshev_center
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, OUTER,
-                      _boundary_edges_oriented, _edge_table, mesh_cell, refine)
+                      _boundary_edges_oriented, _build_cell, _edge_table,
+                      refine)
 
 TWO_PI = 2.0 * math.pi
 
@@ -291,9 +292,8 @@ def mesh_cell_with_hole(d: float, c_sec: float = 0.5, segments: int = 32,
     template = CellMeshTemplate(ring_count=40, grading=1.9,
                                 boundary_nodes_per_side=sides,
                                 hole_boundary_segments=segments)
-    collar = mesh_cell(cell, hole, template, c_sec)
-    nodes = collar.nodes.tolist()
-    tris = collar.triangles.tolist()
+    nodes, _, collar, _ = _build_cell(cell, hole, template, c_sec)
+    tris = collar.tolist()
     collar_tris = len(tris)
     ids = list(range(segments))
     angles = [TWO_PI * j / segments for j in range(segments)]

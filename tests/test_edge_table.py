@@ -205,10 +205,9 @@ def test_conformity_check_reports_an_edge_of_three_triangles():
     nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0),
                       (0.6, 0.8)])
     tris = np.array([(0, 1, 2), (1, 0, 3), (0, 1, 4)], dtype=np.int64)
-    mesh = mg.Mesh(nodes, tris, np.empty((0, 2), dtype=np.int64),
-                   np.empty(0, dtype=np.int64))
     with pytest.raises(mg.MeshError, match=r"edge \(0, 1\) shared by more"):
-        mg._check_conformity(mesh)
+        mg._outer_edges(nodes, tris, np.empty((0, 2), dtype=np.int64),
+                        np.ones(len(nodes), dtype=bool))
 
 
 def test_refine_rejects_boundary_edge_off_the_triangles():

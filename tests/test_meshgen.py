@@ -34,33 +34,38 @@ def test_template_validation():
     mg.CellMeshTemplate(8, 2.0, 8, 16).validate()
 
 
-def test_mesh_cell_quality_and_hole_polygon():
+def _one_cell(geom, i=0):
+    """Cell i of geom alone, as a perforated geometry of its own."""
+    return geo.PerforatedGeometry(domain=geom.domain, m=geom.m,
+                                  cells=geom.cells[i:i + 1],
+                                  holes=geom.holes[i:i + 1], beta=geom.beta,
+                                  constants=geom.constants)
+
+
+def test_one_cell_quality_and_hole_polygon():
     # quarter cell with d = 1/64: two decades of scale separation
-    cells = geo.build_square_tessellation(geo.unit_square(), 4)
-    holes = geo.place_holes(cells, "circle", 1.0)
+    geom = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
     tpl = mg.CellMeshTemplate(8, 2.0, 8, 16)
-    mesh = mg.mesh_cell(cells[0], holes[0], tpl)
+    mesh = mg.mesh_perforated(_one_cell(geom), tpl)
     assert mesh.min_angle() >= 20.0
-    d = holes[0].d
-    hx, hy = holes[0].center
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.edge_tags):
-        assert tag == cells[0].index
-        for nid in (a, b):
-            assert abs(math.hypot(*(mesh.nodes[nid] - (hx, hy))) - d) < 1e-12
+    d = geom.holes[0].d
+    hx, hy = geom.holes[0].center
+    on_hole = mesh.edge_tags != mg.OUTER
+    assert set(mesh.edge_tags[on_hole].tolist()) == {geom.cells[0].index}
+    for nid in mesh.boundary_edges[on_hole].ravel():
+        assert abs(math.hypot(*(mesh.nodes[nid] - (hx, hy))) - d) < 1e-12
 
 
 def test_ring_zero_conforms_to_hole_polygon():
-    cells = geo.build_square_tessellation(geo.unit_square(), 4)
-    holes = geo.place_holes(cells, "circle", 1.0)
-    mesh = mg.mesh_cell(cells[0], holes[0], TPL)
-    hole_nodes = mesh.boundary_nodes(cells[0].index)
+    geom = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
+    mesh = mg.mesh_perforated(_one_cell(geom), TPL)
+    hole_nodes = mesh.boundary_nodes(geom.cells[0].index)
     assert len(hole_nodes) == TPL.hole_boundary_segments
 
 
 def test_adjacent_cells_share_identical_boundary_nodes():
-    cells = geo.build_square_tessellation(geo.unit_square(), 2)
-    holes = geo.place_holes(cells, "circle", 1.0)
-    meshes = [mg.mesh_cell(c, h, TPL) for c, h in zip(cells, holes)]
+    geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
+    meshes = [mg.mesh_perforated(_one_cell(geom, i), TPL) for i in (0, 1)]
     # shared edge between cell 0 (left-bottom) and cell 1 (right-bottom)
     right = {tuple(p) for p in meshes[0].nodes if p[0] == 0.5}
     left = {tuple(p) for p in meshes[1].nodes if p[0] == 0.5}
@@ -71,8 +76,8 @@ def test_adjacent_cells_share_identical_boundary_nodes():
 
 def test_stitched_node_count_matches_dedup_oracle():
     geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
-    meshes = [mg.mesh_cell(c, h, TPL)
-              for c, h in zip(geom.cells, geom.holes)]
+    meshes = [mg.mesh_perforated(_one_cell(geom, i), TPL)
+              for i in range(len(geom.cells))]
     seen = set()
     for m in meshes:
         for p in m.nodes:
@@ -99,6 +104,72 @@ def test_perforated_tags_and_euler():
     assert boundary_once == len(mesh.boundary_edges)
 
 
+def _outer_by_side_walk(geom, mesh, s):
+    """Reference: the outer edges as the lattice sides of every cell side
+    with no occupied neighbour, walked counterclockwise around the cell."""
+    occupied = {cell.grid[:2] for cell in geom.cells}
+    den = geom.m * s
+    ids = {tuple(p): i for i, p in enumerate(mesh.nodes.tolist())}
+    edges = []
+    for cell in geom.cells:
+        ix, iy, _ = cell.grid
+        x0, y0 = ix * s, iy * s
+        sides = {
+            (ix, iy - 1): [(x0 + k, y0) for k in range(s + 1)],
+            (ix + 1, iy): [(x0 + s, y0 + k) for k in range(s + 1)],
+            (ix, iy + 1): [(x0 + s - k, y0 + s) for k in range(s + 1)],
+            (ix - 1, iy): [(x0, y0 + s - k) for k in range(s + 1)],
+        }
+        for nbr, walk in sides.items():
+            if nbr not in occupied:
+                at = [ids[(gx / den, gy / den)] for gx, gy in walk]
+                edges += zip(at[:-1], at[1:])
+    return edges
+
+
+@pytest.mark.parametrize("domain,m,jitter,one_cell", [
+    (geo.unit_square(), 1, None, False), (geo.unit_square(), 2, None, False),
+    (geo.unit_square(), 4, None, False), (geo.l_shape(1), 2, None, False),
+    (geo.l_shape(1), 4, None, False), (geo.rectangle(2, 1), 2, None, False),
+    (geo.rectangle(1, 2), 2, None, False),
+    (geo.unit_square(), 4, ("random", 0.6), False),
+    (geo.l_shape(1), 2, None, True),
+])
+def test_outer_edges_match_the_side_walk_reference(domain, m, jitter,
+                                                   one_cell):
+    geom = geo.build_perforated_geometry(domain, m, 0.5, jitter=jitter,
+                                         rng=np.random.default_rng(3))
+    if one_cell:
+        geom = _one_cell(geom, len(geom.cells) - 1)
+    s = _BENCH_TPL.boundary_nodes_per_side
+    mesh = mg.mesh_perforated(geom, _BENCH_TPL)
+    outer = mesh.boundary_edges[mesh.edge_tags == mg.OUTER]
+    ref = _outer_by_side_walk(geom, mesh, s)
+    assert len(outer) == len(ref)
+    assert set(map(tuple, outer.tolist())) == set(ref)
+    # every outer edge joins two nodes of the 1/(m*s) lattice
+    p = mesh.nodes[outer] * (m * s)
+    assert np.array_equal(np.round(p) / (m * s), mesh.nodes[outer])
+
+
+@pytest.mark.parametrize("defect,message", [
+    (lambda tris: tris[:-1], "is off the cell boundary"),
+    (lambda tris: np.vstack([tris, tris[-1:]]), "shared by more than two"),
+])
+def test_stitching_defects_raise_instead_of_becoming_boundary(
+        monkeypatch, defect, message):
+    build = mg._build_cell
+
+    def broken(*args):
+        points, walk, tris, hole_edges = build(*args)
+        return points, walk, defect(tris), hole_edges
+
+    monkeypatch.setattr(mg, "_build_cell", broken)
+    geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
+    with pytest.raises(mg.MeshError, match=message):
+        mg.mesh_perforated(geom, TPL)
+
+
 def test_mesh_area_identity():
     geom = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
     mesh = mg.mesh_perforated(geom, TPL)
@@ -114,28 +185,25 @@ def test_min_angle_floor_across_grid(m, beta):
     assert mesh.min_angle() >= 20.0
 
 
-def test_single_cell_study_matches_mesh_cell_plus_outer():
+def test_single_cell_mesh_is_the_cell_template_plus_outer():
     geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
-    sub = geo.PerforatedGeometry(domain=geom.domain, m=2,
-                                 cells=geom.cells[:1], holes=geom.holes[:1],
-                                 beta=1.0)
-    single = mg.mesh_perforated(sub, TPL)
-    alone = mg.mesh_cell(geom.cells[0], geom.holes[0], TPL)
-    assert single.num_nodes == alone.num_nodes
-    assert single.num_triangles == alone.num_triangles
+    single = mg.mesh_perforated(_one_cell(geom), TPL)
+    points, walk, tris, hole_edges = mg._build_cell(
+        geom.cells[0], geom.holes[0], TPL, geom.constants.c_sec)
+    assert np.array_equal(single.nodes, np.array(points))
+    assert np.array_equal(single.triangles, tris)
     outer = single.edge_tags == mg.OUTER
-    assert outer.sum() == 4 * TPL.boundary_nodes_per_side
-    assert (~outer).sum() == len(alone.boundary_edges)
+    assert outer.sum() == len(walk) == 4 * TPL.boundary_nodes_per_side
+    assert np.array_equal(single.boundary_edges[~outer], hole_edges)
 
 
 def test_degenerate_grading_rejected_with_suggestion():
-    cells = geo.build_square_tessellation(geo.unit_square(), 16)
-    holes = geo.place_holes(cells, "circle", 1.0)
+    geom = geo.build_perforated_geometry(geo.unit_square(), 16, 1.0)
     tight = mg.CellMeshTemplate(ring_count=1, grading=1.2,
                                 boundary_nodes_per_side=8,
                                 hole_boundary_segments=32)
     with pytest.raises(mg.MeshError, match="ring_count >="):
-        mg.mesh_cell(cells[0], holes[0], tight)
+        mg.mesh_perforated(_one_cell(geom), tight)
 
 
 def test_structured_mesh_counts():
@@ -341,10 +409,12 @@ def test_array_quad_splits_match_the_scalar_reference(m, tpl, shape, beta,
             warnings.catch_warnings():
         warnings.simplefilter("error")
         for cell, hole in zip(geom.cells, geom.holes):
-            pts, lattice, tris, edges = mg._build_cell(cell, hole, tpl, c_sec)
+            pts, walk, tris, edges = mg._build_cell(cell, hole, tpl, c_sec)
             ref = _scalar_build(monkeypatch, lambda: mg._build_cell(
                 cell, hole, tpl, c_sec))
-            assert (pts, lattice, edges) == (ref[0], ref[1], ref[3])
+            assert (pts, walk, edges) == (ref[0], ref[1], ref[3])
+            assert pts[len(pts) - len(walk):] == [
+                (gx / (m * sides), gy / (m * sides)) for gx, gy in walk]
             assert tris.dtype == np.int64
             assert np.array_equal(tris, ref[2])
         mesh = shapes.mesh_cell_with_hole(d, segments=segments, sides=sides)

@@ -437,6 +437,22 @@ def _swap_holes(data):
     pytest.param(
         _edited_geometry_payload(lambda d: d.update(beta="1")),
         "invalid geometry: beta must be a finite number", id="beta-string"),
+    # each of these once ended in a traceback
+    pytest.param(
+        _edited_geometry_payload(lambda d: d["constants"].update(c_sec="x")),
+        "invalid geometry: constant c_sec must be a finite number",
+        id="c_sec-string"),
+    pytest.param(
+        _edited_geometry_payload(lambda d: d["constants"].update(c_sec=None)),
+        "invalid geometry: constant c_sec must be a finite number",
+        id="c_sec-null"),
+    pytest.param(
+        _edited_geometry_payload(lambda d: d["holes"][0].update(center=[0.1])),
+        "invalid geometry: hole 0 center must be two numbers", id="center-1d"),
+    pytest.param(
+        _edited_geometry_payload(
+            lambda d: d["holes"][0].update(center=[0.1, 0.2, 0.3])),
+        "invalid geometry: hole 0 center must be two numbers", id="center-3d"),
 ])
 def test_cli_validate_bad_input_exits_2(capsys, tmp_path, text, message):
     p = tmp_path / "geom.json"
@@ -468,6 +484,40 @@ def test_cli_mesh_export_reloadable(tmp_path):
     mesh = meshgen.load_mesh(out.read_text())
     assert mesh.num_triangles > 0
     assert meshgen.export_mesh(mesh) == out.read_text()
+
+
+@pytest.mark.parametrize("target", ["missing/mesh.txt", "."])
+def test_cli_mesh_export_file_error_exits_1_with_one_line(capsys, tmp_path,
+                                                         target):
+    # a missing directory or a directory as target once gave a traceback
+    assert cli.main(["mesh", "--m", "1", "--beta", "0.5",
+                     "--export", str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_study_output_dir_on_a_file_fails_before_the_sweep(
+        capsys, monkeypatch, tmp_path):
+    # the sweep once ran in full and then died writing its report
+    def sweep(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(study, "run_study", sweep)
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(SMALL, output_dir=str(blocker))))
+    assert cli.main(["study", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["mesh"], ["solve", "--steklov"]])
+def test_cli_unknown_domain_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--domain", "disk"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'disk'" in capsys.readouterr().err
 
 
 def test_cli_cell_lemma_csv():
