@@ -55,11 +55,8 @@ def _sqrt_of(ex: Extrapolated) -> Extrapolated:
 
 
 def mesh_shape(shape, h: float) -> Mesh:
-    """Meshes for the shape vocabulary used by the cell studies.
-
-    "square", "disk", ("kgon", k), ("polygon", verts), ("annulus", a, b),
-    ("collar", inner_shape), ("slit_collar", beta).
-    """
+    """Meshes of the cell studies' shapes: "square", "disk", ("kgon", k)
+    and ("collar", inner) with inner "disk" or ("kgon", k)."""
     if shape == "square":
         return mesh_unperforated(unit_square(), h)
     if shape == "disk":
@@ -67,18 +64,11 @@ def mesh_shape(shape, h: float) -> Mesh:
     kind = shape[0]
     if kind == "kgon":
         return shapes.mesh_hole_shape("kgon", int(shape[1]), h)
-    if kind == "polygon":
-        return shapes.mesh_convex_polygon(shape[1], h)
-    if kind == "annulus":
-        return shapes.mesh_collar("circle", None, h,
-                                  inner=float(shape[1]), outer=float(shape[2]))
     if kind == "collar":
         inner = shape[1]
         if inner == "disk":
             return shapes.mesh_collar("circle", None, h)
         return shapes.mesh_collar("kgon", int(inner[1]), h)
-    if kind == "slit_collar":
-        return shapes.mesh_slit_collar(float(shape[1]), h)
     raise CellMetricsError(f"unknown shape {shape!r}")
 
 
@@ -348,36 +338,24 @@ def _sample_functions(mesh: Mesh, count: int, rng) -> list:
     return out
 
 
-def _secure_ball_forms(d: float, r: float, c_sec: float = 0.5,
-                       refine_once: bool = False):
-    mesh = shapes.mesh_secure_ball(d, c_sec * r, n_hole=32)
-    if refine_once:
-        mesh = refine(mesh)
+def _lemma_secure_ratio(lemma_id, d, r):
+    """Exact sup of ||u||^2 on the hole boundary (3.2, s = d) or in the hole
+    (3.3, s = d^2) over s (||u||^2_{L2(collar)} / r^2 + |log d| ||grad u||^2),
+    on the secure ball of radius r / 2 around a hole of radius d."""
+    mesh = shapes.mesh_secure_ball(d, 0.5 * r)
     K = fem.assemble_stiffness(mesh)
     M_collar = fem.assemble_weighted_mass(mesh, np.array([0.0, 1.0]))
-    M_hole = fem.assemble_weighted_mass(mesh, np.array([1.0, 0.0]))
-    B_int = fem.edge_mass(mesh, shapes.interface_edges(mesh))
-    return mesh, K, M_collar, M_hole, B_int
+    if lemma_id == "3.2":
+        s, B = d, fem.edge_mass(mesh, shapes.interface_edges(mesh))
+    else:
+        s, B = d ** 2, fem.assemble_weighted_mass(mesh, np.array([1.0, 0.0]))
+    W = ((s / r ** 2) * M_collar + s * abs(math.log(d)) * K).tocsr()
+    return float(largest_pencil_eigs(W, B, 1).values[0])
 
 
-def _lemma_trace_ratio(d, r, refine_once=False):
-    _, K, M_collar, _, B_int = _secure_ball_forms(d, r, refine_once=refine_once)
-    zeta = abs(math.log(d))
-    W = ((d / r ** 2) * M_collar + d * zeta * K).tocsr()
-    return float(largest_pencil_eigs(W, B_int, 1).values[0])
-
-
-def _lemma_hole_ratio(d, r, refine_once=False):
-    _, K, M_collar, M_hole, _ = _secure_ball_forms(d, r, refine_once=refine_once)
-    zeta = abs(math.log(d))
-    W = ((d ** 2 / r ** 2) * M_collar + d ** 2 * zeta * K).tocsr()
-    return float(largest_pencil_eigs(W, M_hole, 1).values[0])
-
-
-def _lemma_strip_ratio(width, h=None):
-    h = width / 8 if h is None else h
+def _lemma_strip_ratio(width):
     dom = make_domain([(0, 0), (1, 0), (1, width), (0, width)], "strip")
-    mesh = mesh_unperforated(dom, h)
+    mesh = mesh_unperforated(dom, width / 8)
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
     fixed = np.nonzero(mesh.nodes[:, 1] < 1e-12)[0]
@@ -466,8 +444,8 @@ def verify_lemma(lemma_id: str, shape_params=None, sample_count: int = 48,
         return LemmaReport(lemma_id, rows, None, worst < 50.0, "sampled",
                            "gradient-only extension bound, bounded check")
     if lemma_id in ("3.2", "3.3"):
-        fn = _lemma_trace_ratio if lemma_id == "3.2" else _lemma_hole_ratio
-        rows = [{"d": d, "r": 0.5, "ratio": fn(d, 0.5)}
+        rows = [{"d": d, "r": 0.5,
+                 "ratio": _lemma_secure_ratio(lemma_id, d, 0.5)}
                 for d in shape_params or [0.002, 0.004, 0.008, 0.012, 0.02]]
     elif lemma_id == "3.5":
         rows = [{"d": w, "ratio": _lemma_strip_ratio(w)}

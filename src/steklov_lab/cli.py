@@ -75,6 +75,21 @@ _cell_shape = _shape_type("disk")        # cellmetrics' reference shapes
 _hole_shape = _shape_type("circle")      # geometry's hole shapes
 
 
+def _check_writable(path: str, is_dir: bool) -> None:
+    """Raise OSError, creating nothing, unless `path` can be written as a
+    directory (is_dir; missing parents are made) or as a file in an
+    existing directory, so that a bad path fails before any work."""
+    target = os.path.abspath(path)
+    if not is_dir and os.path.isdir(target):
+        raise IsADirectoryError(f"{path} is a directory")
+    base = target if is_dir else os.path.dirname(target)
+    while is_dir and not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK)):
+        raise OSError(f"cannot write {path}: {base} is not a writable "
+                      "directory")
+
+
 def cmd_validate(args) -> int:
     try:
         with open(args.geometry, "r", encoding="utf-8") as fh:
@@ -96,6 +111,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    if args.export:
+        _check_writable(args.export, is_dir=False)
     geom = geometry.build_perforated_geometry(
         study.DOMAINS[args.domain](), args.m, args.beta,
         shape_spec=args.shape)
@@ -134,6 +151,9 @@ def cmd_solve(args) -> int:
 
 def cmd_cell(args) -> int:
     if args.lemma:
+        if args.shape is not None or args.h is not None:
+            print("--shape and --h do not apply to --lemma", file=sys.stderr)
+            return 2
         rep = cellmetrics.verify_lemma(args.lemma)
         keys = sorted({k for row in rep.rows for k in row})
         print(",".join(keys))
@@ -142,7 +162,7 @@ def cmd_cell(args) -> int:
         slope = "" if rep.slope is None else f" slope {rep.slope:+.3f}"
         print(f"# {('PASS' if rep.passed else 'FAIL')}{slope} ({rep.method})")
         return 0 if rep.passed else 1
-    consts = cellmetrics.cell_constants(args.shape, h=args.h)
+    consts = cellmetrics.cell_constants(args.shape or "disk", args.h or 0.08)
     print(json.dumps(consts.as_dict(), indent=2))
     return 0
 
@@ -171,8 +191,7 @@ def cmd_study(args) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or cfg.output_dir
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise NotADirectoryError(f"output directory {out_dir} is a file")
+    _check_writable(out_dir, is_dir=True)
     report = study.run_study(cfg)
     paths = study.write_report(report, out_dir)
     for name, ok, detail in report.oracle_checks:
@@ -234,9 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cell", help="single-cell constants and inequality "
                                     "sweeps")
-    p.add_argument("--shape", type=_cell_shape, default="disk",
-                   help="disk | kgon:K")
-    p.add_argument("--h", type=_positive_float, default=0.08)
+    p.add_argument("--shape", type=_cell_shape,
+                   help="disk | kgon:K (default disk; not with --lemma)")
+    p.add_argument("--h", type=_positive_float,
+                   help="mesh size (default 0.08; not with --lemma)")
     p.add_argument("--lemma", help="inequality id, e.g. 3.2")
     p.set_defaults(fn=cmd_cell)
 

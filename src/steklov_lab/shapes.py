@@ -45,17 +45,16 @@ def _pow2_segments(target: float, mult: int) -> int:
     return mult * 2 ** max(0, math.ceil(math.log2(base) - 1e-12))
 
 
-def _fill_star_interior(nodes, tris, center, boundary_pt, ids, angles, scale=1.0):
+def _fill_star_interior(nodes, tris, center, boundary_pt, ids, angles):
     """Fill the inside of a star-shaped ring by halving rings down to a fan."""
     cx, cy = center
+    scale = 1.0
     while len(ids) > 8:
         sub = angles[::2]
         scale *= 0.5
-        new_ids = []
-        for th in sub:
-            px, py = boundary_pt(th)
-            nodes.append((cx + scale * (px - cx), cy + scale * (py - cy)))
-            new_ids.append(len(nodes) - 1)
+        new_ids = _ring(nodes, [(cx + scale * (px - cx),
+                                 cy + scale * (py - cy))
+                                for px, py in map(boundary_pt, sub)])
         _zip_band(tris, new_ids, sub, ids, angles)
         ids, angles = new_ids, sub
     nodes.append((cx, cy))
@@ -77,20 +76,64 @@ def _ring(nodes, pts):
     return ids
 
 
-def mesh_hole_shape(kind: str, k: int | None, h: float) -> Mesh:
-    """Mesh of the upscaled hole (smallest enclosing ball = unit ball)."""
-    mult = 8 if kind == "circle" else k
-    n = _pow2_segments(TWO_PI / h, mult)
-    hole = _shape_hole(kind, k, 1.0)
+def _cycle(ids) -> np.ndarray:
+    """The closed edge cycle through a ring of node ids."""
+    return np.column_stack([ids, np.roll(ids, -1)]).astype(np.int64)
+
+
+def _star_rings(hole: Hole, n: int, fill: bool, radii, h: float | None):
+    """Rings around the origin, from the hole boundary out.
+
+    Lays the hole's n-node boundary ring, star-fills its inside when fill
+    (region 0), then one circle per radius (region 1).  A circle doubles the
+    node count of the ring below it where the arc spacing would exceed
+    2.2 h; with h None it never does.  Returns (nodes, triangles, regions,
+    hole ring ids, outermost ring ids).
+    """
     angles = [TWO_PI * j / n for j in range(n)]
     nodes: list = []
     tris: list = []
-    ids = _ring(nodes, [hole.boundary_point(t) for t in angles])
-    _fill_star_interior(nodes, tris, (0.0, 0.0), hole.boundary_point, ids, angles)
-    edges = np.array([(ids[j], ids[(j + 1) % n]) for j in range(n)], dtype=np.int64)
+    hole_ids = _ring(nodes, [hole.boundary_point(t) for t in angles])
+    if fill:
+        _fill_star_interior(nodes, tris, hole.center, hole.boundary_point,
+                            hole_ids, angles)
+    hole_tris = len(tris)
+    ids = hole_ids
+    for rho in radii:
+        count = len(ids)
+        if h is not None and TWO_PI * rho / count > 2.2 * h:
+            count *= 2
+        sub = [TWO_PI * q / count for q in range(count)]
+        new_ids = _ring(nodes, [(rho * math.cos(t), rho * math.sin(t))
+                                for t in sub])
+        _zip_band(tris, ids, angles, new_ids, sub)
+        ids, angles = new_ids, sub
+    region = np.zeros(len(tris), dtype=np.int64)
+    region[hole_tris:] = 1
+    return (np.array(nodes), np.array(tris, dtype=np.int64), region,
+            hole_ids, ids)
+
+
+def _unit_hole(kind: str, k: int | None, h: float):
+    """The upscaled hole (smallest enclosing ball = unit ball) and the node
+    count of its boundary ring at mesh size h."""
+    mult = 8 if kind == "circle" else k
+    return _shape_hole(kind, k, 1.0), _pow2_segments(TWO_PI / h, mult)
+
+
+def _collar_radii(h: float) -> list:
+    """Circles from the unit circle out to radius 2, about h apart."""
+    nr = max(2, math.ceil(1.0 / h))
+    return [1.0 + j / nr for j in range(1, nr + 1)]
+
+
+def mesh_hole_shape(kind: str, k: int | None, h: float) -> Mesh:
+    """Mesh of the upscaled hole (smallest enclosing ball = unit ball)."""
+    hole, n = _unit_hole(kind, k, h)
+    nodes, tris, _, ring, _ = _star_rings(hole, n, True, [], h)
     curve = ("circle", 0.0, 0.0, 1.0) if kind == "circle" else None
-    return Mesh(np.array(nodes), np.array(tris, dtype=np.int64),
-                edges, np.full(n, OUTER, dtype=np.int64), outer_curve=curve)
+    return Mesh(nodes, tris, _cycle(ring), np.full(n, OUTER, dtype=np.int64),
+                outer_curve=curve)
 
 
 def mesh_disk(radius: float, h: float, center=(0.0, 0.0)) -> Mesh:
@@ -100,117 +143,51 @@ def mesh_disk(radius: float, h: float, center=(0.0, 0.0)) -> Mesh:
     return mesh
 
 
-def _collar_rings(nodes, tris, start_ids, start_angles, inner, outer, h,
-                  center=(0.0, 0.0)):
-    """Rings from an existing inner boundary out to the circle of the outer
-    radius; node counts double whenever the arc spacing falls behind."""
-    cx, cy = center
-    nr = max(2, math.ceil((outer - inner) / h))
-    ids, angles = start_ids, start_angles
-    count = len(ids)
-    for j in range(1, nr + 1):
-        rho = inner + (outer - inner) * j / nr
-        nxt_count = count * 2 if TWO_PI * rho / count > 2.2 * h else count
-        sub = [TWO_PI * q / nxt_count for q in range(nxt_count)]
-        new_ids = _ring(nodes, [(cx + rho * math.cos(t), cy + rho * math.sin(t))
-                                for t in sub])
-        _zip_band(tris, ids, angles, new_ids, sub)
-        ids, angles, count = new_ids, sub, nxt_count
-    return ids
-
-
-def mesh_collar(kind: str, k: int | None, h: float,
-                inner: float = 1.0, outer: float = 2.0) -> Mesh:
-    """Mesh of the collar: ball of the outer radius minus the closed hole."""
-    mult = 8 if kind == "circle" else k
-    n = _pow2_segments(TWO_PI * inner / h, mult)
-    hole = _shape_hole(kind, k, inner)
-    angles = [TWO_PI * j / n for j in range(n)]
-    nodes: list = []
-    tris: list = []
-    ids = _ring(nodes, [hole.boundary_point(t) for t in angles])
-    outer_ids = _collar_rings(nodes, tris, ids, angles, inner, outer, h)
-    edges = [(ids[j], ids[(j + 1) % n]) for j in range(n)]
-    tags = [0] * n
-    no = len(outer_ids)
-    edges += [(outer_ids[j], outer_ids[(j + 1) % no]) for j in range(no)]
-    tags += [OUTER] * no
+def mesh_collar(kind: str, k: int | None, h: float) -> Mesh:
+    """Mesh of the collar: ball of radius 2 minus the closed upscaled hole.
+    The hole boundary is tagged 0, the outer circle OUTER."""
+    hole, n = _unit_hole(kind, k, h)
+    nodes, tris, _, ring, outer = _star_rings(hole, n, False,
+                                              _collar_radii(h), h)
+    tags = np.array([0] * n + [OUTER] * len(outer), dtype=np.int64)
     geoms = {0: hole} if kind == "circle" else {}
-    return Mesh(np.array(nodes), np.array(tris, dtype=np.int64),
-                np.array(edges, dtype=np.int64), np.array(tags, dtype=np.int64),
-                hole_geoms=geoms,
-                outer_curve=("circle", 0.0, 0.0, float(outer)))
+    return Mesh(nodes, tris, np.vstack([_cycle(ring), _cycle(outer)]), tags,
+                hole_geoms=geoms, outer_curve=("circle", 0.0, 0.0, 2.0))
 
 
-def mesh_ball_with_interface(kind: str, k: int | None, h: float,
-                             hole_radius: float = 1.0,
-                             outer_radius: float = 2.0) -> Mesh:
-    """Ball of the outer radius with the hole boundary as an interior ring.
+def mesh_ball_with_interface(kind: str, k: int | None, h: float) -> Mesh:
+    """Ball of radius 2 with the upscaled hole's boundary as an interior ring.
 
     Triangles carry a region marker in tri_cell: 0 inside the hole, 1 in the
     collar.  The interface ring is recoverable as the nodes shared by both
     regions.
     """
-    mult = 8 if kind == "circle" else k
-    n = _pow2_segments(TWO_PI * hole_radius / h, mult)
-    hole = _shape_hole(kind, k, hole_radius)
-    angles = [TWO_PI * j / n for j in range(n)]
-    nodes: list = []
-    tris: list = []
-    ids = _ring(nodes, [hole.boundary_point(t) for t in angles])
-    _fill_star_interior(nodes, tris, (0.0, 0.0), hole.boundary_point,
-                        ids, angles)
-    hole_tris = len(tris)
-    outer_ids = _collar_rings(nodes, tris, ids, angles, hole_radius,
-                              outer_radius, h)
-    region = np.zeros(len(tris), dtype=np.int64)
-    region[hole_tris:] = 1
-    no = len(outer_ids)
-    edges = np.array([(outer_ids[j], outer_ids[(j + 1) % no])
-                      for j in range(no)], dtype=np.int64)
-    return Mesh(np.array(nodes), np.array(tris, dtype=np.int64), edges,
-                np.full(no, OUTER, dtype=np.int64), tri_cell=region,
-                outer_curve=("circle", 0.0, 0.0, float(outer_radius)))
+    hole, n = _unit_hole(kind, k, h)
+    nodes, tris, region, _, outer = _star_rings(hole, n, True,
+                                                _collar_radii(h), h)
+    return Mesh(nodes, tris, _cycle(outer),
+                np.full(len(outer), OUTER, dtype=np.int64), tri_cell=region,
+                outer_curve=("circle", 0.0, 0.0, 2.0))
 
 
-def mesh_secure_ball(d: float, ball_radius: float, n_hole: int = 32,
-                     grading: float = 1.7) -> Mesh:
+def mesh_secure_ball(d: float, ball_radius: float) -> Mesh:
     """Ball around a tiny circular hole, geometrically graded in radius.
 
     Regions in tri_cell: 0 = hole interior (the ball of radius d), 1 = the
     annulus out to the secure radius.  Built for scale-separated sweeps where
-    ball_radius / d spans orders of magnitude.
+    ball_radius / d spans orders of magnitude: every ring keeps the hole's
+    32 nodes, and consecutive radii grow by a factor of at most 1.7.
     """
-    if n_hole % 8 or 2 ** round(math.log2(n_hole / 8)) * 8 != n_hole:
-        raise MeshError("n_hole must be 8 * 2^j")
     ratio = ball_radius / d
     if ratio < 2:
         raise MeshError("ball_radius must be at least 2 d")
-    hole = _shape_hole("circle", None, d)
-    angles = [TWO_PI * j / n_hole for j in range(n_hole)]
-    nodes: list = []
-    tris: list = []
-    ids = _ring(nodes, [hole.boundary_point(t) for t in angles])
-    _fill_star_interior(nodes, tris, (0.0, 0.0), hole.boundary_point,
-                        ids, angles)
-    hole_tris = len(tris)
-
-    nr = math.ceil(math.log(ratio) / math.log(grading) - 1e-12)
+    nr = math.ceil(math.log(ratio) / math.log(1.7) - 1e-12)
     t = ratio ** (1.0 / nr)
-    cur, cur_ang = ids, angles
-    for j in range(1, nr + 1):
-        rho = ball_radius if j == nr else d * t ** j
-        new_ids = _ring(nodes, [(rho * math.cos(a), rho * math.sin(a))
-                                for a in cur_ang])
-        _zip_band(tris, cur, cur_ang, new_ids, cur_ang)
-        cur = new_ids
-    region = np.zeros(len(tris), dtype=np.int64)
-    region[hole_tris:] = 1
-    n = len(cur)
-    edges = np.array([(cur[j], cur[(j + 1) % n]) for j in range(n)],
-                     dtype=np.int64)
-    return Mesh(np.array(nodes), np.array(tris, dtype=np.int64), edges,
-                np.full(n, OUTER, dtype=np.int64), tri_cell=region,
+    radii = [d * t ** j for j in range(1, nr)] + [ball_radius]
+    nodes, tris, region, _, outer = _star_rings(
+        _shape_hole("circle", None, d), 32, True, radii, None)
+    return Mesh(nodes, tris, _cycle(outer),
+                np.full(len(outer), OUTER, dtype=np.int64), tri_cell=region,
                 outer_curve=("circle", 0.0, 0.0, float(ball_radius)))
 
 
@@ -282,8 +259,7 @@ def mesh_convex_polygon(verts, h: float) -> Mesh:
     return mesh
 
 
-def mesh_cell_with_hole(d: float, c_sec: float = 0.5, segments: int = 32,
-                        sides: int = 8) -> Mesh:
+def mesh_cell_with_hole(d: float, segments: int = 32, sides: int = 8) -> Mesh:
     """Unit cell [0,1]^2 with a centered circular hole of radius d meshed
     through: the graded cell template outside, a star fill inside, with the
     hole boundary kept as an interior interface (regions 0/1 in tri_cell)."""
@@ -292,7 +268,7 @@ def mesh_cell_with_hole(d: float, c_sec: float = 0.5, segments: int = 32,
     template = CellMeshTemplate(ring_count=40, grading=1.9,
                                 boundary_nodes_per_side=sides,
                                 hole_boundary_segments=segments)
-    nodes, _, collar, _ = _build_cell(cell, hole, template, c_sec)
+    nodes, _, collar, _ = _build_cell(cell, hole, template, 0.5)
     tris = collar.tolist()
     collar_tris = len(tris)
     ids = list(range(segments))

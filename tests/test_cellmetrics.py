@@ -16,7 +16,8 @@ def test_square_neumann_gap():
 
 
 def test_annulus_gap_against_radial_oracle():
-    gap = cm.neumann_gap(("annulus", 1.0, 2.0), 0.07)
+    # the disk's collar is the annulus 1 < |x| < 2
+    gap = cm.neumann_gap(("collar", "disk"), 0.07)
     ref = oracles.annulus_neumann_gap(1.0, 2.0)
     assert gap.value == pytest.approx(ref, rel=5e-3)
 

@@ -424,6 +424,23 @@ def test_array_quad_splits_match_the_scalar_reference(m, tpl, shape, beta,
     assert np.array_equal(mesh.triangles, ref.triangles)
 
 
+@pytest.mark.parametrize("kind,k", [("circle", None), ("kgon", 3),
+                                    ("kgon", 6)])
+@pytest.mark.parametrize("h", [0.3, 0.15, 0.1, 0.06])
+def test_ball_is_the_hole_mesh_plus_the_collar_mesh(kind, k, h):
+    # the single-shape builders share one ring rule, so the ball's hole
+    # region is the hole mesh and its collar region the collar mesh
+    def coords(mesh, tris):
+        c = mesh.nodes[tris].reshape(-1, 6)
+        return c[np.lexsort(c.T[::-1])]
+
+    ball = shapes.mesh_ball_with_interface(kind, k, h)
+    for region, part in ((0, shapes.mesh_hole_shape(kind, k, h)),
+                         (1, shapes.mesh_collar(kind, k, h))):
+        got = coords(ball, ball.triangles[ball.tri_cell == region])
+        assert np.array_equal(got, coords(part, part.triangles))
+
+
 _COORD = st.one_of(st.integers(-3, 3).map(lambda v: v / 3),
                    st.floats(-1.0, 1.0).map(lambda v: round(v, 12)))
 

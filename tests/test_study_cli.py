@@ -487,9 +487,14 @@ def test_cli_mesh_export_reloadable(tmp_path):
 
 
 @pytest.mark.parametrize("target", ["missing/mesh.txt", "."])
-def test_cli_mesh_export_file_error_exits_1_with_one_line(capsys, tmp_path,
-                                                         target):
-    # a missing directory or a directory as target once gave a traceback
+def test_cli_mesh_export_file_error_exits_1_with_one_line(capsys, monkeypatch,
+                                                         tmp_path, target):
+    # a missing directory or a directory as target once gave a traceback,
+    # and later failed only after all the meshing
+    def mesh(*args):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(meshgen, "mesh_perforated", mesh)
     assert cli.main(["mesh", "--m", "1", "--beta", "0.5",
                      "--export", str(tmp_path / target)]) == 1
     err = capsys.readouterr().err
@@ -498,18 +503,20 @@ def test_cli_mesh_export_file_error_exits_1_with_one_line(capsys, tmp_path,
 
 def test_cli_study_output_dir_on_a_file_fails_before_the_sweep(
         capsys, monkeypatch, tmp_path):
-    # the sweep once ran in full and then died writing its report
+    # the sweep once ran in full and then died writing its report, also
+    # for a directory below a file
     def sweep(cfg):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(study, "run_study", sweep)
     blocker = tmp_path / "out"
     blocker.write_text("")
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(dict(SMALL, output_dir=str(blocker))))
-    assert cli.main(["study", str(p)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for target in (blocker, blocker / "sub"):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(SMALL, output_dir=str(target))))
+        assert cli.main(["study", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [["mesh"], ["solve", "--steklov"]])
@@ -524,6 +531,14 @@ def test_cli_cell_lemma_csv():
     r = run_cli("cell", "--lemma", "3.5")
     assert r.returncode == 0
     assert "PASS" in r.stdout
+
+
+@pytest.mark.parametrize("flag", [["--shape", "kgon:4"], ["--h", "0.1"]])
+def test_cli_cell_lemma_refuses_shape_and_h(capsys, flag):
+    # the lemma sweeps once ran their own shapes and ignored both flags
+    assert cli.main(["cell", "--lemma", "3.6"] + flag) == 2
+    err = capsys.readouterr().err
+    assert "do not apply to --lemma" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("shape", ["square", "slit_collar:0.3", "kgon:2",
