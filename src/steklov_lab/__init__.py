@@ -16,10 +16,9 @@ from .geometry import (AssumptionConstants, Cell, Domain, GeometryError,
                        validate_assumptions, weight_field)
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, export_mesh,
                       load_mesh, mesh_perforated, mesh_unperforated, refine)
-from .fem import (DofMap, FemError, apply_dirichlet, assemble_boundary_mass,
-                  assemble_hole_mass, assemble_mass, assemble_stiffness,
-                  assemble_weighted_mass, build_dofmap, h_eps_norm,
-                  interpolate)
+from .fem import (DofMap, FemError, apply_dirichlet, assemble_hole_mass,
+                  assemble_mass, assemble_stiffness, assemble_weighted_mass,
+                  build_dofmap, edge_mass, h_eps_norm, interpolate)
 from .eigen import (EigenError, SpdFactorization, SpectralResult,
                     dense_reference_eigs, factor_spd, largest_pencil_eigs,
                     smallest_pencil_eigs)

@@ -10,7 +10,7 @@ eigensolve or by sampling random H1 test functions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -92,7 +92,7 @@ def neumann_gap(shape, h: float) -> Extrapolated:
 def _dirichlet_ground_on(mesh: Mesh) -> float:
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
-    dm = fem.build_dofmap(mesh, "boundary")
+    dm = fem.build_dofmap(mesh, mesh.boundary_nodes())
     res = smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
                                fem.apply_dirichlet(M, dm), 1)
     return float(res.values[0])
@@ -105,7 +105,7 @@ def dirichlet_ground(shape, h: float) -> Extrapolated:
 def _robin_ground_on(mesh: Mesh, alpha: float) -> float:
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
-    Bb = fem.assemble_boundary_mass(mesh, "all")
+    Bb = fem.edge_mass(mesh, mesh.boundary_edges)
     res = smallest_pencil_eigs((K + alpha * Bb).tocsr(), M, 1)
     return float(res.values[0])
 
@@ -121,7 +121,7 @@ def robin_ground(shape, alpha: float, h: float) -> Extrapolated:
 def _trace_sq_on(mesh: Mesh) -> float:
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
-    Bb = fem.assemble_boundary_mass(mesh, "all")
+    Bb = fem.edge_mass(mesh, mesh.boundary_edges)
     res = largest_pencil_eigs((K + M).tocsr(), Bb, 1)
     return float(res.values[0])
 
@@ -223,18 +223,7 @@ class CellConstants:
     robin_ground_1: Extrapolated
 
     def as_dict(self):
-        def ex(e):
-            return {"value": e.value, "uncertainty": e.uncertainty,
-                    "coarse": e.coarse, "fine": e.fine}
-        return {
-            "shape": str(self.shape),
-            "c_inn": self.c_inn,
-            "c_tr": ex(self.c_tr),
-            "neumann_gap_collar": ex(self.neumann_gap_collar),
-            "c_p": ex(self.c_p),
-            "dirichlet_ground": ex(self.dirichlet_ground),
-            "robin_ground_1": ex(self.robin_ground_1),
-        }
+        return {**asdict(self), "shape": str(self.shape)}
 
 
 def cell_constants(shape, h: float = 0.08) -> CellConstants:
@@ -260,10 +249,11 @@ def slit_collar_gaps(betas, h: float = 0.1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # classical eigenvalue inequalities on random shapes
 
-def random_convex_polygon(rng, n_min=5, n_max=10):
-    """Convex hull of random points in the unit square, rejecting slivers."""
+def random_convex_polygon(rng):
+    """Convex hull of 5 to 10 random points in the unit square, rejecting
+    slivers."""
     while True:
-        pts = rng.uniform(0.1, 0.9, size=(rng.integers(n_min, n_max + 1), 2))
+        pts = rng.uniform(0.1, 0.9, size=(rng.integers(5, 11), 2))
         hull = _convex_hull(pts)
         if len(hull) >= 4:
             _, r_in = chebyshev_center(hull)
@@ -338,10 +328,11 @@ def _sample_functions(mesh: Mesh, count: int, rng) -> list:
     return out
 
 
-def _lemma_secure_ratio(lemma_id, d, r):
+def _lemma_secure_ratio(lemma_id, d):
     """Exact sup of ||u||^2 on the hole boundary (3.2, s = d) or in the hole
     (3.3, s = d^2) over s (||u||^2_{L2(collar)} / r^2 + |log d| ||grad u||^2),
-    on the secure ball of radius r / 2 around a hole of radius d."""
+    on the secure ball of radius r / 2 around a hole of radius d, r = 0.5."""
+    r = 0.5
     mesh = shapes.mesh_secure_ball(d, 0.5 * r)
     K = fem.assemble_stiffness(mesh)
     M_collar = fem.assemble_weighted_mass(mesh, np.array([0.0, 1.0]))
@@ -444,15 +435,13 @@ def verify_lemma(lemma_id: str, shape_params=None, sample_count: int = 48,
         return LemmaReport(lemma_id, rows, None, worst < 50.0, "sampled",
                            "gradient-only extension bound, bounded check")
     if lemma_id in ("3.2", "3.3"):
-        rows = [{"d": d, "r": 0.5,
-                 "ratio": _lemma_secure_ratio(lemma_id, d, 0.5)}
+        rows = [{"d": d, "ratio": _lemma_secure_ratio(lemma_id, d)}
                 for d in shape_params or [0.002, 0.004, 0.008, 0.012, 0.02]]
     elif lemma_id == "3.5":
         rows = [{"d": w, "ratio": _lemma_strip_ratio(w)}
                 for w in shape_params or [0.2, 0.1, 0.05]]
     elif lemma_id == "3.4":
-        rows = [{"d": d, "r": 0.5,
-                 "ratio": _lemma_mean_ratio(d, sample_count, rng)}
+        rows = [{"d": d, "ratio": _lemma_mean_ratio(d, sample_count, rng)}
                 for d in shape_params or [0.002, 0.004, 0.008, 0.012, 0.02]]
     elif lemma_id == "3.1":
         rows = [{"d": d, "ratio": _lemma_convex_ratio(d, sample_count, rng)}

@@ -1,7 +1,7 @@
 """P1 finite-element matrices for the perforated and homogenized forms.
 
 Assembled matrices realize three quadratic forms: the Dirichlet energy, the
-mass of the hole boundaries (1D mass matrices summed over tagged edges), and
+mass of the hole boundaries (1D mass matrices summed over edge lists), and
 weighted bulk mass.  Assembly sums the upper triangle of the element blocks
 once, then mirrors it, so every matrix is exactly symmetric at the
 floating-point level, and Dirichlet conditions are imposed by true
@@ -113,24 +113,9 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     return assemble_weighted_mass(mesh, 1.0)
 
 
-def assemble_boundary_mass(mesh: Mesh, which="holes") -> sp.csr_matrix:
-    """1D P1 mass summed over tagged boundary edges.
-
-    which: "holes" (every hole tag), "outer", "all", or an explicit tag.
-    """
-    if which == "holes":
-        sel = mesh.edge_tags != OUTER
-    elif which == "outer":
-        sel = mesh.edge_tags == OUTER
-    elif which == "all":
-        sel = np.ones(len(mesh.edge_tags), dtype=bool)
-    else:
-        sel = mesh.edge_tags == int(which)
-    return _edge_mass(mesh, mesh.boundary_edges[sel])
-
-
 def assemble_hole_mass(mesh: Mesh) -> sp.csr_matrix:
-    return assemble_boundary_mass(mesh, "holes")
+    """1D P1 mass over the hole boundaries: every edge not tagged OUTER."""
+    return _edge_mass(mesh, mesh.boundary_edges[mesh.edge_tags != OUTER])
 
 
 def edge_mass(mesh: Mesh, edges) -> sp.csr_matrix:
@@ -160,20 +145,12 @@ class DofMap:
         return full
 
 
-def build_dofmap(mesh: Mesh, constrained="outer") -> DofMap:
-    """constrained: "outer" (Outer-tagged nodes), "boundary" (all tagged
-    boundary nodes), or an explicit iterable of node ids."""
-    if isinstance(constrained, str):
-        if constrained == "outer":
-            fixed = mesh.boundary_nodes(OUTER)
-        elif constrained == "boundary":
-            fixed = mesh.boundary_nodes(None)
-        else:
-            raise FemError(f"unknown constraint spec {constrained!r}")
-    else:
-        fixed = np.asarray(list(constrained), dtype=np.int64)
+def build_dofmap(mesh: Mesh, fixed=None) -> DofMap:
+    """Eliminate the node ids in fixed; None fixes the OUTER-tagged nodes."""
+    if fixed is None:
+        fixed = mesh.boundary_nodes(OUTER)
     mask = np.ones(mesh.num_nodes, dtype=bool)
-    mask[fixed] = False
+    mask[np.asarray(fixed, dtype=np.int64)] = False
     free = np.nonzero(mask)[0]
     if len(free) == 0:
         raise FemError("every node is constrained; empty system")

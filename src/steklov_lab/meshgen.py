@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Hole, max_hole_offset
+from .geometry import Hole, _grid_squares, max_hole_offset
 
 OUTER = -1
 
@@ -32,8 +32,7 @@ class Mesh:
     boundary_edges: np.ndarray       # (e, 2) int
     edge_tags: np.ndarray            # (e,) int: OUTER or hole id >= 0
     tri_cell: np.ndarray = None      # (m,) int, -1 when not cell-based
-    hole_geoms: dict = field(default_factory=dict)
-    outer_curve: tuple | None = None  # ("circle", cx, cy, radius) if curved
+    circles: dict = field(default_factory=dict)  # tag -> (cx, cy, radius)
     lattice: tuple | None = None      # (nd, origin, first_tri), structured
 
     def __post_init__(self):
@@ -384,7 +383,8 @@ def mesh_perforated(geometry, template: CellMeshTemplate) -> Mesh:
     mesh = Mesh(nodes, triangles, np.concatenate([hole_edges, outer]),
                 np.concatenate([tags, np.full(len(outer), OUTER)]),
                 tri_cell=np.repeat(index, [len(t) for t in tris]),
-                hole_geoms={h.cell_index: h for h in geometry.holes})
+                circles={h.cell_index: (*h.center, h.d)
+                         for h in geometry.holes if h.kind == "circle"})
     areas = mesh.signed_areas()
     if np.any(areas <= 0):
         bad = int(np.argmin(areas))
@@ -429,26 +429,12 @@ def mesh_unperforated(domain, h: float) -> Mesh:
     for x, y in domain.vertices:
         den = math.lcm(den, x.denominator, y.denominator)
     nd = den * max(1, math.ceil(1.0 / (h * den) - 1e-12))
-    x0, y0, x1, y1 = domain.bbox()
-    ix0, ix1 = int(x0 * nd), math.ceil(x1 * nd)
-    iy0, iy1 = int(y0 * nd), math.ceil(y1 * nd)
-
-    # crossing test of the cell centres on the doubled lattice: vertices are
-    # even there, centres odd, so no centre lies on an edge; Domain edges are
-    # axis-aligned, and only the vertical ones cross a horizontal ray
-    cx = 2 * np.arange(ix0, ix1, dtype=np.int64) + 1
-    cy = 2 * np.arange(iy0, iy1, dtype=np.int64) + 1
-    inside = np.zeros((len(cy), len(cx)), dtype=bool)
-    v = domain.vertices
-    for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
-        if ax == bx:
-            rows = (int(2 * nd * ay) > cy) != (int(2 * nd * by) > cy)
-            inside ^= rows[:, None] & (cx < int(2 * nd * ax))[None, :]
+    (ix0, iy0), inside = _grid_squares(domain, nd)
     jy, jx = np.nonzero(inside)
     if len(jy) == 0:
         raise MeshError("empty structured mesh")
 
-    width = len(cx) + 1
+    width = inside.shape[1] + 1
     sw = jy * width + jx
     corners = np.stack([sw, sw + 1, sw + width + 1, sw + width], axis=1)
     keys, first = np.unique(corners, return_index=True)
@@ -497,8 +483,9 @@ def _boundary_edges_oriented(triangles):
 
 
 def refine(mesh: Mesh) -> Mesh:
-    """Uniform red refinement; circular hole boundaries are re-projected so
-    the polygonal approximation tightens with the mesh."""
+    """Uniform red refinement; the midpoint of a boundary edge whose tag is
+    in mesh.circles is projected onto that circle, so the polygonal
+    approximation tightens with the mesh."""
     t = mesh.triangles
     uniq, inverse, _ = _edge_table(t)
     mids = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
@@ -513,20 +500,12 @@ def refine(mesh: Mesh) -> Mesh:
     if np.any(keys.take(at, mode="clip") != be_keys):
         raise MeshError("boundary edge is not a side of any triangle")
 
-    # project boundary-edge midpoints onto their true curves
-    for idx, tag in zip(at, mesh.edge_tags):
-        if tag == OUTER:
-            if mesh.outer_curve is None:
-                continue
-            _, cx, cy, rad = mesh.outer_curve
-        else:
-            hole = mesh.hole_geoms.get(int(tag))
-            if hole is None or hole.kind != "circle":
-                continue
-            (cx, cy), rad = hole.center, hole.d
-        vx, vy = mids[idx, 0] - cx, mids[idx, 1] - cy
-        nrm = math.hypot(vx, vy)
-        mids[idx] = (cx + rad * vx / nrm, cy + rad * vy / nrm)
+    for idx, tag in zip(at, mesh.edge_tags.tolist()):
+        if tag in mesh.circles:
+            cx, cy, rad = mesh.circles[tag]
+            vx, vy = mids[idx, 0] - cx, mids[idx, 1] - cy
+            nrm = math.hypot(vx, vy)
+            mids[idx] = (cx + rad * vx / nrm, cy + rad * vy / nrm)
 
     nodes = np.vstack([mesh.nodes, mids])
     nt = len(t)
@@ -544,8 +523,7 @@ def refine(mesh: Mesh) -> Mesh:
 
     return Mesh(nodes, children, halves.reshape(-1, 2),
                 np.repeat(mesh.edge_tags, 2), tri_cell=child_cells,
-                hole_geoms=dict(mesh.hole_geoms),
-                outer_curve=mesh.outer_curve)
+                circles=dict(mesh.circles))
 
 
 # ---------------------------------------------------------------------------

@@ -131,15 +131,15 @@ def mesh_hole_shape(kind: str, k: int | None, h: float) -> Mesh:
     """Mesh of the upscaled hole (smallest enclosing ball = unit ball)."""
     hole, n = _unit_hole(kind, k, h)
     nodes, tris, _, ring, _ = _star_rings(hole, n, True, [], h)
-    curve = ("circle", 0.0, 0.0, 1.0) if kind == "circle" else None
+    circles = {OUTER: (0.0, 0.0, 1.0)} if kind == "circle" else {}
     return Mesh(nodes, tris, _cycle(ring), np.full(n, OUTER, dtype=np.int64),
-                outer_curve=curve)
+                circles=circles)
 
 
 def mesh_disk(radius: float, h: float, center=(0.0, 0.0)) -> Mesh:
     mesh = mesh_hole_shape("circle", None, h / radius)
     mesh.nodes = mesh.nodes * radius + np.asarray(center)
-    mesh.outer_curve = ("circle", center[0], center[1], radius)
+    mesh.circles = {OUTER: (center[0], center[1], radius)}
     return mesh
 
 
@@ -150,9 +150,11 @@ def mesh_collar(kind: str, k: int | None, h: float) -> Mesh:
     nodes, tris, _, ring, outer = _star_rings(hole, n, False,
                                               _collar_radii(h), h)
     tags = np.array([0] * n + [OUTER] * len(outer), dtype=np.int64)
-    geoms = {0: hole} if kind == "circle" else {}
+    circles = {OUTER: (0.0, 0.0, 2.0)}
+    if kind == "circle":
+        circles[0] = (0.0, 0.0, 1.0)
     return Mesh(nodes, tris, np.vstack([_cycle(ring), _cycle(outer)]), tags,
-                hole_geoms=geoms, outer_curve=("circle", 0.0, 0.0, 2.0))
+                circles=circles)
 
 
 def mesh_ball_with_interface(kind: str, k: int | None, h: float) -> Mesh:
@@ -167,7 +169,7 @@ def mesh_ball_with_interface(kind: str, k: int | None, h: float) -> Mesh:
                                                 _collar_radii(h), h)
     return Mesh(nodes, tris, _cycle(outer),
                 np.full(len(outer), OUTER, dtype=np.int64), tri_cell=region,
-                outer_curve=("circle", 0.0, 0.0, 2.0))
+                circles={OUTER: (0.0, 0.0, 2.0)})
 
 
 def mesh_secure_ball(d: float, ball_radius: float) -> Mesh:
@@ -188,7 +190,7 @@ def mesh_secure_ball(d: float, ball_radius: float) -> Mesh:
         _shape_hole("circle", None, d), 32, True, radii, None)
     return Mesh(nodes, tris, _cycle(outer),
                 np.full(len(outer), OUTER, dtype=np.int64), tri_cell=region,
-                outer_curve=("circle", 0.0, 0.0, float(ball_radius)))
+                circles={OUTER: (0.0, 0.0, float(ball_radius))})
 
 
 def mesh_slit_collar(beta: float, h: float) -> Mesh:

@@ -81,7 +81,7 @@ def condense(mesh) -> Condensed:
     Eliminating every cell interior I is exact: B has no entry on I, so
     B_RR u = mu S u keeps every nonzero mu of B u = mu A u.  S is summed
     from per-cell Schur blocks; no factor outlives the call."""
-    dm = fem.build_dofmap(mesh, "outer")
+    dm = fem.build_dofmap(mesh)
     Br = fem.apply_dirichlet(fem.assemble_hole_mass(mesh), dm)
     A = (fem.apply_dirichlet(fem.assemble_stiffness(mesh), dm) + Br).tocsr()
     on_r, cell = _skeleton(mesh, dm)
@@ -149,7 +149,7 @@ def _structured(domain, q, h: float):
     mesh = meshgen.mesh_unperforated(domain, h)
     return (mesh, fem.assemble_stiffness(mesh),
             fem.assemble_weighted_mass(mesh, q),
-            fem.build_dofmap(mesh, "outer"))
+            fem.build_dofmap(mesh))
 
 
 def richardson(coarse, fine):

@@ -47,7 +47,7 @@ def check_assembly(mesh):
     M = fem.assemble_mass(mesh)
     assert ones @ (M @ ones) == pytest.approx(mesh.area(), rel=1e-12)
 
-    Ball = fem.assemble_boundary_mass(mesh, "all")
+    Ball = fem.edge_mass(mesh, mesh.boundary_edges)
     ends = mesh.nodes[mesh.boundary_edges]
     length = math.fsum(np.hypot(*(ends[:, 1] - ends[:, 0]).T))
     assert ones @ (Ball @ ones) == pytest.approx(length, rel=1e-12)

@@ -73,7 +73,7 @@ def test_trace_constant_bounds_and_dense_check():
     mesh = cm.mesh_shape("disk", 0.15)
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
-    Bb = fem.assemble_boundary_mass(mesh, "all")
+    Bb = fem.edge_mass(mesh, mesh.boundary_edges)
     dense = dense_reference_eigs((K + M).toarray(), Bb.toarray())
     got = cm._trace_sq_on(mesh)
     assert got == pytest.approx(dense.values[0], abs=1e-6)
@@ -88,7 +88,7 @@ def test_trace_inequality_every_shape():
     for shape in ("disk", ("kgon", 3), ("kgon", 6), "square"):
         mesh = cm.mesh_shape(shape, 0.1)
         ones = np.ones(mesh.num_nodes)
-        Bb = fem.assemble_boundary_mass(mesh, "all")
+        Bb = fem.edge_mass(mesh, mesh.boundary_edges)
         M = fem.assemble_mass(mesh)
         per = ones @ (Bb @ ones)
         area = ones @ (M @ ones)
@@ -177,6 +177,19 @@ def test_cell_constants_bundle():
     d = consts.as_dict()
     assert set(d) == {"shape", "c_inn", "c_tr", "neumann_gap_collar",
                       "c_p", "dirichlet_ground", "robin_ground_1"}
+
+
+def test_cell_constants_dict_keeps_its_key_order():
+    ex = [cm.Extrapolated(1.0 + i, 0.5, 2.0, 3.0) for i in range(5)]
+    d = cm.CellConstants(("kgon", 3), 0.5, *ex).as_dict()
+    assert list(d) == ["shape", "c_inn", "c_tr", "neumann_gap_collar",
+                       "c_p", "dirichlet_ground", "robin_ground_1"]
+    assert d["shape"] == "('kgon', 3)" and d["c_inn"] == 0.5
+    assert [d[k] for k in list(d)[2:]] == [
+        {"value": 1.0 + i, "uncertainty": 0.5, "coarse": 2.0, "fine": 3.0}
+        for i in range(5)]
+    assert all(list(d[k]) == ["value", "uncertainty", "coarse", "fine"]
+               for k in list(d)[2:])
 
 
 def test_inscribed_radius_values():

@@ -31,7 +31,7 @@ def perforated(domain, m, hole, jitter, seed=0):
 
 
 def full_pencil(mesh):
-    dm = fem.build_dofmap(mesh, "outer")
+    dm = fem.build_dofmap(mesh)
     B = fem.apply_dirichlet(fem.assemble_hole_mass(mesh), dm)
     A = (fem.apply_dirichlet(fem.assemble_stiffness(mesh), dm) + B).tocsr()
     return A, B
@@ -103,7 +103,7 @@ def test_condensed_dofs_are_hole_and_skeleton_nodes():
     # inner cell sides x = 0.5 and y = 0.5, before and after refinement
     coarse = perforated("unit-square", 2, "circle", None)
     for mesh in (coarse, mg.refine(coarse)):
-        dm = fem.build_dofmap(mesh, "outer")
+        dm = fem.build_dofmap(mesh)
         on_r, _ = spectra._skeleton(mesh, dm)
         hole = mesh.boundary_edges[mesh.edge_tags != mg.OUTER]
         x, y = mesh.nodes[dm.free].T
@@ -121,7 +121,7 @@ def test_condensation_needs_cell_ids():
 
 def test_condensation_rejects_hole_mass_on_a_cell_interior(monkeypatch):
     mesh = perforated("unit-square", 2, "circle", None)
-    dm = fem.build_dofmap(mesh, "outer")
+    dm = fem.build_dofmap(mesh)
     on_r, _ = spectra._skeleton(mesh, dm)
     inner = dm.free[np.flatnonzero(~on_r)[0]]
     hole_mass = fem.assemble_hole_mass
@@ -196,7 +196,7 @@ def test_condensed_bundle_holds_no_factor_until_its_first_solve(
     # S is summed from one factor per cell with interior dofs, and every
     # one of them is gone once condense returns
     n_i = op.A.shape[0] - len(op.r)
-    dm = fem.build_dofmap(mesh, "outer")
+    dm = fem.build_dofmap(mesh)
     on_r, cell = spectra._skeleton(mesh, dm)
     cells = len(np.unique(cell[~on_r]))
     assert cells == 4 and len(built) == cells

@@ -74,17 +74,9 @@ def ref_refine(mesh):
         edge_key[(min(a, b), max(a, b))] = tag
     for idx, (a, b) in enumerate(map(tuple, uniq)):
         tag = edge_key.get((a, b))
-        if tag is None:
+        if tag is None or int(tag) not in mesh.circles:
             continue
-        if tag == mg.OUTER:
-            if mesh.outer_curve is None:
-                continue
-            _, cx, cy, rad = mesh.outer_curve
-        else:
-            hole = mesh.hole_geoms.get(int(tag))
-            if hole is None or hole.kind != "circle":
-                continue
-            (cx, cy), rad = hole.center, hole.d
+        cx, cy, rad = mesh.circles[int(tag)]
         vx, vy = mids[idx, 0] - cx, mids[idx, 1] - cy
         nrm = math.hypot(vx, vy)
         mids[idx] = (cx + rad * vx / nrm, cy + rad * vy / nrm)
@@ -109,8 +101,7 @@ def ref_refine(mesh):
     return mg.Mesh(nodes, children, np.array(new_edges, dtype=np.int64),
                    np.array(new_tags, dtype=np.int64),
                    tri_cell=np.concatenate([mesh.tri_cell] * 4),
-                   hole_geoms=dict(mesh.hole_geoms),
-                   outer_curve=mesh.outer_curve)
+                   circles=dict(mesh.circles))
 
 
 def assert_same_mesh(got, want):

@@ -126,9 +126,9 @@ def reference_matrices(mesh, weight, inner):
         (fem.assemble_mass(mesh), tri, mass(lambda e: 1.0)),
         (fem.assemble_weighted_mass(mesh, weight), tri, mass(w)),
         (fem.assemble_hole_mass(mesh), *edges(mesh.boundary_edges[hole])),
-        (fem.assemble_boundary_mass(mesh, "outer"),
+        (fem.edge_mass(mesh, mesh.boundary_edges[~hole]),
          *edges(mesh.boundary_edges[~hole])),
-        (fem.assemble_boundary_mass(mesh, "all"),
+        (fem.edge_mass(mesh, mesh.boundary_edges),
          *edges(mesh.boundary_edges)),
         (fem.edge_mass(mesh, inner), *edges(np.asarray(inner))),
     ]

@@ -120,6 +120,17 @@ def test_jitter_preserves_secure_distance():
                for c, h in zip(g.cells, g.holes))
 
 
+def test_assumption_report_dict_keeps_its_key_order():
+    g = geo.build_perforated_geometry(geo.unit_square(), 2, 0.5)
+    d = geo.validate_assumptions(g).as_dict()
+    assert list(d) == ["passed", "checks"] and d["passed"] is True
+    assert [list(c) for c in d["checks"]] == [
+        ["name", "passed", "measured", "bound", "worst_cell"]] * 6
+    assert d["checks"][0] == {"name": "tiling-partition", "passed": True,
+                              "measured": 1.0, "bound": 1.0,
+                              "worst_cell": None}
+
+
 def test_random_jitter_roundtrip_validation():
     rng = np.random.default_rng(5)
     g = geo.build_perforated_geometry(

@@ -237,6 +237,47 @@ def test_refine_counts_and_projection():
             assert abs(rr - h.d) < 1e-12
 
 
+def _perforated(shape):
+    geom = geo.build_perforated_geometry(geo.unit_square(), 2, 0.5, shape)
+    return mg.mesh_perforated(geom, mg.CellMeshTemplate(6, 2.0, 4, 16))
+
+
+@pytest.mark.parametrize("build,want", [
+    (lambda: _perforated("circle"),
+     {0: (0.25, 0.25, 0.03125), 1: (0.75, 0.25, 0.03125),
+      2: (0.25, 0.75, 0.03125), 3: (0.75, 0.75, 0.03125)}),
+    (lambda: _perforated(("kgon", 4)), {}),
+    (lambda: shapes.mesh_collar("circle", None, 0.3),
+     {0: (0.0, 0.0, 1.0), mg.OUTER: (0.0, 0.0, 2.0)}),
+    (lambda: shapes.mesh_collar("kgon", 3, 0.3), {mg.OUTER: (0.0, 0.0, 2.0)}),
+    (lambda: shapes.mesh_disk(0.3, 0.05, center=(0.7, 0.2)),
+     {mg.OUTER: (0.7, 0.2, 0.3)}),
+    (lambda: shapes.mesh_secure_ball(0.01, 0.25),
+     {mg.OUTER: (0.0, 0.0, 0.25)}),
+], ids=["perforated-circle", "perforated-kgon", "collar-circle",
+        "collar-kgon", "disk-off-centre", "secure-ball"])
+def test_refine_projects_exactly_the_recorded_circles(build, want):
+    mesh = build()
+    assert mesh.circles == want
+    fine = mg.refine(mesh)
+    assert fine.circles == want
+    projected = 0
+    for i, ((a, b), tag) in enumerate(zip(mesh.boundary_edges,
+                                          mesh.edge_tags.tolist())):
+        mid = fine.boundary_edges[2 * i, 1]
+        assert fine.boundary_edges[2 * i + 1, 0] == mid
+        if tag in want:
+            cx, cy, rad = want[tag]
+            dist = math.hypot(fine.nodes[mid, 0] - cx, fine.nodes[mid, 1] - cy)
+            assert abs(dist - rad) <= 1e-14 * rad
+            projected += 1
+        else:
+            plain = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
+            assert np.array_equal(fine.nodes[mid], plain)
+    assert projected == np.isin(mesh.edge_tags, list(want)).sum()
+    assert projected > 0 or not want
+
+
 def test_refined_hole_perimeter_converges_quadratically():
     geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
     mesh = mg.mesh_perforated(geom, TPL)
@@ -275,6 +316,40 @@ def test_h_max_is_the_longest_edge_of_the_current_nodes():
     assert empty.h_max == 0.0
 
 
+def _contains(domain, x, y):
+    """Crossing test of the point (x, y); exact for Fractions off the
+    boundary."""
+    inside = False
+    v = domain.vertices
+    for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]):
+        if (y0 > y) != (y1 > y) and x < x0 + (y - y0) * (x1 - x0) / (y1 - y0):
+            inside = not inside
+    return inside
+
+
+def _grid_cells_by_scan(domain, n):
+    """Reference: the (ix, iy) squares of the 1/n grid whose centre passes
+    the exact crossing test, in row-major (iy, ix) order."""
+    x0, y0, x1, y1 = domain.bbox()
+    return [(ix, iy) for iy in range(int(y0 * n), math.ceil(y1 * n))
+            for ix in range(int(x0 * n), math.ceil(x1 * n))
+            if _contains(domain, Fraction(2 * ix + 1, 2 * n),
+                         Fraction(2 * iy + 1, 2 * n))]
+
+
+@pytest.mark.parametrize("domain,ms", [
+    (geo.unit_square(), [1, 2, 3, 7]), (geo.l_shape(1), [2, 4, 6, 10]),
+    (geo.rectangle(2, 1), [1, 2, 5]), (geo.rectangle(1, "1/20"), [20, 40]),
+])
+def test_tessellation_matches_cell_scan(domain, ms):
+    for m in ms:
+        cells = geo.build_square_tessellation(domain, m)
+        assert [c.index for c in cells] == list(range(len(cells)))
+        assert [c.grid for c in cells] == [
+            (ix, iy, m) for ix, iy in _grid_cells_by_scan(domain, m)]
+        assert all(type(v) is int for c in cells for v in c.grid)
+
+
 def _structured_by_scan(domain, h):
     """Reference: one exact crossing test per grid cell, nodes numbered by
     first appearance."""
@@ -282,7 +357,6 @@ def _structured_by_scan(domain, h):
     for x, y in domain.vertices:
         den = math.lcm(den, x.denominator, y.denominator)
     nd = den * max(1, math.ceil(1.0 / (h * den) - 1e-12))
-    x0, y0, x1, y1 = domain.bbox()
     ids, nodes, tris = {}, [], []
 
     def nid(gx, gy):
@@ -291,13 +365,10 @@ def _structured_by_scan(domain, h):
             nodes.append((gx / nd, gy / nd))
         return ids[(gx, gy)]
 
-    for iy in range(int(y0 * nd), math.ceil(y1 * nd)):
-        for ix in range(int(x0 * nd), math.ceil(x1 * nd)):
-            if domain.contains(Fraction(2 * ix + 1, 2 * nd),
-                               Fraction(2 * iy + 1, 2 * nd)):
-                sw, se = nid(ix, iy), nid(ix + 1, iy)
-                ne, nw = nid(ix + 1, iy + 1), nid(ix, iy + 1)
-                tris += [(sw, se, ne), (sw, ne, nw)]
+    for ix, iy in _grid_cells_by_scan(domain, nd):
+        sw, se = nid(ix, iy), nid(ix + 1, iy)
+        ne, nw = nid(ix + 1, iy + 1), nid(ix, iy + 1)
+        tris += [(sw, se, ne), (sw, ne, nw)]
     directed = [(t[i], t[(i + 1) % 3]) for i in range(3) for t in tris]
     uses = Counter(tuple(sorted(e)) for e in directed)
     edges = [e for e in directed if uses[tuple(sorted(e))] == 1]

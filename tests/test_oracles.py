@@ -94,7 +94,7 @@ def test_quadrature_matches_matrices_on_random_data():
     mesh = meshgen.mesh_perforated(geo, meshgen.CellMeshTemplate())
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
-    Ball = fem.assemble_boundary_mass(mesh, "all")
+    Ball = fem.edge_mass(mesh, mesh.boundary_edges)
     rng = np.random.default_rng(3)
     for _ in range(5):
         v = rng.standard_normal(mesh.num_nodes)
