@@ -72,20 +72,27 @@ def mesh_shape(shape, h: float) -> Mesh:
     raise CellMetricsError(f"unknown shape {shape!r}")
 
 
+def _value(res, j: int = 0) -> float:
+    """Value j of a pencil solve; raises unless it exists and converged."""
+    if j >= len(res.values) or not res.converged[j]:
+        resid = ", ".join(f"{r:.3g}" for r in res.residuals)
+        raise CellMetricsError(
+            f"{res.kind} value {j} missing or not converged "
+            f"({len(res.values)} values, residuals [{resid}], "
+            f"warning {res.warning!r})")
+    return float(res.values[j])
+
+
 def _neumann_gap_on(mesh: Mesh) -> float:
+    """Second value of the (K + M, M) pencil less 1: its first value is the
+    constant mode's, exactly 1."""
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
-    ones = np.ones(mesh.num_nodes)
-    res = smallest_pencil_eigs((K + M).tocsr(), M, 1, deflate=ones)
-    return float(res.values[0]) - 1.0
+    return _value(smallest_pencil_eigs((K + M).tocsr(), M, 2), 1) - 1.0
 
 
 def neumann_gap(shape, h: float) -> Extrapolated:
-    """Smallest nonzero Neumann eigenvalue, extrapolated from h and h/2.
-
-    The constant mode is deflated explicitly, so narrow-channel collars with
-    gaps near zero stay resolvable.
-    """
+    """Smallest nonzero Neumann eigenvalue, extrapolated from h and h/2."""
     return _two_mesh(_neumann_gap_on, mesh_shape(shape, h))
 
 
@@ -93,9 +100,8 @@ def _dirichlet_ground_on(mesh: Mesh) -> float:
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
     dm = fem.build_dofmap(mesh, mesh.boundary_nodes())
-    res = smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
-                               fem.apply_dirichlet(M, dm), 1)
-    return float(res.values[0])
+    return _value(smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
+                                       fem.apply_dirichlet(M, dm), 1))
 
 
 def dirichlet_ground(shape, h: float) -> Extrapolated:
@@ -106,8 +112,7 @@ def _robin_ground_on(mesh: Mesh, alpha: float) -> float:
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
     Bb = fem.edge_mass(mesh, mesh.boundary_edges)
-    res = smallest_pencil_eigs((K + alpha * Bb).tocsr(), M, 1)
-    return float(res.values[0])
+    return _value(smallest_pencil_eigs((K + alpha * Bb).tocsr(), M, 1))
 
 
 def robin_ground(shape, alpha: float, h: float) -> Extrapolated:
@@ -122,8 +127,7 @@ def _trace_sq_on(mesh: Mesh) -> float:
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
     Bb = fem.edge_mass(mesh, mesh.boundary_edges)
-    res = largest_pencil_eigs((K + M).tocsr(), Bb, 1)
-    return float(res.values[0])
+    return _value(largest_pencil_eigs((K + M).tocsr(), Bb, 1))
 
 
 def trace_constant(shape, h: float) -> Extrapolated:
@@ -341,7 +345,7 @@ def _lemma_secure_ratio(lemma_id, d):
     else:
         s, B = d ** 2, fem.assemble_weighted_mass(mesh, np.array([1.0, 0.0]))
     W = ((s / r ** 2) * M_collar + s * abs(math.log(d)) * K).tocsr()
-    return float(largest_pencil_eigs(W, B, 1).values[0])
+    return _value(largest_pencil_eigs(W, B, 1))
 
 
 def _lemma_strip_ratio(width):
@@ -351,8 +355,8 @@ def _lemma_strip_ratio(width):
     M = fem.assemble_mass(mesh)
     fixed = np.nonzero(mesh.nodes[:, 1] < 1e-12)[0]
     dm = fem.build_dofmap(mesh, fixed)
-    lam = float(smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
-                                     fem.apply_dirichlet(M, dm), 1).values[0])
+    lam = _value(smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
+                                      fem.apply_dirichlet(M, dm), 1))
     return 1.0 / (lam * width ** 2)
 
 

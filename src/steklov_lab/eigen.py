@@ -7,8 +7,8 @@ the reciprocal pencil of (K, M_Q).  The solver is ARPACK's implicitly
 restarted Lanczos (scipy's eigsh) on the A-self-adjoint operator A^{-1}B,
 with B scaled by a power of two to unit norm so any normal weight stays in
 range.  A dense LAPACK route takes the pencils too small for ARPACK
-(k >= n - 1 once deflated) and provides the independent reference
-spectrum on small problems.
+(k >= n - 1) and provides the independent reference spectrum on small
+problems.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ class EigenError(ValueError):
 
 DEFAULT_SEED = 20260314
 _MAX_DENSE = 4000
+_TOL = 1e-10       # relative residual bound of a converged pair
 
 
 @dataclass
@@ -80,7 +81,9 @@ def schur_complement(A: sp.spmatrix, keep) -> np.ndarray:
 
     The eliminated dofs go first, in the minimum-degree order of their own
     block, and keep last.  Factored in that order with diagonal pivots, the
-    trailing block of L U is the Schur complement, so no solve is needed.
+    trailing block of L U is the Schur complement, so no solve is needed;
+    with U = D L^T that block is W^T W for W = D^{-1/2} U_22, which is
+    exactly symmetric.
     """
     A = A.tocsr()
     n = A.shape[0]
@@ -104,8 +107,9 @@ def schur_complement(A: sp.spmatrix, keep) -> np.ndarray:
         raise EigenError("SuperLU permuted the Schur complement ordering; "
                          "matrix is not positive definite")
     nd = len(drop)
-    S = lu.L[:, nd:][nd:].toarray() @ U[:, nd:][nd:].toarray()
-    return 0.5 * (S + S.T)
+    W = U[:, nd:][nd:].toarray()
+    W /= np.sqrt(W.diagonal())[:, None]
+    return W.T @ W
 
 
 @dataclass
@@ -131,15 +135,14 @@ class SpectralResult:
         return 1.0 / self.mu - 1.0
 
 
-def _pencil_largest(A, B, k, deflate):
+def _pencil_largest(A, B, k):
     """Largest eigenpairs of B u = mu A u, values descending with
     A-orthonormal vectors as rows, the operator applications and the route.
 
     ARPACK's implicitly restarted Lanczos runs on A^{-1}B in the A inner
     product.  B is scaled by the power of two that brings its infinity
     norm into [1/2, 1), which is exact, so the recurrence stays in range
-    for any normal B; a B of subnormal norm gives no eigenvalue.  The
-    deflated rows are A-orthonormalized and projected out of B.
+    for any normal B; a B of subnormal norm gives no eigenvalue.
     """
     n = A.shape[0]
     bnorm = spla.norm(B, np.inf)
@@ -148,23 +151,9 @@ def _pencil_largest(A, B, k, deflate):
     exp = math.frexp(bnorm)[1]
     B = B.copy()
     B.data = np.ldexp(B.data, -exp)
-    Bop = spla.aslinearoperator(B)
-    ndef = 0
-    if deflate is not None:
-        D = np.atleast_2d(np.asarray(deflate, dtype=float))
-        L = np.linalg.cholesky(D @ (A @ D.T))
-        D = scipy.linalg.solve_triangular(L, D, lower=True)
-        AD = np.asarray(A @ D.T).T
-        ndef = len(D)
-        # P = I - D^T (A D^T)^T is the A-orthogonal projector off the rows
-        P = spla.LinearOperator((n, n), dtype=float,
-                                matvec=lambda x: x - D.T @ (AD @ x),
-                                rmatvec=lambda y: y - AD.T @ (D @ y))
-        Bop = P.T @ Bop @ P
-    if k >= n - ndef - 1:
-        # ARPACK needs more Lanczos vectors than values (k < ncv <= n) in
-        # the n - ndef directions that the deflation leaves
-        res = dense_reference_eigs(A, Bop @ np.eye(n))
+    if k >= n - 1:
+        # ARPACK needs more Lanczos vectors than values (k < ncv <= n)
+        res = dense_reference_eigs(A, B)
         vals, vecs, applied, route = res.values, res.vectors, 0, "dense"
     else:
         afac = factor_spd(A)
@@ -178,8 +167,8 @@ def _pencil_largest(A, B, k, deflate):
         rng = np.random.default_rng(DEFAULT_SEED)
         try:
             vals, vecs = spla.eigsh(
-                Bop, k, M=A, Minv=spla.LinearOperator((n, n), matvec=solve,
-                                                      dtype=float),
+                B, k, M=A, Minv=spla.LinearOperator((n, n), matvec=solve,
+                                                    dtype=float),
                 which="LA", v0=rng.standard_normal(n), tol=0.0, rng=rng)
         except spla.ArpackError as exc:
             raise EigenError(f"ARPACK failed on {n} dofs: {exc}") from exc
@@ -188,22 +177,20 @@ def _pencil_largest(A, B, k, deflate):
                              f"{n} dofs")
         order = np.argsort(vals)[::-1]
         vals, vecs, route = vals[order], vecs[:, order].T, "arpack"
-    # the deflated directions and the null space of B are numerically zero
+    # the null space of B is numerically zero
     vmax = max(float(vals.max(initial=0.0)), 1e-300)
-    take = (vals > 1e-11 * vmax)[:n - ndef].nonzero()[0][:k]
+    take = (vals > 1e-11 * vmax).nonzero()[0][:k]
     vecs = vecs[take]
     vecs = vecs / np.sqrt(np.einsum("ij,ij->i", vecs, (A @ vecs.T).T))[:, None]
     return np.ldexp(vals[take], exp), vecs, applied, route
 
 
-def largest_pencil_eigs(A: sp.spmatrix, B: sp.spmatrix, k: int,
-                        tol: float = 1e-10, deflate=None) -> SpectralResult:
+def largest_pencil_eigs(A: sp.spmatrix, B: sp.spmatrix,
+                        k: int) -> SpectralResult:
     """k largest eigenvalues of B u = mu A u with A SPD and B PSD sparse.
 
     Eigenvectors come back A-orthonormal; residuals are ||B u - mu A u||_2
-    and are checked against tol * ||A||_inf.  Vectors in deflate span a
-    known invariant subspace to project out (e.g. the constant mode of a
-    Neumann problem).
+    and are checked against _TOL * ||A||_inf.
     """
     if k < 1:
         raise EigenError("k must be >= 1")
@@ -211,7 +198,7 @@ def largest_pencil_eigs(A: sp.spmatrix, B: sp.spmatrix, k: int,
     B = B.tocsr()
     if spla.norm(B, np.inf) < sys.float_info.min:
         raise EigenError("empty Steklov boundary: B vanishes")
-    vals, vecs, applied, route = _pencil_largest(A, B, k, deflate)
+    vals, vecs, applied, route = _pencil_largest(A, B, k)
     warning = None
     if len(vals) < k:
         warning = (f"only {len(vals)} of {k} eigenvalues available "
@@ -219,15 +206,15 @@ def largest_pencil_eigs(A: sp.spmatrix, B: sp.spmatrix, k: int,
     anorm = spla.norm(A, np.inf)
     residuals = np.array([
         np.linalg.norm(B @ x - v * (A @ x)) for v, x in zip(vals, vecs)])
-    converged = residuals <= max(tol * anorm, 1e-14)
+    converged = residuals <= max(_TOL * anorm, 1e-14)
     return SpectralResult(values=vals, kind="largest-mu",
                           residuals=residuals, iterations=applied,
                           solver=route, vectors=vecs,
                           converged=converged, warning=warning)
 
 
-def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix, k: int,
-                         tol: float = 1e-10, deflate=None) -> SpectralResult:
+def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix,
+                         k: int) -> SpectralResult:
     """k smallest eigenvalues of K u = lam M u (shift-invert at zero).
 
     Internally the largest eigenvalues theta of M u = theta K u, so K is
@@ -239,7 +226,7 @@ def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix, k: int,
     M = M.tocsr()
     if M.nnz == 0:
         raise EigenError("mass matrix vanishes")
-    vals, vecs, applied, route = _pencil_largest(K, M, k, deflate)
+    vals, vecs, applied, route = _pencil_largest(K, M, k)
     if len(vals) == 0:
         raise EigenError(f"no eigenvalue found on {K.shape[0]} dofs; "
                          "M is numerically zero against K")
@@ -260,7 +247,7 @@ def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix, k: int,
             1e-300, math.sqrt(float(x @ (K @ x))))
         for v, x in zip(lam, vecs)])
     knorm = spla.norm(K, np.inf)
-    converged = residuals <= max(tol * knorm, 1e-14) * np.maximum(lam, 1.0)
+    converged = residuals <= max(_TOL * knorm, 1e-14) * np.maximum(lam, 1.0)
     return SpectralResult(values=lam, kind="smallest-lambda",
                           residuals=residuals, iterations=applied,
                           solver=f"{route}-shift-invert", vectors=vecs,

@@ -257,9 +257,9 @@ def build_square_tessellation(domain: Domain, m: int) -> list:
 # ---------------------------------------------------------------------------
 # holes
 
-def max_admissible_beta(cells, constants=DEFAULT_CONSTANTS) -> float:
+def max_admissible_beta(cells) -> float:
     r_max = max(c.r_in for c in cells)
-    return constants.c_sec / (2.0 * r_max)
+    return DEFAULT_CONSTANTS.c_sec / (2.0 * r_max)
 
 
 def max_hole_offset(c_sec: float) -> float:
@@ -270,7 +270,7 @@ def max_hole_offset(c_sec: float) -> float:
     return 0.95 - c_sec
 
 
-def check_jitter(jitter, constants=DEFAULT_CONSTANTS):
+def check_jitter(jitter):
     """Raise unless jitter is None, ("random", frac), or ("fixed", dx, dy)
     whose largest offset stays within max_hole_offset.  A random offset
     has length frac * (1 - c_sec) * r in any direction."""
@@ -282,9 +282,10 @@ def check_jitter(jitter, constants=DEFAULT_CONSTANTS):
             or not all(isinstance(v, numbers.Real) and math.isfinite(v)
                        for v in spec[1:])):
         raise GeometryError(f"unknown jitter spec {jitter!r}")
-    bound = max_hole_offset(constants.c_sec)
+    c_sec = DEFAULT_CONSTANTS.c_sec
+    bound = max_hole_offset(c_sec)
     if kind == "random":
-        frac_max = bound / (1.0 - constants.c_sec)
+        frac_max = bound / (1.0 - c_sec)
         if not 0 <= spec[1] <= frac_max + 1e-12:
             raise GeometryError(
                 f"random jitter fraction must be in [0, {frac_max:.6g}] = "
@@ -296,8 +297,7 @@ def check_jitter(jitter, constants=DEFAULT_CONSTANTS):
             f"0.95 - c_sec = {bound:.6g}")
 
 
-def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
-                jitter=None, rng=None) -> list:
+def place_holes(cells, shape_spec, beta, jitter=None, rng=None) -> list:
     """One hole per cell at the Chebyshev center, enclosing radius beta*r^2.
 
     shape_spec is "circle" or ("kgon", k).  jitter is None, a fixed offset
@@ -306,15 +306,16 @@ def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
     k = hole_order(shape_spec)
     kind = "circle" if k is None else "kgon"
 
+    c_sec = DEFAULT_CONSTANTS.c_sec
     r_max = max(c.r_in for c in cells)
-    beta_max = max_admissible_beta(cells, constants)
+    beta_max = max_admissible_beta(cells)
     if not 0 < beta <= beta_max:
         raise GeometryError(
             f"beta={beta} violates hole smallness (2*d <= c_sec*r); "
             f"max admissible beta is {beta_max:.6g}")
-    if constants.c_sec * r_max > 0.5 + 1e-15:
+    if c_sec * r_max > 0.5 + 1e-15:
         raise GeometryError("c_sec * r exceeds 1/2; refine the tessellation")
-    check_jitter(jitter, constants)
+    check_jitter(jitter)
     if jitter is not None and jitter[0] == "random" and rng is None:
         raise GeometryError("random jitter needs an rng")
 
@@ -328,26 +329,25 @@ def place_holes(cells, shape_spec, beta, constants=DEFAULT_CONSTANTS,
             off = (jitter[1] * r, jitter[2] * r)
         else:
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            mag = float(jitter[1]) * (1.0 - constants.c_sec) * r
+            mag = float(jitter[1]) * (1.0 - c_sec) * r
             off = (mag * math.cos(ang), mag * math.sin(ang))
         center = (cx + off[0], cy + off[1])
         dist = cell.inset(center)
-        if dist < constants.c_sec * r - 1e-12:
+        if dist < c_sec * r - 1e-12:
             raise GeometryError(
                 f"jittered hole in cell {cell.index} breaks the secure "
-                f"distance: dist={dist:.3g} < c_sec*r={constants.c_sec * r:.3g}")
+                f"distance: dist={dist:.3g} < c_sec*r={c_sec * r:.3g}")
         holes.append(Hole(cell_index=cell.index, kind=kind, k=k,
                           center=center, d=beta * r * r))
     return holes
 
 
 def build_perforated_geometry(domain, m, beta, shape_spec="circle",
-                              constants=DEFAULT_CONSTANTS, jitter=None,
-                              rng=None) -> PerforatedGeometry:
+                              jitter=None, rng=None) -> PerforatedGeometry:
     cells = build_square_tessellation(domain, m)
-    holes = place_holes(cells, shape_spec, beta, constants, jitter, rng)
+    holes = place_holes(cells, shape_spec, beta, jitter, rng)
     return PerforatedGeometry(domain=domain, m=m, cells=cells, holes=holes,
-                              beta=beta, constants=constants)
+                              beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,10 @@ MIN_POINTS = 4     # least number of usable sweep points a rate fit accepts
 MIN_SPAN = 4.0     # least max/min ratio of delta that a rate fit accepts
 
 
-def steklov_spectrum(op: Condensed, k: int,
-                     tol: float = 1e-10) -> SpectralResult:
+def steklov_spectrum(op: Condensed, k: int) -> SpectralResult:
     """Top-k mu of B u = mu (K + B) u on a condensed perforated mesh
     (.steklov: 1/mu - 1); vectors are S-orthonormal over the R dofs op.r."""
-    return largest_pencil_eigs(op.S, op.B_RR, k, tol=tol)
+    return largest_pencil_eigs(op.S, op.B_RR, k)
 
 
 @dataclass
@@ -135,13 +134,12 @@ def _schur(A, r, i, cell):
                           np.concatenate(vals), len(r))
 
 
-def homogenized_spectrum(domain, q, h: float, k: int,
-                         tol: float = 1e-10) -> SpectralResult:
+def homogenized_spectrum(domain, q, h: float, k: int) -> SpectralResult:
     """Smallest eigenvalues of the q-weighted Dirichlet problem on the plain
     domain; .mu gives the resolvent values 1/(1+lambda)."""
     _, K, Mq, dm = _structured(domain, q, h)
     return smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
-                                fem.apply_dirichlet(Mq, dm), k, tol=tol)
+                                fem.apply_dirichlet(Mq, dm), k)
 
 
 def _structured(domain, q, h: float):
@@ -169,12 +167,11 @@ class HomogenizedPair:
     fine: SpectralResult
 
 
-def homogenized_pair(domain, q: float, h: float, k: int,
-                     tol: float = 1e-10) -> HomogenizedPair:
+def homogenized_pair(domain, q: float, h: float,
+                     k: int) -> HomogenizedPair:
     """k + EXTRA homogenized values on meshes h and h/2, extrapolated."""
     coarse, fine = (
-        replace(homogenized_spectrum(domain, q, hh, k + EXTRA, tol),
-                vectors=None)
+        replace(homogenized_spectrum(domain, q, hh, k + EXTRA), vectors=None)
         for hh in (h, h / 2))
     return HomogenizedPair(q=q, mu=richardson(coarse.mu, fine.mu),
                            err=np.abs(fine.mu - coarse.mu),

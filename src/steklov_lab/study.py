@@ -49,7 +49,7 @@ def _number(value) -> bool:
 # (fields, test, rule) of the scalar config fields
 _FIELD_RULES = (
     (("beta", "template.grading"), _number, "a finite number"),
-    (("sigma", "tol", "h_hom"), lambda v: _number(v) and v > 0,
+    (("sigma", "h_hom"), lambda v: _number(v) and v > 0,
      "a positive finite number"),
     (("k", "parallelism", "template.ring_count",
       "template.boundary_nodes_per_side", "template.hole_boundary_segments"),
@@ -72,7 +72,6 @@ class StudyConfig:
         default_factory=meshgen.CellMeshTemplate)
     k: int = 3
     sources: tuple = ({"kind": "sine", "px": 1, "py": 1},)
-    tol: float = 1e-10
     h_hom: float = 1.0 / 128.0
     output_dir: str = "study_out"
     parallelism: int = 1
@@ -94,20 +93,20 @@ class StudyConfig:
             raise StudyError("m_values must be strictly increasing")
         if self.domain not in DOMAINS:
             raise StudyError(f"unknown domain {self.domain!r}")
-        cst = geometry.DEFAULT_CONSTANTS
+        c_sec = geometry.DEFAULT_CONSTANTS.c_sec
         try:
             self.template.validate(geometry.hole_order(self.hole_shape))
-            geometry.check_jitter(self.jitter, cst)
+            geometry.check_jitter(self.jitter)
             for m in ms:    # holes have d = beta r^2
                 cells = geometry.build_square_tessellation(
                     self.domain_object(), m)
                 r = cells[0].r_in
-                beta_max = geometry.max_admissible_beta(cells, cst)
+                beta_max = geometry.max_admissible_beta(cells)
                 if not 0 < self.beta <= beta_max:
                     raise StudyError(
                         f"beta={self.beta} inadmissible for m_min={m}: "
                         f"hole smallness requires beta <= {beta_max:.6g}")
-                self.template.rings_needed(self.beta * r * r, cst.c_sec * r)
+                self.template.rings_needed(self.beta * r * r, c_sec * r)
         except (geometry.GeometryError, meshgen.MeshError) as exc:
             raise StudyError(str(exc)) from exc
         for desc in self.sources:
@@ -221,7 +220,7 @@ def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
     pm = meshgen.mesh_perforated(geo, cfg.template)
     coarse, gaps = _coarse_side(cfg, geo, pm, q_limit)
     fine = spectra.steklov_spectrum(spectra.condense(meshgen.refine(pm)),
-                                    cfg.k + spectra.EXTRA, cfg.tol)
+                                    cfg.k + spectra.EXTRA)
     pair = spectra.spectrum_pair(geo, coarse, fine, cfg.k, homog, kappa)
     validation = geometry.validate_assumptions(geo, wf).as_dict()
     return pair, gaps, validation
@@ -233,7 +232,7 @@ def _coarse_side(cfg: StudyConfig, geo, pm, q_limit: float):
     refined mesh is condensed.  A source that is zero on every reference
     node has no normalized gap and fails the study here."""
     perf = spectra.condense(pm)
-    coarse = spectra.steklov_spectrum(perf, cfg.k + spectra.EXTRA, cfg.tol)
+    coarse = spectra.steklov_spectrum(perf, cfg.k + spectra.EXTRA)
     if not cfg.run_gaps:
         return coarse, []
     ref = spectra.gap_reference(geo, cfg.template, q_limit)
@@ -277,7 +276,7 @@ class StudyReport:
         return ok
 
 
-def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
+def run_study(cfg: StudyConfig) -> StudyReport:
     cfg.validate()
     checks = oracle_selftest(cfg.seed)
 
@@ -286,7 +285,7 @@ def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
     q_limit = float(geometry.weight_field(
         _geometry(cfg, cfg.m_values[0])).per_cell[0])
     homog = spectra.homogenized_pair(cfg.domain_object(), q_limit, cfg.h_hom,
-                                     cfg.k, cfg.tol)
+                                     cfg.k)
     points = len(cfg.m_values)
     if cfg.parallelism > 1 and points > 1:
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
@@ -303,10 +302,9 @@ def run_study(cfg: StudyConfig, with_cell_summary: bool = True) -> StudyReport:
                          gap_samples=gap_samples, validations=validations,
                          q_limit=q_limit)
 
-    if with_cell_summary:
-        consts = cellmetrics.cell_constants(
-            "disk" if cfg.hole_shape == "circle" else cfg.hole_shape, h=0.12)
-        report.cell_summary = consts.as_dict()
+    report.cell_summary = cellmetrics.cell_constants(
+        "disk" if cfg.hole_shape == "circle" else cfg.hole_shape,
+        h=0.12).as_dict()
 
     usable = [p for p in pairs if p.gate_ok]
     deltas = [p.delta for p in usable]

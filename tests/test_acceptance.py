@@ -25,7 +25,7 @@ def _report(num, name, ok, detail, elapsed):
 def default_study():
     t0 = time.time()
     cfg = study.StudyConfig()
-    report = study.run_study(cfg, with_cell_summary=False)
+    report = study.run_study(cfg)
     return report, time.time() - t0
 
 
@@ -181,7 +181,7 @@ def test_criterion_6_lemma_inequality_stability():
 def test_criterion_7_determinism(default_study):
     report, _ = default_study
     t0 = time.time()
-    again = study.run_study(study.StudyConfig(), with_cell_summary=False)
+    again = study.run_study(study.StudyConfig())
     same_csv = study.report_csv(report) == study.report_csv(again)
     same_json = study.report_json(report) == study.report_json(again)
     _report(7, "determinism", same_csv and same_json,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from steklov_lab import cellmetrics as cm
-from steklov_lab import fem, oracles, shapes
+from steklov_lab import cli, fem, oracles, shapes
 from steklov_lab.eigen import dense_reference_eigs, largest_pencil_eigs
 from steklov_lab.meshgen import refine
 
@@ -177,6 +178,29 @@ def test_cell_constants_bundle():
     d = consts.as_dict()
     assert set(d) == {"shape", "c_inn", "c_tr", "neumann_gap_collar",
                       "c_p", "dirichlet_ground", "robin_ground_1"}
+
+
+@pytest.mark.parametrize("solver", ["largest_pencil_eigs",
+                                    "smallest_pencil_eigs"])
+def test_unconverged_solve_fails_cell_constants(monkeypatch, capsys, solver):
+    # every constant once read values[0] without looking at converged
+    solve = getattr(cm, solver)
+
+    def unconverged(*args):
+        res = solve(*args)
+        return dataclasses.replace(
+            res, converged=np.zeros_like(res.converged),
+            warning="forced for the test")
+
+    monkeypatch.setattr(cm, solver, unconverged)
+    with pytest.raises(cm.CellMetricsError, match="not converged"):
+        cm.cell_constants("disk", h=0.2)
+    assert cli.main(["cell", "--h", "0.2"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "forced for the test" in lines[0]
+    assert captured.out == ""
 
 
 def test_cell_constants_dict_keeps_its_key_order():

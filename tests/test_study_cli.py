@@ -34,7 +34,7 @@ def test_config_validation_errors():
     with pytest.raises(study.StudyError, match="inadmissible"):
         study.config_from_dict({"m_values": [2, 4], "beta": 1.5})
     with pytest.raises(study.StudyError, match="positive"):
-        study.config_from_dict({"tol": -1})
+        study.config_from_dict({"h_hom": -1})
     with pytest.raises(study.StudyError, match="unknown domain"):
         study.config_from_dict({"domain": "disk"})
     with pytest.raises(study.StudyError, match="bad config field"):
@@ -138,7 +138,7 @@ def test_oracle_selftest_passes():
 
 def test_small_study_runs_and_reports(tmp_path):
     cfg = small_config(run_gaps=True)
-    report = study.run_study(cfg, with_cell_summary=False)
+    report = study.run_study(cfg)
     assert report.oracle_ok
     assert len(report.pairs) == 2
     assert report.rate is None          # fewer than 4 usable points
@@ -158,7 +158,7 @@ def test_study_determinism_byte_identical(tmp_path):
     outs = []
     for run in ("a", "b"):
         cfg = small_config(run_gaps=True)
-        report = study.run_study(cfg, with_cell_summary=False)
+        report = study.run_study(cfg)
         paths = study.write_report(report, str(tmp_path / run))
         outs.append((open(paths["csv"], "rb").read(),
                      open(paths["json"], "rb").read()))
@@ -170,7 +170,7 @@ def test_rate_fit_gated_on_oracle(monkeypatch):
     cfg = small_config()
     monkeypatch.setattr(study, "oracle_selftest",
                         lambda seed=0: [("fake", False, "forced failure")])
-    report = study.run_study(cfg, with_cell_summary=False)
+    report = study.run_study(cfg)
     assert not report.oracle_ok
     assert report.rate is None
     assert any("refused" in n for n in report.notes)
@@ -247,8 +247,9 @@ def test_cli_study_with_zero_m_exits_2_with_message(tmp_path):
     ("hole_shape", ["kgon", "4"]), ("hole_shape", ["kgon"]),
     ("hole_shape", "square"), ("hole_shape", ["kgon", 2]),
     ("hole_shape", ["kgon", 4.5]),
-    ("seed", "a"), ("parallelism", "2"), ("beta", "0.5"), ("tol", "x"),
+    ("seed", "a"), ("parallelism", "2"), ("beta", "0.5"), ("h_hom", "x"),
     ("k", 2.5), ("run_gaps", "no"),
+    ("tol", 1e-10),     # no longer a field: the residual bound is fixed
 ])
 def test_cli_study_with_mistyped_field_exits_2_with_one_line(tmp_path, field,
                                                             value):
@@ -562,10 +563,8 @@ def test_cli_mesh_and_solve_reject_unsupported_shape(capsys, command, shape):
 
 def test_parallelism_leaves_results_byte_identical():
     # a 2-worker pool must give byte-identical results to the serial path
-    serial = study.run_study(small_config(run_gaps=False),
-                             with_cell_summary=False)
-    pooled = study.run_study(small_config(run_gaps=False, parallelism=2),
-                             with_cell_summary=False)
+    serial = study.run_study(small_config(run_gaps=False))
+    pooled = study.run_study(small_config(run_gaps=False, parallelism=2))
     assert study.report_csv(serial) == study.report_csv(pooled)
 
 
@@ -580,7 +579,7 @@ def test_homogenized_side_solved_once_per_study(monkeypatch, m_values):
 
     monkeypatch.setattr(spectra, "smallest_pencil_eigs", counted)
     cfg = small_config(m_values=m_values, beta=0.5, run_gaps=False)
-    report = study.run_study(cfg, with_cell_summary=False)
+    report = study.run_study(cfg)
     assert len(solves) == 2
     assert len(report.pairs) == len(m_values)
     assert all(p.gate_ok for p in report.pairs)
@@ -628,7 +627,7 @@ def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
     descs = [{"kind": "sine", "px": p, "py": 1} for p in range(1, 4)]
     cfg = small_config(sources=descs[:sources])
     homog = spectra.homogenized_pair(cfg.domain_object(), np.pi / 2,
-                                     cfg.h_hom, cfg.k, cfg.tol)
+                                     cfg.h_hom, cfg.k)
     pair, gaps, _ = study._run_point(cfg, 2, homog)
     assert len(gaps) == sources and pair.gate_ok
     # one bundle per mesh, the coarse one then its refinement, and each
@@ -651,7 +650,7 @@ def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
 def test_point_weight_must_match_study_q_limit():
     cfg = small_config(run_gaps=False)
     homog = spectra.homogenized_pair(cfg.domain_object(), 1.0, cfg.h_hom,
-                                     cfg.k, cfg.tol)
+                                     cfg.k)
     with pytest.raises(study.StudyError, match="q_limit"):
         study._run_point(cfg, 2, homog)
 
@@ -662,7 +661,7 @@ def test_study_mixing_cell_counts_runs():
     tpl = {"ring_count": 6, "grading": 2.0, "boundary_nodes_per_side": 2,
            "hole_boundary_segments": 8}
     cfg = small_config(m_values=[4, 8, 13], run_gaps=False, template=tpl)
-    report = study.run_study(cfg, with_cell_summary=False)
+    report = study.run_study(cfg)
     assert [p.m for p in report.pairs] == [4, 8, 13]
     assert all(p.kappa == 0.0 for p in report.pairs)
 
@@ -674,7 +673,7 @@ def test_degenerate_sweep_skips_fits_and_writes_report(tmp_path):
            "hole_boundary_segments": 16}
     cfg = study.config_from_dict({"beta": 0.5, "m_values": [2, 3, 4, 5],
                                   "template": tpl, "run_gaps": False})
-    report = study.run_study(cfg, with_cell_summary=False)
+    report = study.run_study(cfg)
     assert all(p.gate_ok for p in report.pairs)
     assert report.rate is None and report.gap_rates == []
     assert report.notes == [
