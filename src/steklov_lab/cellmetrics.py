@@ -77,7 +77,7 @@ def _value(res, j: int = 0) -> float:
     if j >= len(res.values) or not res.converged[j]:
         resid = ", ".join(f"{r:.3g}" for r in res.residuals)
         raise CellMetricsError(
-            f"{res.kind} value {j} missing or not converged "
+            f"{res.solver} value {j} missing or not converged "
             f"({len(res.values)} values, residuals [{resid}], "
             f"warning {res.warning!r})")
     return float(res.values[j])
@@ -339,11 +339,12 @@ def _lemma_secure_ratio(lemma_id, d):
     r = 0.5
     mesh = shapes.mesh_secure_ball(d, 0.5 * r)
     K = fem.assemble_stiffness(mesh)
-    M_collar = fem.assemble_weighted_mass(mesh, np.array([0.0, 1.0]))
+    in_collar = np.array([0.0, 1.0])[mesh.tri_cell]
+    M_collar = fem.assemble_weighted_mass(mesh, in_collar)
     if lemma_id == "3.2":
         s, B = d, fem.edge_mass(mesh, shapes.interface_edges(mesh))
     else:
-        s, B = d ** 2, fem.assemble_weighted_mass(mesh, np.array([1.0, 0.0]))
+        s, B = d ** 2, fem.assemble_weighted_mass(mesh, 1.0 - in_collar)
     W = ((s / r ** 2) * M_collar + s * abs(math.log(d)) * K).tocsr()
     return _value(largest_pencil_eigs(W, B, 1))
 
@@ -385,13 +386,10 @@ def _lemma_convex_ratio(d, sample_count, rng):
     # d, D2 a fixed half, gradient term over the whole square
     mesh = mesh_unperforated(unit_square(), 0.05)
     K = fem.assemble_stiffness(mesh)
-    cx, cy = 0.3, 0.5
-
-    def in_ball(x, y):
-        return 1.0 if (x - cx) ** 2 + (y - cy) ** 2 < d * d else 0.0
-
+    x, y = mesh.nodes[mesh.triangles].mean(axis=1).T     # centroids
+    in_ball = (x - 0.3) ** 2 + (y - 0.5) ** 2 < d * d
     M1 = fem.assemble_weighted_mass(mesh, in_ball)
-    M2 = fem.assemble_weighted_mass(mesh, lambda x, y: 1.0 if x > 0.5 else 0.0)
+    M2 = fem.assemble_weighted_mass(mesh, x > 0.5)
     vol1 = math.pi * d * d
     vol2 = 0.5
     diam = math.sqrt(2.0)

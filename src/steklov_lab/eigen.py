@@ -114,25 +114,16 @@ def schur_complement(A: sp.spmatrix, keep) -> np.ndarray:
 
 @dataclass
 class SpectralResult:
-    values: np.ndarray               # mu descending, or lambda ascending
-    kind: str                        # "largest-mu" | "smallest-lambda"
+    """One pencil solve.  values are the largest mu of B u = mu A u,
+    descending, except from smallest_pencil_eigs, whose solver name ends in
+    "-shift-invert": the smallest lambda of K u = lambda M u, ascending."""
+    values: np.ndarray
     residuals: np.ndarray            # ||B u - mu A u||_2 per A-unit pair
     iterations: int
     solver: str
     vectors: np.ndarray | None = None
     converged: np.ndarray | None = None
     warning: str | None = None
-
-    @property
-    def mu(self) -> np.ndarray:
-        if self.kind == "smallest-lambda":
-            return 1.0 / (1.0 + self.values)
-        return self.values
-
-    @property
-    def steklov(self) -> np.ndarray:
-        """lambda = 1/mu - 1 for the boundary-spectral problem."""
-        return 1.0 / self.mu - 1.0
 
 
 def _pencil_largest(A, B, k):
@@ -207,10 +198,9 @@ def largest_pencil_eigs(A: sp.spmatrix, B: sp.spmatrix,
     residuals = np.array([
         np.linalg.norm(B @ x - v * (A @ x)) for v, x in zip(vals, vecs)])
     converged = residuals <= max(_TOL * anorm, 1e-14)
-    return SpectralResult(values=vals, kind="largest-mu",
-                          residuals=residuals, iterations=applied,
-                          solver=route, vectors=vecs,
-                          converged=converged, warning=warning)
+    return SpectralResult(values=vals, residuals=residuals, iterations=applied,
+                          solver=route, vectors=vecs, converged=converged,
+                          warning=warning)
 
 
 def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix,
@@ -248,8 +238,7 @@ def smallest_pencil_eigs(K: sp.spmatrix, M: sp.spmatrix,
         for v, x in zip(lam, vecs)])
     knorm = spla.norm(K, np.inf)
     converged = residuals <= max(_TOL * knorm, 1e-14) * np.maximum(lam, 1.0)
-    return SpectralResult(values=lam, kind="smallest-lambda",
-                          residuals=residuals, iterations=applied,
+    return SpectralResult(values=lam, residuals=residuals, iterations=applied,
                           solver=f"{route}-shift-invert", vectors=vecs,
                           converged=converged, warning=warning)
 
@@ -267,6 +256,6 @@ def dense_reference_eigs(A, B) -> SpectralResult:
     w, v = w[order], v[:, order].T
     residuals = np.array([np.linalg.norm(B @ x - mu * (A @ x))
                           for mu, x in zip(w, v)])
-    return SpectralResult(values=w, kind="largest-mu", residuals=residuals,
-                          iterations=0, solver="dense", vectors=v,
+    return SpectralResult(values=w, residuals=residuals, iterations=0,
+                          solver="dense", vectors=v,
                           converged=np.ones(n, dtype=bool))

@@ -87,24 +87,16 @@ _EDGE_LOCAL = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
 
 
 def assemble_weighted_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
-    """P1 mass with per-triangle weight.
-
-    weight may be a constant, an array indexed by the triangle's cell id
-    (exact for cellwise-constant fields, since template triangles never
-    straddle cells), or a callable evaluated at triangle midpoints.
-    """
-    x, y, area = _tri_geometry(mesh)
-    if callable(weight):
-        cx = x.mean(axis=1)
-        cy = y.mean(axis=1)
-        w = np.array([weight(a, b) for a, b in zip(cx, cy)])
-    elif np.ndim(weight) == 0:
+    """P1 mass with a weight constant on each triangle: a scalar, or one
+    value per triangle (a cellwise field is weight[mesh.tri_cell])."""
+    _, _, area = _tri_geometry(mesh)
+    if np.ndim(weight) == 0:
         w = float(weight) * np.ones(len(area))
     else:
-        weight = np.asarray(weight, dtype=float)
-        if np.any(mesh.tri_cell < 0):
-            raise FemError("cellwise weight needs cell ids on every triangle")
-        w = weight[mesh.tri_cell]
+        w = np.asarray(weight, dtype=float)
+        if w.shape != area.shape:
+            raise FemError(f"weight has shape {w.shape}; a scalar or one "
+                           f"value per triangle ({len(area)}) is needed")
     return _scatter(mesh.triangles, lambda i, j: w * area * _MASS_LOCAL[i, j],
                     mesh.num_nodes)
 

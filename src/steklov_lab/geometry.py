@@ -272,15 +272,15 @@ def max_hole_offset(c_sec: float) -> float:
 
 def check_jitter(jitter):
     """Raise unless jitter is None, ("random", frac), or ("fixed", dx, dy)
-    whose largest offset stays within max_hole_offset.  A random offset
-    has length frac * (1 - c_sec) * r in any direction."""
+    whose largest offset stays within max_hole_offset, every value passing
+    is_number (so a bool is refused).  A random offset has length
+    frac * (1 - c_sec) * r in any direction."""
     if jitter is None:
         return
     spec = list(jitter) if isinstance(jitter, (list, tuple)) else []
     kind = spec[0] if spec and isinstance(spec[0], str) else None
     if (len(spec) != {"random": 2, "fixed": 3}.get(kind)
-            or not all(isinstance(v, numbers.Real) and math.isfinite(v)
-                       for v in spec[1:])):
+            or not all(map(is_number, spec[1:]))):
         raise GeometryError(f"unknown jitter spec {jitter!r}")
     c_sec = DEFAULT_CONSTANTS.c_sec
     bound = max_hole_offset(c_sec)
@@ -376,24 +376,23 @@ def weight_field(geometry: PerforatedGeometry) -> WeightField:
     return WeightField(per_cell=values)
 
 
-def kappa(geometry: PerforatedGeometry, wf: WeightField, q_limit: float,
-          sigma: float = 1.0) -> float:
-    """Worst L^(1+sigma) defect of the piecewise weight against the constant
-    limit q_limit, over unit boxes of the integer lattice that meet the
-    domain.
+def kappa(geometry: PerforatedGeometry, wf: WeightField,
+          q_limit: float) -> float:
+    """Worst L^2 defect (the paper's sigma = 1) of the piecewise weight
+    against the constant limit q_limit, over unit boxes of the integer
+    lattice that meet the domain.
 
     The grid cell (ix, iy, m) lies in the one unit box (ix // m, iy // m)
     and covers 1/m^2 of it, so each box sums its cells in cell order.
     """
-    mu = 1.0 + sigma
     q = float(q_limit)
     box_acc: dict = {}
     for cell in geometry.cells:
         ix, iy, m = cell.grid
         box = (ix // m, iy // m)
-        val = abs(wf.per_cell[cell.index] - q) ** mu * (1.0 / (m * m))
+        val = abs(wf.per_cell[cell.index] - q) ** 2.0 * (1.0 / (m * m))
         box_acc[box] = box_acc.get(box, 0.0) + val
-    return max(box_acc.values(), default=0.0) ** (1.0 / mu)
+    return max(box_acc.values(), default=0.0) ** 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +538,21 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
                               holes=holes, beta=beta, constants=cst)
 
 
+def is_integer(value) -> bool:
+    """The rule of every count read from a config, a jitter spec or a
+    source descriptor: an integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """The rule of every real read from the same inputs: finite, not a
+    bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _real(value, name: str):
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value)):
+    if not is_number(value):
         raise GeometryError(f"{name} must be a finite number, got {value!r}")
     return value
 

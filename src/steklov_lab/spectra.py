@@ -10,7 +10,6 @@ flagged and excluded from rate fitting.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -20,6 +19,7 @@ import scipy.sparse as sp
 from . import fem, meshgen
 from .eigen import (SpdFactorization, SpectralResult, factor_spd,
                     largest_pencil_eigs, smallest_pencil_eigs)
+from .geometry import is_integer, is_number
 
 
 class SpectraError(ValueError):
@@ -32,8 +32,9 @@ MIN_SPAN = 4.0     # least max/min ratio of delta that a rate fit accepts
 
 
 def steklov_spectrum(op: Condensed, k: int) -> SpectralResult:
-    """Top-k mu of B u = mu (K + B) u on a condensed perforated mesh
-    (.steklov: 1/mu - 1); vectors are S-orthonormal over the R dofs op.r."""
+    """Top-k mu of B u = mu (K + B) u on a condensed perforated mesh (the
+    Steklov eigenvalue is 1/mu - 1); vectors are S-orthonormal over the R
+    dofs op.r."""
     return largest_pencil_eigs(op.S, op.B_RR, k)
 
 
@@ -135,8 +136,8 @@ def _schur(A, r, i, cell):
 
 
 def homogenized_spectrum(domain, q, h: float, k: int) -> SpectralResult:
-    """Smallest eigenvalues of the q-weighted Dirichlet problem on the plain
-    domain; .mu gives the resolvent values 1/(1+lambda)."""
+    """Smallest eigenvalues lambda of the q-weighted Dirichlet problem on
+    the plain domain; its resolvent values are 1/(1+lambda)."""
     _, K, Mq, dm = _structured(domain, q, h)
     return smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
                                 fem.apply_dirichlet(Mq, dm), k)
@@ -169,13 +170,14 @@ class HomogenizedPair:
 
 def homogenized_pair(domain, q: float, h: float,
                      k: int) -> HomogenizedPair:
-    """k + EXTRA homogenized values on meshes h and h/2, extrapolated."""
+    """k + EXTRA homogenized resolvent values 1/(1+lambda) on meshes h and
+    h/2, extrapolated."""
     coarse, fine = (
         replace(homogenized_spectrum(domain, q, hh, k + EXTRA), vectors=None)
         for hh in (h, h / 2))
-    return HomogenizedPair(q=q, mu=richardson(coarse.mu, fine.mu),
-                           err=np.abs(fine.mu - coarse.mu),
-                           coarse=coarse, fine=fine)
+    mu_c, mu_f = (1.0 / (1.0 + r.values) for r in (coarse, fine))
+    return HomogenizedPair(q=q, mu=richardson(mu_c, mu_f),
+                           err=np.abs(mu_f - mu_c), coarse=coarse, fine=fine)
 
 
 def hausdorff(set_a, set_b) -> float:
@@ -211,18 +213,18 @@ def truncated_spectrum_distance(steklov_mu, homog_mu, k: int,
 def source_function(descriptor):
     """Vectorized analytic source from a descriptor; all members vanish on
     the boundary of the unit square.  Refuses px, py other than integers
-    >= 1, a w <= 0 and non-finite numbers."""
+    >= 1, a w <= 0, non-finite numbers and bools (geometry.is_integer and
+    is_number, the rules of every scalar config field)."""
     kind = descriptor.get("kind", "sine")
     num = {key: descriptor.get(key, default) for key, default in
            (("scale", 1.0), ("x0", 0.5), ("y0", 0.5), ("w", 0.2))}
     for key, value in num.items():
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        if not is_number(value):
             raise SpectraError(f"{key} must be a finite number, got {value!r}")
     scale = num["scale"]
     if kind == "sine":
         px, py = descriptor.get("px", 1), descriptor.get("py", 1)
-        if not all(isinstance(p, numbers.Integral) and p >= 1
-                   for p in (px, py)):
+        if not all(is_integer(p) and p >= 1 for p in (px, py)):
             raise SpectraError(
                 f"px and py must be integers >= 1, got {px!r}, {py!r}")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -25,6 +24,7 @@ import scipy.sparse as sp
 from . import __version__
 from . import cellmetrics, fem, geometry, meshgen, oracles, spectra
 from .eigen import dense_reference_eigs, largest_pencil_eigs
+from .geometry import is_integer, is_number
 
 
 class StudyError(ValueError):
@@ -37,25 +37,14 @@ DOMAINS = {
 }
 
 
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 # (fields, test, rule) of the scalar config fields
 _FIELD_RULES = (
-    (("beta", "template.grading"), _number, "a finite number"),
-    (("sigma", "h_hom"), lambda v: _number(v) and v > 0,
-     "a positive finite number"),
+    (("beta", "template.grading"), is_number, "a finite number"),
+    (("h_hom",), lambda v: is_number(v) and v > 0, "a positive finite number"),
     (("k", "parallelism", "template.ring_count",
       "template.boundary_nodes_per_side", "template.hole_boundary_segments"),
-     lambda v: _integer(v) and v >= 1, "an integer >= 1"),
-    (("seed",), lambda v: _integer(v) and v >= 0, "an integer >= 0"),
-    (("run_gaps",), lambda v: isinstance(v, bool), "true or false"),
+     lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
+    (("seed",), lambda v: is_integer(v) and v >= 0, "an integer >= 0"),
     (("domain", "output_dir"), lambda v: isinstance(v, str), "a string"),
 )
 
@@ -67,7 +56,6 @@ class StudyConfig:
     beta: float = 1.0
     hole_shape: object = "circle"            # "circle" or ("kgon", k)
     jitter: object = None
-    sigma: float = 1.0
     template: meshgen.CellMeshTemplate = field(
         default_factory=meshgen.CellMeshTemplate)
     k: int = 3
@@ -76,7 +64,6 @@ class StudyConfig:
     output_dir: str = "study_out"
     parallelism: int = 1
     seed: int = 0
-    run_gaps: bool = True
 
     def validate(self):
         for names, ok, rule in _FIELD_RULES:
@@ -86,7 +73,7 @@ class StudyConfig:
                     raise StudyError(f"{name} must be {rule}, got {value!r}")
         ms = list(self.m_values)
         for m in ms:
-            if not _integer(m) or m < 1:
+            if not is_integer(m) or m < 1:
                 raise StudyError(
                     f"m_values must be positive integers, got {m!r}")
         if len(ms) < 1 or any(b <= a for a, b in zip(ms, ms[1:])):
@@ -109,11 +96,12 @@ class StudyConfig:
                 self.template.rings_needed(self.beta * r * r, c_sec * r)
         except (geometry.GeometryError, meshgen.MeshError) as exc:
             raise StudyError(str(exc)) from exc
-        for desc in self.sources:
+        for i, desc in enumerate(self.sources):
             try:
                 spectra.source_function(desc)
             except ValueError as exc:
-                raise StudyError(f"bad source: {exc}") from exc
+                raise StudyError(
+                    f"bad source in sources[{i}]: {exc}") from exc
 
     def domain_object(self):
         return DOMAINS[self.domain]()
@@ -216,7 +204,7 @@ def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
         raise StudyError(
             f"m={m}: cell weight {float(wf.per_cell[0])!r} differs from the "
             f"q_limit {q_limit!r} the homogenized side was solved for")
-    kappa = geometry.kappa(geo, wf, q_limit, cfg.sigma)
+    kappa = geometry.kappa(geo, wf, q_limit)
     pm = meshgen.mesh_perforated(geo, cfg.template)
     coarse, gaps = _coarse_side(cfg, geo, pm, q_limit)
     fine = spectra.steklov_spectrum(spectra.condense(meshgen.refine(pm)),
@@ -229,11 +217,12 @@ def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
 def _coarse_side(cfg: StudyConfig, geo, pm, q_limit: float):
     """The coarse Steklov solve and every resolvent gap, on one condensed
     bundle of pm; it and the gap reference are freed on return, before the
-    refined mesh is condensed.  A source that is zero on every reference
-    node has no normalized gap and fails the study here."""
+    refined mesh is condensed.  No source, no gap reference.  A source that
+    is zero on every reference node has no normalized gap and fails the
+    study here."""
     perf = spectra.condense(pm)
     coarse = spectra.steklov_spectrum(perf, cfg.k + spectra.EXTRA)
-    if not cfg.run_gaps:
+    if not cfg.sources:
         return coarse, []
     ref = spectra.gap_reference(geo, cfg.template, q_limit)
     gaps = [spectra.resolvent_gap(desc, ref, perf) for desc in cfg.sources]
@@ -320,11 +309,10 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         skipped = [p.m for p in pairs if not p.gate_ok]
         report.notes.append(
             f"points excluded by the discretization gate: m={skipped}")
-    if cfg.run_gaps:
-        for si in range(len(cfg.sources)):
-            vals = [gap_samples[i][si].normalized
-                    for i, p in enumerate(pairs) if p.gate_ok]
-            report.gap_rates.append(spectra.fit_rate(deltas, vals))
+    for si in range(len(cfg.sources)):
+        vals = [gap_samples[i][si].normalized
+                for i, p in enumerate(pairs) if p.gate_ok]
+        report.gap_rates.append(spectra.fit_rate(deltas, vals))
     return report
 
 
@@ -337,7 +325,7 @@ def _fmt(x) -> str:
 
 def report_csv(report: StudyReport) -> str:
     k = report.config.k
-    j = len(report.config.sources) if report.config.run_gaps else 0
+    j = len(report.config.sources)
     head = (["epsilon", "r_eps", "d", "kappa", "delta"]
             + [f"steklov_mu_{i+1}" for i in range(k)]
             + [f"homog_mu_{i+1}" for i in range(k)]

@@ -90,7 +90,8 @@ def reference_sum(conn, block):
 
 def reference_matrices(mesh, weight, inner):
     """Each assembly routine's matrix with its element list and per-element
-    block, for reference_sum; inner is the edge list given to edge_mass."""
+    block, for reference_sum; weight holds one value per triangle and inner
+    is the edge list given to edge_mass."""
     tri = mesh.triangles
     pts = mesh.nodes[tri].tolist()
 
@@ -115,16 +116,12 @@ def reference_matrices(mesh, weight, inner):
                                 * (2.0 if i == j else 1.0) / 6.0
                                 for j in range(2)] for i in range(2)]
 
-    def w(e):
-        if callable(weight):
-            return weight(*(sum(p) / 3.0 for p in zip(*pts[e])))
-        return float(weight[mesh.tri_cell[e]])
-
     hole = mesh.edge_tags != mg.OUTER
     return [
         (fem.assemble_stiffness(mesh), tri, stiffness),
         (fem.assemble_mass(mesh), tri, mass(lambda e: 1.0)),
-        (fem.assemble_weighted_mass(mesh, weight), tri, mass(w)),
+        (fem.assemble_weighted_mass(mesh, weight), tri,
+         mass(lambda e: float(weight[e]))),
         (fem.assemble_hole_mass(mesh), *edges(mesh.boundary_edges[hole])),
         (fem.edge_mass(mesh, mesh.boundary_edges[~hole]),
          *edges(mesh.boundary_edges[~hole])),
@@ -153,9 +150,13 @@ def exactness_mesh(name):
                                   "ball"])
 def test_assembly_matches_a_per_element_loop(name):
     mesh, inner = exactness_mesh(name)
-    weight = (1.0 + np.arange(mesh.tri_cell.max() + 1)
-              if np.all(mesh.tri_cell >= 0)
-              else (lambda x, y: 1.0 + x * x + y))
+    # one weight per triangle: by cell id where every triangle has one,
+    # else a smooth field at the centroids
+    if np.all(mesh.tri_cell >= 0):
+        weight = 1.0 + mesh.tri_cell
+    else:
+        x, y = mesh.nodes[mesh.triangles].mean(axis=1).T
+        weight = 1.0 + x * x + y
     zeros = 0
     for mat, conn, block in reference_matrices(mesh, weight, inner):
         want = reference_sum(conn, block)
@@ -195,7 +196,9 @@ def test_weighted_mass_constant_and_linearity():
 def test_weighted_mass_cellwise_exact():
     geom, mesh = perforated_setup(m=2)
     w = np.array([1.0, 2.0, 3.0, 4.0])
-    Mq = fem.assemble_weighted_mass(mesh, w)
+    with pytest.raises(fem.FemError, match="one value per triangle"):
+        fem.assemble_weighted_mass(mesh, w)     # per cell, not per triangle
+    Mq = fem.assemble_weighted_mass(mesh, w[mesh.tri_cell])
     ones = np.ones(mesh.num_nodes)
     total = ones @ (Mq @ ones)
     hole_area = 0.5 * TPL.hole_boundary_segments * (1 / 16) ** 2 \
@@ -208,7 +211,7 @@ def test_mass_bounds_rayleigh():
     geom, mesh = perforated_setup(m=2)
     from steklov_lab.geometry import weight_field
     wf = weight_field(geom)
-    Mq = fem.assemble_weighted_mass(mesh, wf.per_cell)
+    Mq = fem.assemble_weighted_mass(mesh, wf.per_cell[mesh.tri_cell])
     M1 = fem.assemble_mass(mesh)
     rng = np.random.default_rng(2)
     for _ in range(10):

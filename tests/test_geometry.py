@@ -186,7 +186,7 @@ def test_kappa_zero_for_constant_field():
 
 
 def test_kappa_half_box_closed_form():
-    # defect of 0.1 on exactly half the box area, sigma = 1
+    # defect of 0.1 on exactly half the box area
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
     wf = geo.weight_field(g)
     q0 = wf.per_cell[0]
@@ -195,14 +195,14 @@ def test_kappa_half_box_closed_form():
         if cell.center[0] < 0.5:
             bumped[cell.index] = q0 + 0.1
     wf2 = geo.WeightField(per_cell=bumped)
-    got = geo.kappa(g, wf2, q0, sigma=1.0)
+    got = geo.kappa(g, wf2, q0)
     assert abs(got - 0.1 * math.sqrt(0.5)) < 1e-14
 
 
 def test_kappa_is_the_worst_unit_box():
     # rectangle(2, 1) at m = 4 is two unit boxes of 16 cells each; a defect
     # of 0.1 on every cell of the right box gives (0.1^2 * 1)^(1/2) there
-    # and 0 in the left box, sigma = 1
+    # and 0 in the left box
     g = geo.build_perforated_geometry(geo.rectangle(2, 1), 4, 1.0)
     wf = geo.weight_field(g)
     q0 = wf.per_cell[0]
@@ -210,13 +210,13 @@ def test_kappa_is_the_worst_unit_box():
     right = [c.index for c in g.cells if c.center[0] > 1]
     assert len(right) == 16
     bumped[right] = q0 + 0.1
-    got = geo.kappa(g, geo.WeightField(per_cell=bumped), q0, sigma=1.0)
+    got = geo.kappa(g, geo.WeightField(per_cell=bumped), q0)
     assert abs(got - 0.1) < 1e-14
     # a smaller defect in the left box leaves the sup alone; one box over
     # both halves would give (0.1^2 + 0.05^2)^(1/2) instead
     left = [c.index for c in g.cells if c.center[0] < 1]
     bumped[left] = q0 + 0.05
-    got = geo.kappa(g, geo.WeightField(per_cell=bumped), q0, sigma=1.0)
+    got = geo.kappa(g, geo.WeightField(per_cell=bumped), q0)
     assert abs(got - 0.1) < 1e-14
 
 

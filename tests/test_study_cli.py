@@ -137,7 +137,7 @@ def test_oracle_selftest_passes():
 
 
 def test_small_study_runs_and_reports(tmp_path):
-    cfg = small_config(run_gaps=True)
+    cfg = small_config()
     report = study.run_study(cfg)
     assert report.oracle_ok
     assert len(report.pairs) == 2
@@ -157,7 +157,7 @@ def test_small_study_runs_and_reports(tmp_path):
 def test_study_determinism_byte_identical(tmp_path):
     outs = []
     for run in ("a", "b"):
-        cfg = small_config(run_gaps=True)
+        cfg = small_config()
         report = study.run_study(cfg)
         paths = study.write_report(report, str(tmp_path / run))
         outs.append((open(paths["csv"], "rb").read(),
@@ -191,7 +191,7 @@ def run_cli(*args, timeout=500):
 
 
 def test_cli_oracle_selftest():
-    r = run_cli("oracle", "--selftest")
+    r = run_cli("oracle")
     assert r.returncode == 0
     assert "PASS" in r.stdout
 
@@ -249,7 +249,10 @@ def test_cli_study_with_zero_m_exits_2_with_message(tmp_path):
     ("hole_shape", ["kgon", 4.5]),
     ("seed", "a"), ("parallelism", "2"), ("beta", "0.5"), ("h_hom", "x"),
     ("k", 2.5), ("run_gaps", "no"),
-    ("tol", 1e-10),     # no longer a field: the residual bound is fixed
+    ("sources", [{"kind": "sine", "px": True}]), ("jitter", ["random", False]),
+    # no longer fields: the residual bound is fixed, "sources": [] runs no
+    # gaps, and every cell has the same weight, so kappa's norm acts on 0
+    ("tol", 1e-10), ("run_gaps", False), ("sigma", 1.0),
 ])
 def test_cli_study_with_mistyped_field_exits_2_with_one_line(tmp_path, field,
                                                             value):
@@ -563,8 +566,8 @@ def test_cli_mesh_and_solve_reject_unsupported_shape(capsys, command, shape):
 
 def test_parallelism_leaves_results_byte_identical():
     # a 2-worker pool must give byte-identical results to the serial path
-    serial = study.run_study(small_config(run_gaps=False))
-    pooled = study.run_study(small_config(run_gaps=False, parallelism=2))
+    serial = study.run_study(small_config(sources=[]))
+    pooled = study.run_study(small_config(sources=[], parallelism=2))
     assert study.report_csv(serial) == study.report_csv(pooled)
 
 
@@ -578,7 +581,7 @@ def test_homogenized_side_solved_once_per_study(monkeypatch, m_values):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(spectra, "smallest_pencil_eigs", counted)
-    cfg = small_config(m_values=m_values, beta=0.5, run_gaps=False)
+    cfg = small_config(m_values=m_values, beta=0.5, sources=[])
     report = study.run_study(cfg)
     assert len(solves) == 2
     assert len(report.pairs) == len(m_values)
@@ -647,8 +650,22 @@ def test_point_condenses_its_coarse_mesh_once_for_all_gaps(monkeypatch,
     assert sum(fac is ref_fac for _, fac in factored) == 1
 
 
+def test_study_without_sources_builds_no_gap_reference(monkeypatch):
+    # "sources": [] once still meshed and factored a gap reference at every
+    # sweep point
+    calls = []
+    reference = spectra.gap_reference
+    monkeypatch.setattr(spectra, "gap_reference",
+                        lambda *args: calls.append(args) or reference(*args))
+    report = study.run_study(small_config(m_values=[2], sources=[]))
+    assert calls == [] and report.gap_samples == [[]]
+    head = study.report_csv(report).splitlines()[0].split(",")
+    assert head[-1] == "hausdorff"
+    assert not any(h.startswith("gap_f") for h in head)
+
+
 def test_point_weight_must_match_study_q_limit():
-    cfg = small_config(run_gaps=False)
+    cfg = small_config(sources=[])
     homog = spectra.homogenized_pair(cfg.domain_object(), 1.0, cfg.h_hom,
                                      cfg.k)
     with pytest.raises(study.StudyError, match="q_limit"):
@@ -660,7 +677,7 @@ def test_study_mixing_cell_counts_runs():
     # exact per-point q_limit check refused this sweep
     tpl = {"ring_count": 6, "grading": 2.0, "boundary_nodes_per_side": 2,
            "hole_boundary_segments": 8}
-    cfg = small_config(m_values=[4, 8, 13], run_gaps=False, template=tpl)
+    cfg = small_config(m_values=[4, 8, 13], sources=[], template=tpl)
     report = study.run_study(cfg)
     assert [p.m for p in report.pairs] == [4, 8, 13]
     assert all(p.kappa == 0.0 for p in report.pairs)
@@ -672,7 +689,7 @@ def test_degenerate_sweep_skips_fits_and_writes_report(tmp_path):
     tpl = {"ring_count": 6, "grading": 2.0, "boundary_nodes_per_side": 4,
            "hole_boundary_segments": 16}
     cfg = study.config_from_dict({"beta": 0.5, "m_values": [2, 3, 4, 5],
-                                  "template": tpl, "run_gaps": False})
+                                  "template": tpl, "sources": []})
     report = study.run_study(cfg)
     assert all(p.gate_ok for p in report.pairs)
     assert report.rate is None and report.gap_rates == []
