@@ -417,6 +417,9 @@ def _lemma_extension_ratio(shape, sample_count, rng):
     return worst
 
 
+LEMMA_IDS = ("3.1", "3.2", "3.3", "3.4", "3.5", "3.6")
+
+
 def verify_lemma(lemma_id: str, shape_params=None, sample_count: int = 48,
                  seed: int = 0) -> LemmaReport:
     """Constant-stability sweep for one of the cell inequalities.

@@ -1,5 +1,6 @@
-"""Command-line interface: one-shot solves, mesh export, cell constants,
-and configuration-driven studies.
+"""Command-line interface: one-shot solves (`solve steklov`, `solve homog`,
+each taking only the flags it reads), mesh export, cell constants and
+configuration-driven studies.
 
 Exit codes: 0 on success, 1 when a gate, a validation or a file operation
 fails, 2 on usage errors (argparse's convention) and malformed inputs.
@@ -22,39 +23,23 @@ _TEMPLATE_FLAGS = {"rings": "ring_count", "grading": "grading",
                    "segments": "hole_boundary_segments"}
 
 
-def _template_from_args(args) -> meshgen.CellMeshTemplate:
-    return meshgen.CellMeshTemplate(**{
-        field: getattr(args, flag) for flag, field in _TEMPLATE_FLAGS.items()})
+def _number_type(kind, ok, rule: str):
+    """argparse type accepting a `kind` value that passes `ok`."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
 
 
-def _add_template_args(p):
-    tpl = meshgen.CellMeshTemplate()
-    for flag, field in _TEMPLATE_FLAGS.items():
-        default = getattr(tpl, field)
-        p.add_argument(f"--{flag}", type=type(default), default=default)
-
-
-def _checked(kind, text, ok, rule):
-    try:
-        value = kind(text)
-    except ValueError:
-        value = None
-    if value is None or not ok(value):
-        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    return _checked(float, text, lambda v: 0 < v < math.inf,
-                    "a finite number > 0")
-
-
-def _positive_int(text: str) -> int:
-    return _checked(int, text, lambda v: v > 0, "an integer > 0")
-
-
-def _non_negative_int(text: str) -> int:
-    return _checked(int, text, lambda v: v >= 0, "an integer >= 0")
+_positive_float = _number_type(float, lambda v: 0 < v < math.inf,
+                               "a finite number > 0")
+_positive_int = _number_type(int, lambda v: v > 0, "an integer > 0")
+_non_negative_int = _number_type(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _shape_type(name: str):
@@ -73,6 +58,18 @@ def _shape_type(name: str):
 
 _cell_shape = _shape_type("disk")        # cellmetrics' reference shapes
 _hole_shape = _shape_type("circle")      # geometry's hole shapes
+
+
+def _add_geometry_args(p):    # the flags of `mesh` and `solve steklov`
+    p.add_argument("--domain", default="unit-square",
+                   choices=sorted(study.DOMAINS))
+    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--shape", type=_hole_shape, default="circle",
+                   help="circle | kgon:K")
+    for flag, field in _TEMPLATE_FLAGS.items():
+        default = getattr(meshgen.CellMeshTemplate, field)
+        p.add_argument(f"--{flag}", type=type(default), default=default)
 
 
 def _check_writable(path: str, is_dir: bool) -> None:
@@ -110,13 +107,18 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_mesh(args) -> int:
-    if args.export:
-        _check_writable(args.export, is_dir=False)
+def _perforated_mesh(args) -> meshgen.Mesh:
     geom = geometry.build_perforated_geometry(
         study.DOMAINS[args.domain](), args.m, args.beta,
         shape_spec=args.shape)
-    mesh = meshgen.mesh_perforated(geom, _template_from_args(args))
+    return meshgen.mesh_perforated(geom, meshgen.CellMeshTemplate(**{
+        field: getattr(args, flag) for flag, field in _TEMPLATE_FLAGS.items()}))
+
+
+def cmd_mesh(args) -> int:
+    if args.export:
+        _check_writable(args.export, is_dir=False)
+    mesh = _perforated_mesh(args)
     for _ in range(args.refine):
         mesh = meshgen.refine(mesh)
     print(f"nodes {mesh.num_nodes}  triangles {mesh.num_triangles}  "
@@ -129,24 +131,26 @@ def cmd_mesh(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
-    dom = study.DOMAINS[args.domain]()
-    if args.homog:
-        res = spectra.homogenized_spectrum(dom, args.q, args.h, args.k)
-        print("weighted Dirichlet eigenvalues (lambda, mu):")
-        other = 1.0 / (1.0 + res.values)
-    else:
-        geom = geometry.build_perforated_geometry(
-            dom, args.m, args.beta, shape_spec=args.shape)
-        mesh = meshgen.mesh_perforated(geom, _template_from_args(args))
-        res = spectra.steklov_spectrum(spectra.condense(mesh), args.k)
-        print("boundary spectrum (mu, steklov lambda = 1/mu - 1):")
-        other = 1.0 / res.values - 1.0
+def _print_pairs(res, other) -> int:
     for a, b in zip(res.values, other):
         print(f"  {float(a)!r}  {float(b)!r}")
     if res.warning:
         print(f"warning: {res.warning}")
     return 0
+
+
+def cmd_steklov(args) -> int:
+    op = spectra.condense(_perforated_mesh(args))
+    res = spectra.steklov_spectrum(op, args.k)
+    print("boundary spectrum (mu, steklov lambda = 1/mu - 1):")
+    return _print_pairs(res, 1.0 / res.values - 1.0)
+
+
+def cmd_homog(args) -> int:
+    res = spectra.homogenized_spectrum(study.DOMAINS[args.domain](), args.q,
+                                       args.h, args.k)
+    print("weighted Dirichlet eigenvalues (lambda, mu):")
+    return _print_pairs(res, 1.0 / (1.0 + res.values))
 
 
 def cmd_cell(args) -> int:
@@ -171,11 +175,9 @@ def cmd_oracle(args) -> int:
     checks = study.oracle_selftest()
     for name, ok, detail in checks:
         print(f"{'pass' if ok else 'FAIL'}  {name}: {detail}")
-    if all(ok for _, ok, _ in checks):
-        print("PASS")
-        return 0
-    print("FAIL")
-    return 1
+    passed = all(ok for _, ok, _ in checks)
+    print("PASS" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 def cmd_study(args) -> int:
@@ -207,8 +209,13 @@ def cmd_study(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):    # subparsers inherit the class
+    def __init__(self, **kwargs):   # no abbreviation: `--h` is not `--help`
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="steklov-lab",
         description="Spectra of finely perforated domains: geometry, "
                     "meshing, eigensolvers, and convergence studies.")
@@ -220,33 +227,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("mesh", help="mesh a perforated domain")
-    p.add_argument("--domain", default="unit-square",
-                   choices=sorted(study.DOMAINS))
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--shape", type=_hole_shape, default="circle",
-                   help="circle | kgon:K")
+    _add_geometry_args(p)
     p.add_argument("--refine", type=_non_negative_int, default=0)
     p.add_argument("--export", help="write the plain-text mesh format here")
-    _add_template_args(p)
     p.set_defaults(fn=cmd_mesh)
 
-    p = sub.add_parser("solve", help="one-shot eigenvalue solves")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--steklov", action="store_true")
-    grp.add_argument("--homog", action="store_true")
+    problems = sub.add_parser("solve", help="one-shot eigenvalue solves")
+    problem = problems.add_subparsers(dest="problem", required=True)
+    p = problem.add_parser("steklov", help="perforated boundary spectrum")
+    _add_geometry_args(p)
+    p.add_argument("-k", type=_positive_int, default=3)
+    p.set_defaults(fn=cmd_steklov)
+    p = problem.add_parser("homog", help="homogenized Dirichlet spectrum")
     p.add_argument("--domain", default="unit-square",
                    choices=sorted(study.DOMAINS))
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--shape", type=_hole_shape, default="circle",
-                   help="circle | kgon:K")
     p.add_argument("--q", type=_positive_float, default=1.0,
                    help="constant weight for the homogenized problem")
     p.add_argument("--h", type=_positive_float, default=0.02)
     p.add_argument("-k", type=_positive_int, default=3)
-    _add_template_args(p)
-    p.set_defaults(fn=cmd_solve)
+    p.set_defaults(fn=cmd_homog)
 
     p = sub.add_parser("cell", help="single-cell constants and inequality "
                                     "sweeps")
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disk | kgon:K (default disk; not with --lemma)")
     p.add_argument("--h", type=_positive_float,
                    help="mesh size (default 0.08; not with --lemma)")
-    p.add_argument("--lemma", help="inequality id, e.g. 3.2")
+    p.add_argument("--lemma", choices=cellmetrics.LEMMA_IDS)
     p.set_defaults(fn=cmd_cell)
 
     p = sub.add_parser("oracle", help="run the independent reference "

@@ -302,19 +302,17 @@ def place_holes(cells, shape_spec, beta, jitter=None, rng=None) -> list:
 
     shape_spec is "circle" or ("kgon", k).  jitter is None, a fixed offset
     ("fixed", dx, dy) in units of r, or ("random", frac), see check_jitter.
+    check_jitter's offsets of at most 0.45 r keep an inset >= 0.55 r > c_sec*r.
     """
     k = hole_order(shape_spec)
     kind = "circle" if k is None else "kgon"
 
     c_sec = DEFAULT_CONSTANTS.c_sec
-    r_max = max(c.r_in for c in cells)
     beta_max = max_admissible_beta(cells)
     if not 0 < beta <= beta_max:
         raise GeometryError(
             f"beta={beta} violates hole smallness (2*d <= c_sec*r); "
             f"max admissible beta is {beta_max:.6g}")
-    if c_sec * r_max > 0.5 + 1e-15:
-        raise GeometryError("c_sec * r exceeds 1/2; refine the tessellation")
     check_jitter(jitter)
     if jitter is not None and jitter[0] == "random" and rng is None:
         raise GeometryError("random jitter needs an rng")
@@ -331,14 +329,8 @@ def place_holes(cells, shape_spec, beta, jitter=None, rng=None) -> list:
             ang = rng.uniform(0.0, 2.0 * math.pi)
             mag = float(jitter[1]) * (1.0 - c_sec) * r
             off = (mag * math.cos(ang), mag * math.sin(ang))
-        center = (cx + off[0], cy + off[1])
-        dist = cell.inset(center)
-        if dist < c_sec * r - 1e-12:
-            raise GeometryError(
-                f"jittered hole in cell {cell.index} breaks the secure "
-                f"distance: dist={dist:.3g} < c_sec*r={c_sec * r:.3g}")
         holes.append(Hole(cell_index=cell.index, kind=kind, k=k,
-                          center=center, d=beta * r * r))
+                          center=(cx + off[0], cy + off[1]), d=beta * r * r))
     return holes
 
 
@@ -468,15 +460,14 @@ def validate_assumptions(geometry: PerforatedGeometry,
 # ---------------------------------------------------------------------------
 # serialization
 
-def geometry_to_json(geometry: PerforatedGeometry, wf: WeightField | None = None,
+def geometry_to_json(geometry: PerforatedGeometry,
                      indent: int | None = 2) -> str:
-    wf = weight_field(geometry) if wf is None else wf
     payload = {
         "domain": {
             "kind": geometry.domain.kind,
             "vertices": [[str(x), str(y)] for x, y in geometry.domain.vertices],
         },
-        "epsilon": {"m": geometry.m, "value": geometry.epsilon},
+        "epsilon": {"m": geometry.m},
         "beta": geometry.beta,
         "constants": {
             "c_tilde": geometry.constants.c_tilde,
@@ -489,7 +480,6 @@ def geometry_to_json(geometry: PerforatedGeometry, wf: WeightField | None = None
              "center": list(h.center), "d": h.d}
             for h in geometry.holes
         ],
-        "weights": {"per_cell": [float(v) for v in wf.per_cell]},
     }
     return json.dumps(payload, indent=indent)
 

@@ -210,20 +210,30 @@ def truncated_spectrum_distance(steklov_mu, homog_mu, k: int,
 # ---------------------------------------------------------------------------
 # source functions for resolvent-gap sampling
 
+# the keys each source kind reads besides "kind", with their defaults
+_SOURCE_KEYS = {"sine": {"scale": 1.0, "px": 1, "py": 1},
+                "bump": {"scale": 1.0, "x0": 0.5, "y0": 0.5, "w": 0.2}}
+
+
 def source_function(descriptor):
     """Vectorized analytic source from a descriptor; all members vanish on
-    the boundary of the unit square.  Refuses px, py other than integers
-    >= 1, a w <= 0, non-finite numbers and bools (geometry.is_integer and
-    is_number, the rules of every scalar config field)."""
+    the boundary of the unit square.  Refuses a key its kind does not read,
+    px, py other than integers >= 1, a w <= 0, non-finite numbers and bools
+    (is_integer and is_number, the rules of every scalar config field)."""
     kind = descriptor.get("kind", "sine")
-    num = {key: descriptor.get(key, default) for key, default in
-           (("scale", 1.0), ("x0", 0.5), ("y0", 0.5), ("w", 0.2))}
-    for key, value in num.items():
-        if not is_number(value):
+    keys = _SOURCE_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise SpectraError(f"unknown source descriptor {descriptor!r}")
+    unread = [repr(key) for key in descriptor if key not in {"kind", *keys}]
+    if unread:
+        raise SpectraError(f"a {kind} source reads no {', '.join(unread)}; "
+                           f"it takes kind, {', '.join(keys)}")
+    v = {key: descriptor.get(key, default) for key, default in keys.items()}
+    for key, value in v.items():
+        if key not in ("px", "py") and not is_number(value):
             raise SpectraError(f"{key} must be a finite number, got {value!r}")
-    scale = num["scale"]
     if kind == "sine":
-        px, py = descriptor.get("px", 1), descriptor.get("py", 1)
+        scale, px, py = v.values()
         if not all(is_integer(p) and p >= 1 for p in (px, py)):
             raise SpectraError(
                 f"px and py must be integers >= 1, got {px!r}, {py!r}")
@@ -231,17 +241,15 @@ def source_function(descriptor):
         def f(x, y):
             return scale * np.sin(math.pi * px * x) * np.sin(math.pi * py * y)
         return f
-    if kind == "bump":
-        x0, y0, w = num["x0"], num["y0"], num["w"]
-        if w <= 0:
-            raise SpectraError(f"w must be positive, got {w!r}")
+    scale, x0, y0, w = v.values()
+    if w <= 0:
+        raise SpectraError(f"w must be positive, got {w!r}")
 
-        def f(x, y):
-            env = x * (1.0 - x) * y * (1.0 - y)
-            return scale * env * np.exp(
-                -(((x - x0) ** 2 + (y - y0) ** 2) / w ** 2))
-        return f
-    raise SpectraError(f"unknown source descriptor {descriptor!r}")
+    def f(x, y):
+        env = x * (1.0 - x) * y * (1.0 - y)
+        return scale * env * np.exp(
+            -(((x - x0) ** 2 + (y - y0) ** 2) / w ** 2))
+    return f
 
 
 @dataclass

@@ -138,6 +138,21 @@ def test_random_jitter_roundtrip_validation():
     assert geo.validate_assumptions(g).passed
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_admissible_jitter_keeps_the_secure_distance_margin(m):
+    # place_holes checks no hole itself: check_jitter's 0.45 r bound on the
+    # offset alone leaves every hole an inset of at least 0.55 r > c_sec * r
+    jitters = [("fixed", sx * 0.45, sy * 0.45) for sx in (-1, 1)
+               for sy in (-1, 1)] + [("random", 0.9)] * 20
+    for seed, jitter in enumerate(jitters):
+        g = geo.build_perforated_geometry(geo.unit_square(), m, 1.0,
+                                          jitter=jitter,
+                                          rng=np.random.default_rng(seed))
+        check, = [c for c in geo.validate_assumptions(g).checks
+                  if c.name == "secure-distance"]
+        assert check.passed and check.measured >= 0.55 - 1e-9
+
+
 def test_weight_field_circle():
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
     wf = geo.weight_field(g)
@@ -271,6 +286,10 @@ def test_geometry_json_roundtrip():
     assert geo.validate_assumptions(back).passed
     # deterministic serialization
     assert geo.geometry_to_json(back) == text
+    # only what geometry_from_json reads: no cells, weights or epsilon value
+    data = json.loads(text)
+    assert list(data) == ["domain", "epsilon", "beta", "constants", "holes"]
+    assert data["epsilon"] == {"m": 3}
 
 
 @pytest.mark.parametrize("domain,m,jitter", [

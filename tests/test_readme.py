@@ -1,7 +1,9 @@
 """README's examples against the code: the documented study config must
-load and every documented command line must parse, so that an option the
-code drops cannot stay documented."""
+load, every documented command line must parse and every command must have
+one, so that an option the code drops cannot stay documented and a command
+cannot be added or renamed without its line."""
 
+import argparse
 import json
 import os
 import re
@@ -24,11 +26,20 @@ def test_readme_study_config_loads():
     study.config_from_dict(json.loads(blocks[0]))
 
 
+def subcommands(parser):
+    action, = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def test_readme_command_lines_parse():
-    lines = [ln for block in fenced_blocks("")
+    lines = [shlex.split(ln)[1:] for block in fenced_blocks("")
              for ln in block.splitlines() if ln.startswith("steklov-lab ")]
-    commands = {shlex.split(ln)[1] for ln in lines}
-    assert {"oracle", "solve", "mesh", "cell", "study"} <= commands
     parser = cli.build_parser()
-    for ln in lines:
-        parser.parse_args(shlex.split(ln)[1:])    # exits 2 on a bad line
+    # every subcommand, and each solve problem, has its README line
+    commands = subcommands(parser)
+    assert set(commands) <= {args[0] for args in lines}
+    assert set(subcommands(commands["solve"])) <= {
+        args[1] for args in lines if args[0] == "solve"}
+    for args in lines:
+        parser.parse_args(args)    # exits 2 on a bad line

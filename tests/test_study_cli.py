@@ -197,7 +197,7 @@ def test_cli_oracle_selftest():
 
 
 def test_cli_solve_homog_near_analytic():
-    r = run_cli("solve", "--homog", "--q", "1", "--h", "0.05", "-k", "3")
+    r = run_cli("solve", "homog", "--q", "1", "--h", "0.05", "-k", "3")
     assert r.returncode == 0
     lines = [ln for ln in r.stdout.splitlines() if ln.startswith("  ")]
     vals = [float(ln.split()[0]) for ln in lines]
@@ -208,7 +208,7 @@ def test_cli_solve_homog_near_analytic():
 def test_cli_solve_homog_prints_the_solver_warning():
     # h = 1/4 leaves 9 free dofs; k = 20 once printed 20 values, 19 of them
     # copies of a value the pencil does not have
-    r = run_cli("solve", "--homog", "--q", "1", "--h", "0.25", "-k", "20")
+    r = run_cli("solve", "homog", "--q", "1", "--h", "0.25", "-k", "20")
     assert r.returncode == 0
     vals = [float(ln.split()[0]) for ln in r.stdout.splitlines()
             if ln.startswith("  ")]
@@ -253,6 +253,11 @@ def test_cli_study_with_zero_m_exits_2_with_message(tmp_path):
     # no longer fields: the residual bound is fixed, "sources": [] runs no
     # gaps, and every cell has the same weight, so kappa's norm acts on 0
     ("tol", 1e-10), ("run_gaps", False), ("sigma", 1.0),
+    # a key its kind does not read once ran another source silently
+    ("sources", [{"kind": "sine", "pz": 3}]),
+    ("sources", [{"px": 2, "kidn": "bump"}]),
+    ("sources", [{"kind": "bump", "px": 2}]),
+    ("sources", [{"kind": "sine", "w": -1}]),
 ])
 def test_cli_study_with_mistyped_field_exits_2_with_one_line(tmp_path, field,
                                                             value):
@@ -265,6 +270,16 @@ def test_cli_study_with_mistyped_field_exits_2_with_one_line(tmp_path, field,
     assert len(lines) == 1 and lines[0].startswith("invalid config: ")
     assert field.replace("_", " ") in lines[0].replace("_", " ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", [
+    {}, {"kind": "sine", "px": 1, "py": 1},
+    {"kind": "bump", "x0": 0.3, "y0": 0.6, "w": 0.2},
+])
+def test_sources_with_only_their_kinds_keys_validate(source):
+    # the default config's sine and the bump of perfbench's cell-suite
+    cfg = study.config_from_dict({"sources": [source]})
+    assert cfg.sources == (source,)
 
 
 @pytest.mark.parametrize("source,key", [
@@ -309,7 +324,7 @@ def test_cli_study_with_zero_source_exits_1_with_one_line(tmp_path, source):
 @pytest.mark.parametrize("args,message", [
     (["mesh", "--beta", "nan"], "beta=nan"),
     (["mesh", "--beta", "inf"], "beta=inf"),
-    (["solve", "--steklov", "--m", "2", "--beta", "nan"], "beta=nan"),
+    (["solve", "steklov", "--m", "2", "--beta", "nan"], "beta=nan"),
     (["mesh", "--grading", "nan"], "grading factor"),
     (["mesh", "--grading", "inf"], "grading factor"),
 ])
@@ -326,11 +341,11 @@ def test_cli_non_finite_beta_or_grading_exits_1_with_one_line(args, message):
 @pytest.mark.parametrize("args,flag", [
     (["cell", "--h", "0"], "--h"),
     (["cell", "--h", "-1"], "--h"),
-    (["solve", "--homog", "--h", "nan"], "--h"),
-    (["solve", "--homog", "--q", "0"], "--q"),
-    (["solve", "--homog", "--q", "-1"], "--q"),
-    (["solve", "--steklov", "-k", "0"], "-k"),
-    (["solve", "--homog", "-k", "1.5"], "-k"),
+    (["solve", "homog", "--h", "nan"], "--h"),
+    (["solve", "homog", "--q", "0"], "--q"),
+    (["solve", "homog", "--q", "-1"], "--q"),
+    (["solve", "steklov", "-k", "0"], "-k"),
+    (["solve", "homog", "-k", "1.5"], "-k"),
     (["mesh", "--refine", "-1"], "--refine"),
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, args, flag):
@@ -351,7 +366,7 @@ def test_cli_mesh_rejects_zero_hole_segments(capsys):
 
 
 def _homog_lambdas(capsys, q):
-    assert cli.main(["solve", "--homog", "--q", q, "--h", "0.25"]) == 0
+    assert cli.main(["solve", "homog", "--q", q, "--h", "0.25"]) == 0
     out = capsys.readouterr().out
     return np.array([float(ln.split()[0]) for ln in out.splitlines()
                      if ln.startswith("  ")])
@@ -370,7 +385,7 @@ def test_cli_solve_homog_largest_weight_scales_the_spectrum(capsys):
 ])
 def test_cli_solve_homog_extreme_weight_exits_1(capsys, q, message):
     # the weighted mass underflows until no eigenvalue is left
-    assert cli.main(["solve", "--homog", "--q", q, "--h", "0.25"]) == 1
+    assert cli.main(["solve", "homog", "--q", q, "--h", "0.25"]) == 1
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
@@ -379,12 +394,12 @@ def test_cli_solve_homog_extreme_weight_exits_1(capsys, q, message):
 def test_cli_reports_library_errors_with_exit_1(capsys, monkeypatch):
     # an empty homogenized system (FemError), and an EigenError from the
     # solver, which argparse's k > 0 check keeps the CLI itself from causing
-    assert cli.main(["solve", "--homog", "--h", "10"]) == 1
+    assert cli.main(["solve", "homog", "--h", "10"]) == 1
     assert "error: every node is constrained" in capsys.readouterr().err
     solve = spectra.steklov_spectrum
     monkeypatch.setattr(spectra, "steklov_spectrum",
                         lambda op, k: solve(op, 0))
-    assert cli.main(["solve", "--steklov", "--m", "2"]) == 1
+    assert cli.main(["solve", "steklov", "--m", "2"]) == 1
     assert "error: k must be >= 1" in capsys.readouterr().err
 
 
@@ -523,12 +538,43 @@ def test_cli_study_output_dir_on_a_file_fails_before_the_sweep(
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", [["mesh"], ["solve", "--steklov"]])
+@pytest.mark.parametrize("command", [["mesh"], ["solve", "steklov"],
+                                     ["solve", "homog"]])
 def test_cli_unknown_domain_is_a_usage_error(capsys, command):
     with pytest.raises(SystemExit) as exc:
         cli.main(command + ["--domain", "disk"])
     assert exc.value.code == 2
-    assert "invalid choice: 'disk'" in capsys.readouterr().err
+    assert "argument --domain: invalid choice: 'disk'" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["homog", "--m", "8"], "unrecognized arguments: --m 8"),
+    (["homog", "--rings", "3"], "unrecognized arguments: --rings 3"),
+    (["homog", "--shape", "kgon:5"], "unrecognized arguments: --shape kgon:5"),
+    (["steklov", "--q", "7"], "unrecognized arguments: --q 7"),
+    # not read as an abbreviated --help either
+    (["steklov", "--h", "0.3"], "unrecognized arguments: --h 0.3"),
+    (["--homog"], "required: problem"),
+])
+def test_cli_solve_refuses_flags_its_problem_does_not_read(capsys, args,
+                                                           message):
+    # one solve parser once took every flag of both problems and ignored
+    # those of the other one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve"] + args)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_cli_cell_unknown_lemma_is_a_usage_error(capsys):
+    # once exited 1 with "error: unknown lemma id '9.9'"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cell", "--lemma", "9.9"])
+    assert exc.value.code == 2
+    assert "invalid choice: '9.9' (choose from '3.1', '3.2'" in \
+        capsys.readouterr().err
 
 
 def test_cli_cell_lemma_csv():
@@ -553,7 +599,7 @@ def test_cli_cell_rejects_unsupported_shape(shape):
     assert "accepted: disk, kgon:K" in r.stderr
 
 
-@pytest.mark.parametrize("command", [["mesh"], ["solve", "--steklov"]])
+@pytest.mark.parametrize("command", [["mesh"], ["solve", "steklov"]])
 @pytest.mark.parametrize("shape", ["disk", "square", "kgon:2", "kgon:x"])
 def test_cli_mesh_and_solve_reject_unsupported_shape(capsys, command, shape):
     with pytest.raises(SystemExit) as exc:
