@@ -18,7 +18,8 @@ import scipy.linalg
 from . import fem, shapes
 from .eigen import (factor_spd, largest_pencil_eigs, schur_complement,
                     smallest_pencil_eigs)
-from .geometry import chebyshev_center, make_domain, unit_square
+from .geometry import (DEFAULT_CONSTANTS, GeometryError, chebyshev_center,
+                       hole_order, make_domain, unit_square)
 from .meshgen import Mesh, mesh_unperforated, refine
 from .spectra import _log_slope, richardson
 
@@ -54,22 +55,27 @@ def _sqrt_of(ex: Extrapolated) -> Extrapolated:
                         coarse=math.sqrt(ex.coarse), fine=math.sqrt(ex.fine))
 
 
+def _hole_spec(shape, named=None):
+    """geometry's spec of a hole shape ("disk" is "circle"); CellMetricsError
+    naming `named` (default shape) for "circle" and what hole_order refuses."""
+    spec = "circle" if shape == "disk" else shape
+    try:
+        hole_order(None if shape == "circle" else spec)
+    except GeometryError:
+        raise CellMetricsError(f"unknown shape {named or shape!r}; accepted: "
+                               "disk, ('kgon', k >= 3)") from None
+    return spec
+
+
 def mesh_shape(shape, h: float) -> Mesh:
     """Meshes of the cell studies' shapes: "square", "disk", ("kgon", k)
     and ("collar", inner) with inner "disk" or ("kgon", k)."""
     if shape == "square":
         return mesh_unperforated(unit_square(), h)
-    if shape == "disk":
-        return shapes.mesh_disk(1.0, h)
-    kind = shape[0]
-    if kind == "kgon":
-        return shapes.mesh_hole_shape("kgon", int(shape[1]), h)
-    if kind == "collar":
-        inner = shape[1]
-        if inner == "disk":
-            return shapes.mesh_collar("circle", None, h)
-        return shapes.mesh_collar("kgon", int(inner[1]), h)
-    raise CellMetricsError(f"unknown shape {shape!r}")
+    if (isinstance(shape, (list, tuple)) and len(shape) == 2
+            and shape[0] == "collar"):
+        return shapes.mesh_collar(_hole_spec(shape[1], shape), h)
+    return shapes.mesh_hole_shape(_hole_spec(shape), h)
 
 
 def _value(res, j: int = 0) -> float:
@@ -202,18 +208,14 @@ def harmonic_extension_norm(shape, h: float) -> Extrapolated:
     """Operator norm of harmonic extension from the collar to the full ball
     of radius 2, in H1 norms; the extension fixes interface traces and fills
     the hole with the discrete harmonic lift."""
-    kind, k = ("circle", None) if shape == "disk" else (shape[0], int(shape[1]))
-    return _sqrt_of(_two_mesh(_extension_norm_on,
-                              shapes.mesh_ball_with_interface(kind, k, h)))
+    mesh = shapes.mesh_ball_with_interface(_hole_spec(shape), h)
+    return _sqrt_of(_two_mesh(_extension_norm_on, mesh))
 
 
 def inscribed_radius(shape) -> float:
     """Inner radius of the upscaled hole (enclosing ball is the unit ball)."""
-    if shape == "disk":
-        return 1.0
-    if shape[0] == "kgon":
-        return math.cos(math.pi / int(shape[1]))
-    raise CellMetricsError(f"no inscribed radius for {shape!r}")
+    k = hole_order(_hole_spec(shape))
+    return 1.0 if k is None else math.cos(math.pi / k)
 
 
 @dataclass
@@ -337,7 +339,7 @@ def _lemma_secure_ratio(lemma_id, d):
     (3.3, s = d^2) over s (||u||^2_{L2(collar)} / r^2 + |log d| ||grad u||^2),
     on the secure ball of radius r / 2 around a hole of radius d, r = 0.5."""
     r = 0.5
-    mesh = shapes.mesh_secure_ball(d, 0.5 * r)
+    mesh = shapes.mesh_secure_ball(d, DEFAULT_CONSTANTS.c_sec * r)
     K = fem.assemble_stiffness(mesh)
     in_collar = np.array([0.0, 1.0])[mesh.tri_cell]
     M_collar = fem.assemble_weighted_mass(mesh, in_collar)
@@ -403,8 +405,7 @@ def _lemma_convex_ratio(d, sample_count, rng):
 
 
 def _lemma_extension_ratio(shape, sample_count, rng):
-    kind, k = ("circle", None) if shape == "disk" else (shape[0], int(shape[1]))
-    mesh = shapes.mesh_ball_with_interface(kind, k, 0.1)
+    mesh = shapes.mesh_ball_with_interface(_hole_spec(shape), 0.1)
     (K_g, _), (K_h, _), lift, _, cn, iface = _extension_parts(mesh)
     worst = 0.0
     for u in _sample_functions(mesh, sample_count, rng):

@@ -43,16 +43,16 @@ _non_negative_int = _number_type(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _shape_type(name: str):
-    """argparse type accepting `name` or kgon:K (integer K >= 3)."""
+    """argparse type accepting `name` or kgon:K, K as hole_order reads it."""
     def parse(spec: str):
-        if spec == name:
-            return spec
         kind, _, k = spec.partition(":")
-        if kind == "kgon" and k.isdigit() and int(k) >= 3:
-            return ("kgon", int(k))
-        raise argparse.ArgumentTypeError(
-            f"unknown shape {spec!r}; accepted: {name}, kgon:K "
-            "(integer K >= 3)")
+        try:
+            return spec if spec == name else ("kgon", geometry.hole_order(
+                (kind, int(k) if k.isdigit() else None)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"unknown shape {spec!r}; accepted: {name}, kgon:K "
+                "(integer K >= 3)") from None
     return parse
 
 

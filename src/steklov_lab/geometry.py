@@ -150,20 +150,19 @@ class Cell:
 @dataclass(frozen=True)
 class Hole:
     cell_index: int
-    kind: str                        # "circle" | "kgon"
     center: tuple
     d: float                         # radius of smallest enclosing ball
-    k: int | None = None             # polygon order for "kgon"
+    k: int | None = None             # polygon order; None for a circle
 
     @property
     def perimeter(self) -> float:
-        if self.kind == "circle":
+        if self.k is None:
             return 2.0 * math.pi * self.d
         return 2.0 * self.k * self.d * math.sin(math.pi / self.k)
 
     def boundary_point(self, theta: float) -> tuple:
         """Point of the hole boundary in direction theta from the center."""
-        if self.kind == "circle":
+        if self.k is None:
             rho = self.d
         else:
             step = 2.0 * math.pi / self.k
@@ -305,9 +304,6 @@ def place_holes(cells, shape_spec, beta, jitter=None, rng=None) -> list:
     check_jitter's offsets of at most 0.45 r keep an inset >= 0.55 r > c_sec*r.
     """
     k = hole_order(shape_spec)
-    kind = "circle" if k is None else "kgon"
-
-    c_sec = DEFAULT_CONSTANTS.c_sec
     beta_max = max_admissible_beta(cells)
     if not 0 < beta <= beta_max:
         raise GeometryError(
@@ -327,9 +323,9 @@ def place_holes(cells, shape_spec, beta, jitter=None, rng=None) -> list:
             off = (jitter[1] * r, jitter[2] * r)
         else:
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            mag = float(jitter[1]) * (1.0 - c_sec) * r
+            mag = float(jitter[1]) * (1.0 - DEFAULT_CONSTANTS.c_sec) * r
             off = (mag * math.cos(ang), mag * math.sin(ang))
-        holes.append(Hole(cell_index=cell.index, kind=kind, k=k,
+        holes.append(Hole(cell_index=cell.index, k=k,
                           center=(cx + off[0], cy + off[1]), d=beta * r * r))
     return holes
 
@@ -476,7 +472,8 @@ def geometry_to_json(geometry: PerforatedGeometry,
             "c_d_plus": geometry.constants.c_d_plus,
         },
         "holes": [
-            {"cell": h.cell_index, "shape": h.kind, "k": h.k,
+            {"cell": h.cell_index,
+             "shape": "circle" if h.k is None else "kgon", "k": h.k,
              "center": list(h.center), "d": h.d}
             for h in geometry.holes
         ],
@@ -498,7 +495,7 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
         if type(m) is not int or m < 1:
             raise GeometryError(f"epsilon m must be an integer >= 1, got {m!r}")
         holes = [
-            Hole(cell_index=h["cell"], kind=h["shape"], k=hole_order(
+            Hole(cell_index=h["cell"], k=hole_order(
                 h["shape"] if h["k"] is None else (h["shape"], h["k"])),
                  center=tuple(_real(x, "hole center") for x in h["center"]),
                  d=_real(h["d"], "hole d"))
@@ -548,14 +545,14 @@ def _real(value, name: str):
 
 
 def hole_order(shape_spec):
-    """The k of a ("kgon", k) hole spec (an integer >= 3), None for
-    "circle"; GeometryError on any other spec."""
+    """The k of a ("kgon", k) hole spec (is_integer, >= 3) as an int, None
+    for "circle"; GeometryError otherwise.  Every Hole's k comes from here."""
     if shape_spec == "circle":
         return None
     if not (isinstance(shape_spec, (list, tuple)) and len(shape_spec) == 2
-            and shape_spec[0] == "kgon" and type(shape_spec[1]) is int
+            and shape_spec[0] == "kgon" and is_integer(shape_spec[1])
             and shape_spec[1] >= 3):
         raise GeometryError(f"hole shape must be circle or kgon with an "
                             f"integer k >= 3, got {shape_spec!r}")
-    return shape_spec[1]
+    return int(shape_spec[1])
 

@@ -268,7 +268,7 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     band, from the hole outwards; the quads of all quad bands are split in
     one array pass over the cell's points at the end (_triangulate_bands).
     """
-    template.validate(hole.k if hole.kind == "kgon" else None)
+    template.validate(hole.k)
     ix, iy, m = cell.grid
     s = template.boundary_nodes_per_side
     n = template.hole_boundary_segments
@@ -384,7 +384,7 @@ def mesh_perforated(geometry, template: CellMeshTemplate) -> Mesh:
                 np.concatenate([tags, np.full(len(outer), OUTER)]),
                 tri_cell=np.repeat(index, [len(t) for t in tris]),
                 circles={h.cell_index: (*h.center, h.d)
-                         for h in geometry.holes if h.kind == "circle"})
+                         for h in geometry.holes if h.k is None})
     areas = mesh.signed_areas()
     if np.any(areas <= 0):
         bad = int(np.argmin(areas))

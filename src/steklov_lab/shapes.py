@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .geometry import Cell, Hole, chebyshev_center
+from .geometry import (DEFAULT_CONSTANTS, Cell, Hole, chebyshev_center,
+                       hole_order)
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, OUTER,
                       _boundary_edges_oriented, _build_cell, _edge_table,
                       refine)
@@ -64,8 +65,8 @@ def _fill_star_interior(nodes, tris, center, boundary_pt, ids, angles):
         tris.append((c, ids[j], ids[(j + 1) % n]))
 
 
-def _shape_hole(kind: str, k: int | None, radius: float, center=(0.0, 0.0)) -> Hole:
-    return Hole(cell_index=0, kind=kind, k=k, center=center, d=radius)
+def _shape_hole(spec, radius: float, center=(0.0, 0.0)) -> Hole:
+    return Hole(cell_index=0, k=hole_order(spec), center=center, d=radius)
 
 
 def _ring(nodes, pts):
@@ -114,11 +115,11 @@ def _star_rings(hole: Hole, n: int, fill: bool, radii, h: float | None):
             hole_ids, ids)
 
 
-def _unit_hole(kind: str, k: int | None, h: float):
+def _unit_hole(spec, h: float):
     """The upscaled hole (smallest enclosing ball = unit ball) and the node
     count of its boundary ring at mesh size h."""
-    mult = 8 if kind == "circle" else k
-    return _shape_hole(kind, k, 1.0), _pow2_segments(TWO_PI / h, mult)
+    hole = _shape_hole(spec, 1.0)
+    return hole, _pow2_segments(TWO_PI / h, hole.k or 8)
 
 
 def _collar_radii(h: float) -> list:
@@ -127,44 +128,44 @@ def _collar_radii(h: float) -> list:
     return [1.0 + j / nr for j in range(1, nr + 1)]
 
 
-def mesh_hole_shape(kind: str, k: int | None, h: float) -> Mesh:
+def mesh_hole_shape(spec, h: float) -> Mesh:
     """Mesh of the upscaled hole (smallest enclosing ball = unit ball)."""
-    hole, n = _unit_hole(kind, k, h)
+    hole, n = _unit_hole(spec, h)
     nodes, tris, _, ring, _ = _star_rings(hole, n, True, [], h)
-    circles = {OUTER: (0.0, 0.0, 1.0)} if kind == "circle" else {}
+    circles = {OUTER: (0.0, 0.0, 1.0)} if hole.k is None else {}
     return Mesh(nodes, tris, _cycle(ring), np.full(n, OUTER, dtype=np.int64),
                 circles=circles)
 
 
 def mesh_disk(radius: float, h: float, center=(0.0, 0.0)) -> Mesh:
-    mesh = mesh_hole_shape("circle", None, h / radius)
+    mesh = mesh_hole_shape("circle", h / radius)
     mesh.nodes = mesh.nodes * radius + np.asarray(center)
     mesh.circles = {OUTER: (center[0], center[1], radius)}
     return mesh
 
 
-def mesh_collar(kind: str, k: int | None, h: float) -> Mesh:
+def mesh_collar(spec, h: float) -> Mesh:
     """Mesh of the collar: ball of radius 2 minus the closed upscaled hole.
     The hole boundary is tagged 0, the outer circle OUTER."""
-    hole, n = _unit_hole(kind, k, h)
+    hole, n = _unit_hole(spec, h)
     nodes, tris, _, ring, outer = _star_rings(hole, n, False,
                                               _collar_radii(h), h)
     tags = np.array([0] * n + [OUTER] * len(outer), dtype=np.int64)
     circles = {OUTER: (0.0, 0.0, 2.0)}
-    if kind == "circle":
+    if hole.k is None:
         circles[0] = (0.0, 0.0, 1.0)
     return Mesh(nodes, tris, np.vstack([_cycle(ring), _cycle(outer)]), tags,
                 circles=circles)
 
 
-def mesh_ball_with_interface(kind: str, k: int | None, h: float) -> Mesh:
+def mesh_ball_with_interface(spec, h: float) -> Mesh:
     """Ball of radius 2 with the upscaled hole's boundary as an interior ring.
 
     Triangles carry a region marker in tri_cell: 0 inside the hole, 1 in the
     collar.  The interface ring is recoverable as the nodes shared by both
     regions.
     """
-    hole, n = _unit_hole(kind, k, h)
+    hole, n = _unit_hole(spec, h)
     nodes, tris, region, _, outer = _star_rings(hole, n, True,
                                                 _collar_radii(h), h)
     return Mesh(nodes, tris, _cycle(outer),
@@ -187,7 +188,7 @@ def mesh_secure_ball(d: float, ball_radius: float) -> Mesh:
     t = ratio ** (1.0 / nr)
     radii = [d * t ** j for j in range(1, nr)] + [ball_radius]
     nodes, tris, region, _, outer = _star_rings(
-        _shape_hole("circle", None, d), 32, True, radii, None)
+        _shape_hole("circle", d), 32, True, radii, None)
     return Mesh(nodes, tris, _cycle(outer),
                 np.full(len(outer), OUTER, dtype=np.int64), tri_cell=region,
                 circles={OUTER: (0.0, 0.0, float(ball_radius))})
@@ -266,11 +267,12 @@ def mesh_cell_with_hole(d: float, segments: int = 32, sides: int = 8) -> Mesh:
     through: the graded cell template outside, a star fill inside, with the
     hole boundary kept as an interior interface (regions 0/1 in tri_cell)."""
     cell = Cell(0, (0, 0, 1))
-    hole = _shape_hole("circle", None, d, center=cell.center)
+    hole = _shape_hole("circle", d, center=cell.center)
     template = CellMeshTemplate(ring_count=40, grading=1.9,
                                 boundary_nodes_per_side=sides,
                                 hole_boundary_segments=segments)
-    nodes, _, collar, _ = _build_cell(cell, hole, template, 0.5)
+    nodes, _, collar, _ = _build_cell(cell, hole, template,
+                                      DEFAULT_CONSTANTS.c_sec)
     tris = collar.tolist()
     collar_tris = len(tris)
     ids = list(range(segments))

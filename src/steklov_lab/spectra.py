@@ -138,17 +138,15 @@ def _schur(A, r, i, cell):
 def homogenized_spectrum(domain, q, h: float, k: int) -> SpectralResult:
     """Smallest eigenvalues lambda of the q-weighted Dirichlet problem on
     the plain domain; its resolvent values are 1/(1+lambda)."""
-    _, K, Mq, dm = _structured(domain, q, h)
-    return smallest_pencil_eigs(fem.apply_dirichlet(K, dm),
-                                fem.apply_dirichlet(Mq, dm), k)
+    return _homogenized_on(meshgen.mesh_unperforated(domain, h), q, k)
 
 
-def _structured(domain, q, h: float):
-    """Structured mesh of the plain domain, its K, q-weighted M and dofmap."""
-    mesh = meshgen.mesh_unperforated(domain, h)
-    return (mesh, fem.assemble_stiffness(mesh),
-            fem.assemble_weighted_mass(mesh, q),
-            fem.build_dofmap(mesh))
+def _homogenized_on(mesh, q, k: int) -> SpectralResult:
+    """homogenized_spectrum on a given mesh of the plain domain."""
+    dm = fem.build_dofmap(mesh)
+    return smallest_pencil_eigs(
+        fem.apply_dirichlet(fem.assemble_stiffness(mesh), dm),
+        fem.apply_dirichlet(fem.assemble_weighted_mass(mesh, q), dm), k)
 
 
 def richardson(coarse, fine):
@@ -160,7 +158,7 @@ def richardson(coarse, fine):
 @dataclass
 class HomogenizedPair:
     """The epsilon-independent side of every sweep point: the q-weighted
-    Dirichlet spectrum on meshes h and h/2, solved once per study."""
+    Dirichlet spectrum on a mesh and its refinement, solved once per study."""
     q: float
     mu: np.ndarray                   # extrapolated, descending
     err: np.ndarray                  # two-mesh changes per eigenvalue
@@ -170,11 +168,11 @@ class HomogenizedPair:
 
 def homogenized_pair(domain, q: float, h: float,
                      k: int) -> HomogenizedPair:
-    """k + EXTRA homogenized resolvent values 1/(1+lambda) on meshes h and
-    h/2, extrapolated."""
-    coarse, fine = (
-        replace(homogenized_spectrum(domain, q, hh, k + EXTRA), vectors=None)
-        for hh in (h, h / 2))
+    """k + EXTRA homogenized resolvent values 1/(1+lambda) on the mesh at h
+    and its red refinement, extrapolated."""
+    mesh = meshgen.mesh_unperforated(domain, h)
+    coarse, fine = (replace(_homogenized_on(mm, q, k + EXTRA), vectors=None)
+                    for mm in (mesh, meshgen.refine(mesh)))
     mu_c, mu_f = (1.0 / (1.0 + r.values) for r in (coarse, fine))
     return HomogenizedPair(q=q, mu=richardson(mu_c, mu_f),
                            err=np.abs(mu_f - mu_c), coarse=coarse, fine=fine)
@@ -283,7 +281,9 @@ class GapReference:
 def gap_reference(geom, template, q_limit) -> GapReference:
     """Reference side of the gaps, meshed at h = 1/(2 s m)."""
     s = template.boundary_nodes_per_side
-    hm, Kh, Mq, dmh = _structured(geom.domain, q_limit, 1.0 / (2 * s * geom.m))
+    hm = meshgen.mesh_unperforated(geom.domain, 1.0 / (2 * s * geom.m))
+    Kh, dmh = fem.assemble_stiffness(hm), fem.build_dofmap(hm)
+    Mq = fem.assemble_weighted_mass(hm, q_limit)
     Ah = (fem.apply_dirichlet(Kh, dmh) + fem.apply_dirichlet(Mq, dmh)).tocsr()
     return GapReference(mesh=hm, K=Kh, Mq=Mq, dofmap=dmh, fac=factor_spd(Ah))
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from steklov_lab import cellmetrics as cm
 from steklov_lab import cli, fem, oracles, shapes
 from steklov_lab.eigen import dense_reference_eigs, largest_pencil_eigs
-from steklov_lab.meshgen import refine
+from steklov_lab.meshgen import OUTER, refine
 
 
 def test_square_neumann_gap():
@@ -105,7 +105,7 @@ def test_harmonic_extension_constant_bound():
 
 
 def test_harmonic_extension_energy_minimality():
-    mesh = shapes.mesh_ball_with_interface("circle", None, 0.15)
+    mesh = shapes.mesh_ball_with_interface("circle", 0.15)
     K = fem.assemble_stiffness(mesh)
     _, _, _, extend, cn, _ = cm._extension_parts(mesh)
     rng = np.random.default_rng(4)
@@ -129,8 +129,8 @@ def test_harmonic_extension_energy_minimality():
 def test_extension_norm_matches_full_pencil(shape, refined):
     # the interface eigenproblem against ARPACK on the full pencil
     # (E^T A_full E, A_g) over every collar dof
-    kind, k = ("circle", None) if shape == "disk" else shape
-    mesh = shapes.mesh_ball_with_interface(kind, k, 0.15)
+    spec = "circle" if shape == "disk" else shape
+    mesh = shapes.mesh_ball_with_interface(spec, 0.15)
     if refined:
         mesh = refine(mesh)
     (K_g, M_g), _, _, extend, cn, iface = cm._extension_parts(mesh)
@@ -221,6 +221,38 @@ def test_inscribed_radius_values():
     assert cm.inscribed_radius(("kgon", 4)) == pytest.approx(math.cos(math.pi / 4))
     with pytest.raises(cm.CellMetricsError):
         cm.inscribed_radius(("slit", 0.1))
+
+
+_MALFORMED = [("kgon", 2), ("kgon", 2.5), ("kgon", True), ("kgon", "7"),
+              ("kgon", 3, 1), "circle", ("collar", ("kgon", 2))]
+
+
+@pytest.mark.parametrize("shape", _MALFORMED, ids=repr)
+@pytest.mark.parametrize("call", [
+    cm.inscribed_radius, lambda s: cm.trace_constant(s, 0.3),
+    lambda s: cm.harmonic_extension_norm(s, 0.3),
+    lambda s: cm.cell_constants(s, 0.3)],
+    ids=["inscribed_radius", "trace_constant", "harmonic_extension_norm",
+         "cell_constants"])
+def test_malformed_shape_is_refused_naming_it(call, shape):
+    # each once ran as another shape ("7" as k = 7, ("kgon", 3, 1) as k = 3),
+    # returned an inradius of 6.1e-17 or -1.0, or ended in a FemError,
+    # EigenError or int() ValueError; "circle" is geometry's spelling
+    with pytest.raises(cm.CellMetricsError) as err:
+        call(shape)
+    assert repr(shape) in str(err.value)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.12, 0.06])
+def test_disk_mesh_is_the_unit_circle_hole_mesh(h):
+    # mesh_shape("disk") meshes geometry's "circle" hole; the off-centre
+    # mesh_disk stays, and at radius 1 it is the same mesh bit for bit
+    got, want = cm.mesh_shape("disk", h), shapes.mesh_disk(1.0, h)
+    for name in ("nodes", "triangles", "boundary_edges", "edge_tags",
+                 "tri_cell"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.circles == want.circles == {OUTER: (0.0, 0.0, 1.0)}
 
 
 @pytest.mark.parametrize("lemma", ["3.2", "3.3"])

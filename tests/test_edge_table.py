@@ -169,16 +169,16 @@ def test_structured_meshes_match_reference(l_shape, cells):
 
 SHAPES = {
     "disk": lambda h: shapes.mesh_disk(0.7, h, center=(0.2, -0.1)),
-    "kgon": lambda h: shapes.mesh_hole_shape("kgon", 5, h),
-    "collar": lambda h: shapes.mesh_collar("circle", None, h),
-    "kgon-collar": lambda h: shapes.mesh_collar("kgon", 6, h),
+    "kgon": lambda h: shapes.mesh_hole_shape(("kgon", 5), h),
+    "collar": lambda h: shapes.mesh_collar("circle", h),
+    "kgon-collar": lambda h: shapes.mesh_collar(("kgon", 6), h),
     "slit-collar": lambda h: shapes.mesh_slit_collar(0.4, h),
     "polygon": lambda h: shapes.mesh_convex_polygon(
         [(0, 0), (1, 0), (1.2, 0.7), (0.2, 1)], h),
 }
 REGION_SHAPES = {
-    "ball": lambda h: shapes.mesh_ball_with_interface("circle", None, h),
-    "kgon-ball": lambda h: shapes.mesh_ball_with_interface("kgon", 3, h),
+    "ball": lambda h: shapes.mesh_ball_with_interface("circle", h),
+    "kgon-ball": lambda h: shapes.mesh_ball_with_interface(("kgon", 3), h),
     "secure-ball": lambda h: shapes.mesh_secure_ball(h / 20, 0.5),
     "cell-with-hole": lambda h: shapes.mesh_cell_with_hole(h / 20),
 }

@@ -134,7 +134,7 @@ def reference_matrices(mesh, weight, inner):
 def exactness_mesh(name):
     """The mesh and the edge list that edge_mass sums over."""
     if name == "ball":
-        mesh = shapes.mesh_ball_with_interface("kgon", 3, 0.3)
+        mesh = shapes.mesh_ball_with_interface(("kgon", 3), 0.3)
         return mesh, shapes.interface_edges(mesh)
     if name == "structured":
         mesh = mg.mesh_unperforated(geo.unit_square(), 0.25)

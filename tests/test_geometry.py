@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -238,7 +239,7 @@ def test_kappa_is_the_worst_unit_box():
 def test_validate_flags_wrong_scaling():
     # d ~ r^1.2 breaks the quadratic scaling bound once r is small
     cells = geo.build_square_tessellation(geo.unit_square(), 16)
-    holes = [geo.Hole(cell_index=c.index, kind="circle", center=c.center,
+    holes = [geo.Hole(cell_index=c.index, center=c.center,
                       d=c.r_in ** 1.2) for c in cells]
     g = geo.PerforatedGeometry(domain=geo.unit_square(), m=16, cells=cells,
                                holes=holes, beta=float("nan"))
@@ -253,7 +254,7 @@ def test_validate_flags_hole_near_edge():
     holes = []
     for c in cells:
         cx, cy = c.center
-        holes.append(geo.Hole(cell_index=c.index, kind="circle",
+        holes.append(geo.Hole(cell_index=c.index,
                               center=(cx + 0.99 * c.r_in, cy),
                               d=c.r_in ** 2))
     g = geo.PerforatedGeometry(domain=geo.unit_square(), m=4, cells=cells,
@@ -281,7 +282,7 @@ def test_geometry_json_roundtrip():
     back = geo.geometry_from_json(text)
     assert back.m == g.m
     assert len(back.cells) == len(g.cells)
-    assert back.holes[5].kind == "kgon" and back.holes[5].k == 6
+    assert back.holes[5].k == 6 and back.holes[0].k == 6
     assert abs(back.holes[5].d - g.holes[5].d) < 1e-15
     assert geo.validate_assumptions(back).passed
     # deterministic serialization
@@ -290,6 +291,44 @@ def test_geometry_json_roundtrip():
     data = json.loads(text)
     assert list(data) == ["domain", "epsilon", "beta", "constants", "holes"]
     assert data["epsilon"] == {"m": 3}
+    # each hole's "shape" is derived from its k
+    assert list(data["holes"][5]) == ["cell", "shape", "k", "center", "d"]
+    assert data["holes"][5]["shape"] == "kgon"
+
+
+def test_hole_is_a_circle_exactly_when_k_is_none():
+    assert [f.name for f in dataclasses.fields(geo.Hole)] == [
+        "cell_index", "center", "d", "k"]
+    circle = geo.Hole(cell_index=0, center=(0.0, 0.0), d=1.0)
+    assert circle.perimeter == 2 * math.pi
+    assert circle.boundary_point(0.25) == (math.cos(0.25), math.sin(0.25))
+    square = geo.Hole(cell_index=0, center=(0.0, 0.0), d=1.0, k=4)
+    assert square.perimeter == pytest.approx(4 * math.sqrt(2), rel=1e-15)
+    assert square.boundary_point(math.pi / 4) == pytest.approx(
+        (math.sqrt(0.5) * math.cos(math.pi / 4),
+         math.sqrt(0.5) * math.sin(math.pi / 4)), rel=1e-15)
+    data = json.loads(geo.geometry_to_json(geo.build_perforated_geometry(
+        geo.unit_square(), 1, 0.5)))
+    assert (data["holes"][0]["shape"], data["holes"][0]["k"]) == (
+        "circle", None)
+
+
+def test_hole_order_reads_k_by_the_config_integer_rule():
+    # a numpy order passes, as a numpy count in a config does, and comes back
+    # a plain int, so holes and geometry JSON carry plain ints
+    k = geo.hole_order(("kgon", np.int64(4)))
+    assert k == 4 and type(k) is int
+    g = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0,
+                                      ("kgon", np.int64(4)))
+    assert all(type(h.k) is int for h in g.holes)
+    assert json.loads(geo.geometry_to_json(g))["holes"][0]["k"] == 4
+    assert geo.hole_order(["kgon", 3]) == 3
+    assert geo.hole_order("circle") is None
+    for bad in [("kgon", True), ("kgon", 4.0), ("kgon", np.float64(4)),
+                ("kgon", 2), ("kgon", "7"), ("kgon", 3, 1), ("circle", None),
+                "disk", "kgon"]:
+        with pytest.raises(GeometryError, match="integer k >= 3"):
+            geo.hole_order(bad)
 
 
 @pytest.mark.parametrize("domain,m,jitter", [

@@ -247,9 +247,9 @@ def _perforated(shape):
      {0: (0.25, 0.25, 0.03125), 1: (0.75, 0.25, 0.03125),
       2: (0.25, 0.75, 0.03125), 3: (0.75, 0.75, 0.03125)}),
     (lambda: _perforated(("kgon", 4)), {}),
-    (lambda: shapes.mesh_collar("circle", None, 0.3),
+    (lambda: shapes.mesh_collar("circle", 0.3),
      {0: (0.0, 0.0, 1.0), mg.OUTER: (0.0, 0.0, 2.0)}),
-    (lambda: shapes.mesh_collar("kgon", 3, 0.3), {mg.OUTER: (0.0, 0.0, 2.0)}),
+    (lambda: shapes.mesh_collar(("kgon", 3), 0.3), {mg.OUTER: (0.0, 0.0, 2.0)}),
     (lambda: shapes.mesh_disk(0.3, 0.05, center=(0.7, 0.2)),
      {mg.OUTER: (0.7, 0.2, 0.3)}),
     (lambda: shapes.mesh_secure_ball(0.01, 0.25),
@@ -505,9 +505,10 @@ def test_ball_is_the_hole_mesh_plus_the_collar_mesh(kind, k, h):
         c = mesh.nodes[tris].reshape(-1, 6)
         return c[np.lexsort(c.T[::-1])]
 
-    ball = shapes.mesh_ball_with_interface(kind, k, h)
-    for region, part in ((0, shapes.mesh_hole_shape(kind, k, h)),
-                         (1, shapes.mesh_collar(kind, k, h))):
+    spec = "circle" if k is None else (kind, k)
+    ball = shapes.mesh_ball_with_interface(spec, h)
+    for region, part in ((0, shapes.mesh_hole_shape(spec, h)),
+                         (1, shapes.mesh_collar(spec, h))):
         got = coords(ball, ball.triangles[ball.tri_cell == region])
         assert np.array_equal(got, coords(part, part.triangles))
 

@@ -196,6 +196,24 @@ def test_spectrum_pair_small_sweep():
         assert spectra.eigenwise_monotone(pairs, j)
 
 
+def test_homogenized_fine_mesh_is_the_red_refinement(monkeypatch):
+    # at h = 0.03 the coarse lattice is 34; meshing h/2 afresh gave 67, not a
+    # halving, while richardson assumes the ratio 2 of a red refinement
+    sizes = []
+    solve = spectra.smallest_pencil_eigs
+
+    def counted(K, M, k):
+        sizes.append(K.shape[0])
+        return solve(K, M, k)
+
+    monkeypatch.setattr(spectra, "smallest_pencil_eigs", counted)
+    homog = spectra.homogenized_pair(geo.unit_square(), 1.0, 0.03, 1)
+    assert sizes == [33 ** 2, 67 ** 2]
+    coarse = spectra.homogenized_spectrum(geo.unit_square(), 1.0, 0.03,
+                                          1 + spectra.EXTRA)
+    assert np.array_equal(homog.coarse.values, coarse.values)
+
+
 def test_unconverged_solve_fails_the_gate():
     homog = spectra.homogenized_pair(geo.unit_square(), math.pi / 2, 1 / 32, 2)
     geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)

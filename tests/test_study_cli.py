@@ -41,6 +41,15 @@ def test_config_validation_errors():
         study.config_from_dict({"nonsense": 1})
 
 
+def test_numpy_kgon_order_validates_like_a_numpy_count():
+    # k=np.int64(3) was accepted while the same integer as the kgon order
+    # was refused; a bool order stays refused
+    study.StudyConfig(k=np.int64(3),
+                      hole_shape=("kgon", np.int64(4))).validate()
+    with pytest.raises(study.StudyError, match="integer k >= 3"):
+        study.StudyConfig(hole_shape=("kgon", True)).validate()
+
+
 def test_l_shape_with_odd_m_fails_validation():
     with pytest.raises(geometry.GeometryError) as late:
         geometry.build_perforated_geometry(geometry.l_shape(), 3, 1.0)
@@ -592,7 +601,7 @@ def test_cli_cell_lemma_refuses_shape_and_h(capsys, flag):
 
 
 @pytest.mark.parametrize("shape", ["square", "slit_collar:0.3", "kgon:2",
-                                   "kgon:x"])
+                                   "kgon:x", "circle"])
 def test_cli_cell_rejects_unsupported_shape(shape):
     r = run_cli("cell", "--shape", shape)
     assert r.returncode == 2
@@ -600,7 +609,8 @@ def test_cli_cell_rejects_unsupported_shape(shape):
 
 
 @pytest.mark.parametrize("command", [["mesh"], ["solve", "steklov"]])
-@pytest.mark.parametrize("shape", ["disk", "square", "kgon:2", "kgon:x"])
+@pytest.mark.parametrize("shape", ["disk", "square", "kgon:2", "kgon:x",
+                                   "kgon:+7", "kgon:\u00b2", "kgon:3:1"])
 def test_cli_mesh_and_solve_reject_unsupported_shape(capsys, command, shape):
     with pytest.raises(SystemExit) as exc:
         cli.main(command + ["--shape", shape])
