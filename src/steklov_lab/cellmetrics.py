@@ -18,8 +18,8 @@ import scipy.linalg
 from . import fem, shapes
 from .eigen import (factor_spd, largest_pencil_eigs, schur_complement,
                     smallest_pencil_eigs)
-from .geometry import (DEFAULT_CONSTANTS, GeometryError, chebyshev_center,
-                       hole_order, make_domain, unit_square)
+from .geometry import (C_SEC, GeometryError, chebyshev_center, hole_order,
+                       make_domain, unit_square)
 from .meshgen import Mesh, mesh_unperforated, refine
 from .spectra import _log_slope, richardson
 
@@ -339,7 +339,7 @@ def _lemma_secure_ratio(lemma_id, d):
     (3.3, s = d^2) over s (||u||^2_{L2(collar)} / r^2 + |log d| ||grad u||^2),
     on the secure ball of radius r / 2 around a hole of radius d, r = 0.5."""
     r = 0.5
-    mesh = shapes.mesh_secure_ball(d, DEFAULT_CONSTANTS.c_sec * r)
+    mesh = shapes.mesh_secure_ball(d, C_SEC * r)
     K = fem.assemble_stiffness(mesh)
     in_collar = np.array([0.0, 1.0])[mesh.tri_cell]
     M_collar = fem.assemble_weighted_mass(mesh, in_collar)

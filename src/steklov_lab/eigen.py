@@ -181,7 +181,7 @@ def largest_pencil_eigs(A: sp.spmatrix, B: sp.spmatrix,
     """k largest eigenvalues of B u = mu A u with A SPD and B PSD sparse.
 
     Eigenvectors come back A-orthonormal; residuals are ||B u - mu A u||_2
-    and are checked against _TOL * ||A||_inf.
+    and are checked against max(_TOL * ||A||_inf, 1e-14).
     """
     if k < 1:
         raise EigenError("k must be >= 1")

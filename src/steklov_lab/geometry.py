@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -174,16 +174,16 @@ class Hole:
         return (cx + rho * math.cos(theta), cy + rho * math.sin(theta))
 
 
-@dataclass(frozen=True)
-class AssumptionConstants:
-    """Configured uniform-geometry bounds the generated data must satisfy."""
-    c_tilde: float = 1.5             # outer/inner cell radius ratio
-    c_sec: float = 0.5               # secure-distance fraction of r
-    c_d_minus: float = 0.1           # lower bound on d / r^2
-    c_d_plus: float = 10.0           # upper bound on d / r^2
-
-
-DEFAULT_CONSTANTS = AssumptionConstants()
+# uniform-geometry bounds that every generated or loaded geometry is
+# validated against
+C_TILDE = 1.5                        # outer/inner cell radius ratio
+C_SEC = 0.5                          # secure-distance fraction of r
+C_D_MINUS = 0.1                      # lower bound on d / r^2
+C_D_PLUS = 10.0                      # upper bound on d / r^2
+# largest offset max(|dx|, |dy|) of a hole from the center of its square
+# cell, in units of r, that the cell mesh admits: the secure ball of radius
+# C_SEC * r keeps a transition layer of 0.05 r to the cell sides
+MAX_HOLE_OFFSET = 0.95 - C_SEC
 
 
 @dataclass
@@ -193,7 +193,6 @@ class PerforatedGeometry:
     cells: list
     holes: list
     beta: float
-    constants: AssumptionConstants = field(default_factory=AssumptionConstants)
 
     @property
     def epsilon(self) -> float:
@@ -258,22 +257,14 @@ def build_square_tessellation(domain: Domain, m: int) -> list:
 
 def max_admissible_beta(cells) -> float:
     r_max = max(c.r_in for c in cells)
-    return DEFAULT_CONSTANTS.c_sec / (2.0 * r_max)
-
-
-def max_hole_offset(c_sec: float) -> float:
-    """Largest offset max(|dx|, |dy|) of a hole from the center of its square
-    cell, in units of the inradius r, that the cell mesh admits: the secure
-    ball of radius c_sec * r keeps a transition layer of 0.05 r to the cell
-    sides."""
-    return 0.95 - c_sec
+    return C_SEC / (2.0 * r_max)
 
 
 def check_jitter(jitter):
     """Raise unless jitter is None, ("random", frac), or ("fixed", dx, dy)
-    whose largest offset stays within max_hole_offset, every value passing
+    whose largest offset stays within MAX_HOLE_OFFSET, every value passing
     is_number (so a bool is refused).  A random offset has length
-    frac * (1 - c_sec) * r in any direction."""
+    frac * (1 - C_SEC) * r in any direction."""
     if jitter is None:
         return
     spec = list(jitter) if isinstance(jitter, (list, tuple)) else []
@@ -281,19 +272,17 @@ def check_jitter(jitter):
     if (len(spec) != {"random": 2, "fixed": 3}.get(kind)
             or not all(map(is_number, spec[1:]))):
         raise GeometryError(f"unknown jitter spec {jitter!r}")
-    c_sec = DEFAULT_CONSTANTS.c_sec
-    bound = max_hole_offset(c_sec)
     if kind == "random":
-        frac_max = bound / (1.0 - c_sec)
+        frac_max = MAX_HOLE_OFFSET / (1.0 - C_SEC)
         if not 0 <= spec[1] <= frac_max + 1e-12:
             raise GeometryError(
                 f"random jitter fraction must be in [0, {frac_max:.6g}] = "
                 f"[0, (0.95 - c_sec) / (1 - c_sec)]")
-    elif max(map(abs, spec[1:])) > bound + 1e-12:
+    elif max(map(abs, spec[1:])) > MAX_HOLE_OFFSET + 1e-12:
         raise GeometryError(
             f"fixed jitter offset {jitter!r} breaks the secure distance and "
             f"transition layer: max(|dx|, |dy|) must be at most "
-            f"0.95 - c_sec = {bound:.6g}")
+            f"0.95 - c_sec = {MAX_HOLE_OFFSET:.6g}")
 
 
 def place_holes(cells, shape_spec, beta, jitter=None, rng=None) -> list:
@@ -301,7 +290,7 @@ def place_holes(cells, shape_spec, beta, jitter=None, rng=None) -> list:
 
     shape_spec is "circle" or ("kgon", k).  jitter is None, a fixed offset
     ("fixed", dx, dy) in units of r, or ("random", frac), see check_jitter.
-    check_jitter's offsets of at most 0.45 r keep an inset >= 0.55 r > c_sec*r.
+    check_jitter's offsets of at most 0.45 r keep an inset >= 0.55 r > C_SEC*r.
     """
     k = hole_order(shape_spec)
     beta_max = max_admissible_beta(cells)
@@ -323,7 +312,7 @@ def place_holes(cells, shape_spec, beta, jitter=None, rng=None) -> list:
             off = (jitter[1] * r, jitter[2] * r)
         else:
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            mag = float(jitter[1]) * (1.0 - DEFAULT_CONSTANTS.c_sec) * r
+            mag = float(jitter[1]) * (1.0 - C_SEC) * r
             off = (mag * math.cos(ang), mag * math.sin(ang))
         holes.append(Hole(cell_index=cell.index, k=k,
                           center=(cx + off[0], cy + off[1]), d=beta * r * r))
@@ -410,7 +399,6 @@ class AssumptionReport:
 
 def validate_assumptions(geometry: PerforatedGeometry,
                          wf: WeightField | None = None) -> AssumptionReport:
-    cst = geometry.constants
     cells, holes = geometry.cells, geometry.holes
     checks = []
 
@@ -423,26 +411,26 @@ def validate_assumptions(geometry: PerforatedGeometry,
     ratios = [(c.r_out / c.r_in, c.index) for c in cells]
     worst, idx = max(ratios)
     checks.append(AssumptionCheck(
-        "cell-radius-ratio", worst <= cst.c_tilde + 1e-12, worst,
-        cst.c_tilde, idx if worst > cst.c_tilde + 1e-12 else None))
+        "cell-radius-ratio", worst <= C_TILDE + 1e-12, worst, C_TILDE,
+        idx if worst > C_TILDE + 1e-12 else None))
 
     sec = []
     for cell, hole in zip(cells, holes):
         sec.append((cell.inset(hole.center) / cell.r_in, cell.index))
     worst, idx = min(sec)
     checks.append(AssumptionCheck(
-        "secure-distance", worst >= cst.c_sec - 1e-12, worst, cst.c_sec,
-        idx if worst < cst.c_sec - 1e-12 else None))
+        "secure-distance", worst >= C_SEC - 1e-12, worst, C_SEC,
+        idx if worst < C_SEC - 1e-12 else None))
 
     scaling = [(h.d / c.r_in ** 2, c.index) for c, h in zip(cells, holes)]
     lo, lo_i = min(scaling)
     hi, hi_i = max(scaling)
     checks.append(AssumptionCheck(
-        "hole-scaling-lower", lo >= cst.c_d_minus - 1e-12, lo, cst.c_d_minus,
-        lo_i if lo < cst.c_d_minus - 1e-12 else None))
+        "hole-scaling-lower", lo >= C_D_MINUS - 1e-12, lo, C_D_MINUS,
+        lo_i if lo < C_D_MINUS - 1e-12 else None))
     checks.append(AssumptionCheck(
-        "hole-scaling-upper", hi <= cst.c_d_plus + 1e-12, hi, cst.c_d_plus,
-        hi_i if hi > cst.c_d_plus + 1e-12 else None))
+        "hole-scaling-upper", hi <= C_D_PLUS + 1e-12, hi, C_D_PLUS,
+        hi_i if hi > C_D_PLUS + 1e-12 else None))
 
     if wf is None:
         wf = weight_field(geometry)
@@ -465,12 +453,6 @@ def geometry_to_json(geometry: PerforatedGeometry,
         },
         "epsilon": {"m": geometry.m},
         "beta": geometry.beta,
-        "constants": {
-            "c_tilde": geometry.constants.c_tilde,
-            "c_sec": geometry.constants.c_sec,
-            "c_d_minus": geometry.constants.c_d_minus,
-            "c_d_plus": geometry.constants.c_d_plus,
-        },
         "holes": [
             {"cell": h.cell_index,
              "shape": "circle" if h.k is None else "kgon", "k": h.k,
@@ -482,15 +464,14 @@ def geometry_to_json(geometry: PerforatedGeometry,
 
 
 def geometry_from_json(text: str) -> PerforatedGeometry:
-    """Inverse of geometry_to_json; GeometryError on a malformed payload."""
+    """Inverse of geometry_to_json; GeometryError on a malformed payload.
+    Keys it does not read, such as an older file's "constants", are
+    ignored: every geometry is validated against this module's bounds."""
     try:
         data = json.loads(text)
         domain = make_domain(
             [(Fraction(x), Fraction(y)) for x, y in data["domain"]["vertices"]],
             data["domain"]["kind"])
-        cst = AssumptionConstants(**data["constants"])
-        for name, value in vars(cst).items():
-            _real(value, f"constant {name}")
         m = data["epsilon"]["m"]
         if type(m) is not int or m < 1:
             raise GeometryError(f"epsilon m must be an integer >= 1, got {m!r}")
@@ -522,7 +503,7 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
             raise GeometryError(f"hole {i} center must be two numbers")
     return PerforatedGeometry(domain=domain, m=m,
                               cells=build_square_tessellation(domain, m),
-                              holes=holes, beta=beta, constants=cst)
+                              holes=holes, beta=beta)
 
 
 def is_integer(value) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Hole, _grid_squares, max_hole_offset
+from .geometry import C_SEC, MAX_HOLE_OFFSET, Hole, _grid_squares
 
 OUTER = -1
 
@@ -259,7 +259,7 @@ def _triangulate_bands(bands, points):
     return np.concatenate(out)
 
 
-def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
+def _build_cell(cell, hole: Hole, template: CellMeshTemplate):
     """Nodes, triangles, hole edges, and boundary walk for one cell mesh.
 
     Returns (points, walk, triangles, hole_edges) where triangles is an
@@ -276,7 +276,7 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     hx, hy = hole.center
     d = hole.d
 
-    rho_out = c_sec * r
+    rho_out = C_SEC * r
     ratio = rho_out / d
     rings_needed = template.rings_needed(d, rho_out)
     # ring_count is a budget: spend only as many rings as keeps the radial
@@ -285,7 +285,7 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate, c_sec: float):
     rings = min(template.ring_count, max(1, rings_needed, balanced))
     ccx, ccy = cell.center
     off_inf = max(abs(hx - ccx), abs(hy - ccy))
-    if off_inf > (max_hole_offset(c_sec) + 1e-12) * r:
+    if off_inf > (MAX_HOLE_OFFSET + 1e-12) * r:
         raise MeshError(
             f"hole offset in cell {cell.index} leaves no room for the "
             "transition layer to the cell boundary")
@@ -358,10 +358,9 @@ def mesh_perforated(geometry, template: CellMeshTemplate) -> Mesh:
     walk the rank of its lattice key, which adjacent cells share; nodes are
     numbered by the first appearance of their label in cell order.
     """
-    c_sec = geometry.constants.c_sec
     points, walks, on_walk, tris, hole_edges = [], [], [], [], []
     for cell, hole in zip(geometry.cells, geometry.holes):
-        pts, walk, t, edges = _build_cell(cell, hole, template, c_sec)
+        pts, walk, t, edges = _build_cell(cell, hole, template)
         tris.append(t + len(points))
         hole_edges.append(np.add(edges, len(points)))
         points += pts

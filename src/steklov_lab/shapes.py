@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .geometry import (DEFAULT_CONSTANTS, Cell, Hole, chebyshev_center,
-                       hole_order)
+from .geometry import Cell, Hole, chebyshev_center, hole_order
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, OUTER,
                       _boundary_edges_oriented, _build_cell, _edge_table,
                       refine)
@@ -271,8 +270,7 @@ def mesh_cell_with_hole(d: float, segments: int = 32, sides: int = 8) -> Mesh:
     template = CellMeshTemplate(ring_count=40, grading=1.9,
                                 boundary_nodes_per_side=sides,
                                 hole_boundary_segments=segments)
-    nodes, _, collar, _ = _build_cell(cell, hole, template,
-                                      DEFAULT_CONSTANTS.c_sec)
+    nodes, _, collar, _ = _build_cell(cell, hole, template)
     tris = collar.tolist()
     collar_tris = len(tris)
     ids = list(range(segments))

@@ -80,20 +80,12 @@ class StudyConfig:
             raise StudyError("m_values must be strictly increasing")
         if self.domain not in DOMAINS:
             raise StudyError(f"unknown domain {self.domain!r}")
-        c_sec = geometry.DEFAULT_CONSTANTS.c_sec
         try:
             self.template.validate(geometry.hole_order(self.hole_shape))
-            geometry.check_jitter(self.jitter)
-            for m in ms:    # holes have d = beta r^2
-                cells = geometry.build_square_tessellation(
-                    self.domain_object(), m)
-                r = cells[0].r_in
-                beta_max = geometry.max_admissible_beta(cells)
-                if not 0 < self.beta <= beta_max:
-                    raise StudyError(
-                        f"beta={self.beta} inadmissible for m_min={m}: "
-                        f"hole smallness requires beta <= {beta_max:.6g}")
-                self.template.rings_needed(self.beta * r * r, c_sec * r)
+            for m in ms:    # place_holes checks beta and the jitter spec
+                geo = _geometry(self, m)
+                r = geo.cells[0].r_in
+                self.template.rings_needed(geo.holes[0].d, geometry.C_SEC * r)
         except (geometry.GeometryError, meshgen.MeshError) as exc:
             raise StudyError(str(exc)) from exc
         for i, desc in enumerate(self.sources):
@@ -292,8 +284,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
                          q_limit=q_limit)
 
     report.cell_summary = cellmetrics.cell_constants(
-        "disk" if cfg.hole_shape == "circle" else cfg.hole_shape,
-        h=0.12).as_dict()
+        "disk" if cfg.hole_shape == "circle"
+        else ("kgon", geometry.hole_order(cfg.hole_shape)), h=0.12).as_dict()
 
     usable = [p for p in pairs if p.gate_ok]
     deltas = [p.delta for p in usable]
@@ -355,12 +347,10 @@ def report_json(report: StudyReport) -> str:
                 "deltas": [float(v) for v in r.deltas],
                 "distances": [float(v) for v in r.distances]}
 
-    cfg = asdict(report.config)
-    cfg["template"] = asdict(report.config.template)
     payload = {
         "environment": {"package": "steklov-lab", "version": __version__,
                         "seed": report.config.seed},
-        "config": cfg,
+        "config": asdict(report.config),
         "q_limit": report.q_limit,
         "oracle_checks": [
             {"name": n, "passed": ok, "detail": d}
@@ -385,7 +375,17 @@ def report_json(report: StudyReport) -> str:
         "notes": report.notes,
         "passed": report.passed,
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, default=_json_scalar)
+
+
+def _json_scalar(value):
+    """A numpy scalar as the Python value it stands for: a config may carry
+    numpy counts, and a numpy m makes the assumption checks numpy bools.
+    Anything else stays unserializable."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def svg_loglog(xs, ys, slope=None, intercept=None, title="") -> str:

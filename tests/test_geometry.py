@@ -289,7 +289,7 @@ def test_geometry_json_roundtrip():
     assert geo.geometry_to_json(back) == text
     # only what geometry_from_json reads: no cells, weights or epsilon value
     data = json.loads(text)
-    assert list(data) == ["domain", "epsilon", "beta", "constants", "holes"]
+    assert list(data) == ["domain", "epsilon", "beta", "holes"]
     assert data["epsilon"] == {"m": 3}
     # each hole's "shape" is derived from its k
     assert list(data["holes"][5]) == ["cell", "shape", "k", "center", "d"]

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses,
-and every module-level private function is referenced outside its own def,
-so that code a change leaves behind is caught here."""
+and every module-level function, class and assigned name is referenced
+outside its own definition, so that code a change leaves behind is caught
+here."""
 
 import ast
 import pathlib
@@ -8,10 +9,19 @@ from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "steklov_lab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "steklov_lab"
 MODULES = sorted(SRC.glob("*.py"))
-TREES = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-         for p in MODULES}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+TREES = {p.name: _parse(p) for p in MODULES}
+# the code outside the package that may use its public names
+OUTSIDE = [_parse(p) for d in ("tests", "perfbench")
+           for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _references(node) -> Counter:
@@ -49,12 +59,50 @@ def test_no_module_imports_a_name_it_never_uses(name):
     assert unused == [], f"{name} imports {unused} and never uses them"
 
 
-def test_every_private_function_is_referenced():
-    total = sum((_references(t) for t in TREES.values()), Counter())
-    unreferenced = [
-        f"{name}:{fn.name}"
-        for name, tree in TREES.items() for fn in tree.body
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and fn.name.startswith("_") and not fn.name.endswith("__")
-        and total[fn.name] - _references(fn)[fn.name] == 0]
-    assert unreferenced == []
+def _definitions(tree):
+    """(name, node) of every module-level function, class and assigned
+    name, dunder names left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def unreferenced_names(trees, outside) -> list:
+    """module:name of every definition in trees (file name -> module AST,
+    __init__.py left out) that no code references outside its own
+    definition: a private name must be used in trees, a public one in trees
+    or in the ASTs of outside.  Re-exports in __init__.py are no use."""
+    trees = {k: t for k, t in trees.items() if k != "__init__.py"}
+    inside = sum((_references(t) for t in trees.values()), Counter())
+    public = inside + sum((_references(t) for t in outside), Counter())
+    return [f"{module}:{name}"
+            for module, tree in trees.items()
+            for name, node in _definitions(tree)
+            if (inside if name.startswith("_") else public)[name]
+            == _references(node)[name]]
+
+
+def test_every_module_level_name_is_referenced():
+    assert unreferenced_names(TREES, OUTSIDE) == []
+
+
+def test_an_unused_definition_is_reported():
+    planted = ast.parse("UNUSED_RULE = 3\n_ORPHAN = 4\n"
+                        "def dead_public():\n    return 0\n"
+                        "def _recursive():\n    return _recursive()\n")
+    # a private name used only outside src/ is still unused
+    outside = OUTSIDE + [ast.parse("_ORPHAN\n")]
+    assert unreferenced_names(dict(TREES, planted=planted), outside) == [
+        "planted:UNUSED_RULE", "planted:_ORPHAN", "planted:dead_public",
+        "planted:_recursive"]

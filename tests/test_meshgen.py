@@ -38,8 +38,7 @@ def _one_cell(geom, i=0):
     """Cell i of geom alone, as a perforated geometry of its own."""
     return geo.PerforatedGeometry(domain=geom.domain, m=geom.m,
                                   cells=geom.cells[i:i + 1],
-                                  holes=geom.holes[i:i + 1], beta=geom.beta,
-                                  constants=geom.constants)
+                                  holes=geom.holes[i:i + 1], beta=geom.beta)
 
 
 def test_one_cell_quality_and_hole_polygon():
@@ -189,7 +188,7 @@ def test_single_cell_mesh_is_the_cell_template_plus_outer():
     geom = geo.build_perforated_geometry(geo.unit_square(), 2, 1.0)
     single = mg.mesh_perforated(_one_cell(geom), TPL)
     points, walk, tris, hole_edges = mg._build_cell(
-        geom.cells[0], geom.holes[0], TPL, geom.constants.c_sec)
+        geom.cells[0], geom.holes[0], TPL)
     assert np.array_equal(single.nodes, np.array(points))
     assert np.array_equal(single.triangles, tris)
     outer = single.edge_tags == mg.OUTER
@@ -474,15 +473,14 @@ def test_array_quad_splits_match_the_scalar_reference(m, tpl, shape, beta,
     geom = geo.build_perforated_geometry(
         geo.unit_square(), m, beta, shape_spec=shape, jitter=jitter,
         rng=np.random.default_rng(seed))
-    c_sec = geom.constants.c_sec
     segments, sides = tpl.hole_boundary_segments, tpl.boundary_nodes_per_side
     with pytest.MonkeyPatch.context() as monkeypatch, \
             warnings.catch_warnings():
         warnings.simplefilter("error")
         for cell, hole in zip(geom.cells, geom.holes):
-            pts, walk, tris, edges = mg._build_cell(cell, hole, tpl, c_sec)
+            pts, walk, tris, edges = mg._build_cell(cell, hole, tpl)
             ref = _scalar_build(monkeypatch, lambda: mg._build_cell(
-                cell, hole, tpl, c_sec))
+                cell, hole, tpl))
             assert (pts, walk, edges) == (ref[0], ref[1], ref[3])
             assert pts[len(pts) - len(walk):] == [
                 (gx / (m * sides), gy / (m * sides)) for gx, gy in walk]

@@ -31,7 +31,7 @@ def small_config(**over):
 def test_config_validation_errors():
     with pytest.raises(study.StudyError, match="strictly increasing"):
         study.config_from_dict({"m_values": [4, 4]})
-    with pytest.raises(study.StudyError, match="inadmissible"):
+    with pytest.raises(study.StudyError, match="violates hole smallness"):
         study.config_from_dict({"m_values": [2, 4], "beta": 1.5})
     with pytest.raises(study.StudyError, match="positive"):
         study.config_from_dict({"h_hom": -1})
@@ -48,6 +48,23 @@ def test_numpy_kgon_order_validates_like_a_numpy_count():
                       hole_shape=("kgon", np.int64(4))).validate()
     with pytest.raises(study.StudyError, match="integer k >= 3"):
         study.StudyConfig(hole_shape=("kgon", True)).validate()
+
+
+def test_numpy_counts_write_the_same_report_as_plain_ints(tmp_path):
+    # a numpy count once passed validate and the whole sweep, then crashed
+    # the report's JSON
+    def run(num, out):
+        cfg = study.StudyConfig(
+            m_values=(num(1), num(2)), beta=0.5, hole_shape=("kgon", num(4)),
+            template=meshgen.CellMeshTemplate(num(6), 2.0, num(4), num(16)),
+            k=num(3), sources=(), h_hom=1 / 32, seed=num(0))
+        study.write_report(study.run_study(cfg), str(out))
+        return [(out / name).read_bytes()
+                for name in ("report.json", "sweep.csv")]
+
+    plain = run(int, tmp_path / "plain")
+    assert run(np.int64, tmp_path / "numpy") == plain
+    assert json.loads(plain[0])["cell_summary"]["shape"] == "('kgon', 4)"
 
 
 def test_l_shape_with_odd_m_fails_validation():
@@ -100,7 +117,7 @@ def test_hole_past_the_offset_bound_fails_in_meshing():
     geom = geometry.build_perforated_geometry(geometry.unit_square(), 2, 1.0)
     cell = geom.cells[0]
     cx, cy = cell.center
-    bound = geometry.max_hole_offset(geometry.DEFAULT_CONSTANTS.c_sec)
+    bound = geometry.MAX_HOLE_OFFSET
     geom.holes[0] = dataclasses.replace(
         geom.holes[0], center=(cx, cy + (bound + 0.01) * cell.r_in))
     with pytest.raises(meshgen.MeshError, match="transition layer"):
@@ -467,14 +484,6 @@ def _swap_holes(data):
         "invalid geometry: beta must be a finite number", id="beta-string"),
     # each of these once ended in a traceback
     pytest.param(
-        _edited_geometry_payload(lambda d: d["constants"].update(c_sec="x")),
-        "invalid geometry: constant c_sec must be a finite number",
-        id="c_sec-string"),
-    pytest.param(
-        _edited_geometry_payload(lambda d: d["constants"].update(c_sec=None)),
-        "invalid geometry: constant c_sec must be a finite number",
-        id="c_sec-null"),
-    pytest.param(
         _edited_geometry_payload(lambda d: d["holes"][0].update(center=[0.1])),
         "invalid geometry: hole 0 center must be two numbers", id="center-1d"),
     pytest.param(
@@ -503,6 +512,50 @@ def test_cli_validate_fails_a_hole_moved_into_the_next_cell(capsys,
     out = capsys.readouterr().out
     assert "FAIL  secure-distance: measured -1 vs bound 0.5 (cell 0)" in out
     assert out.endswith("FAIL\n")
+
+
+def _break_two_holes(data):
+    """Hole 0 at 0.08 r from its cell side, hole 1 with d / r^2 = 80 (m = 2,
+    r = 1/4)."""
+    data["holes"][0].update(center=[0.5 - 0.08 / 4, 0.25])
+    data["holes"][1].update(d=80 / 16)
+
+
+def _with_constants(edit, constants):
+    def both(data):
+        edit(data)
+        data["constants"] = constants
+    return both
+
+
+def test_cli_validate_ignores_a_files_own_lenient_bounds(capsys, tmp_path):
+    # a file once set the bounds it was checked against, and passed
+    lenient = {"c_tilde": 99, "c_sec": -1, "c_d_minus": -1e9, "c_d_plus": 1e9}
+    p = tmp_path / "geom.json"
+    p.write_text(_edited_geometry_payload(
+        _with_constants(_break_two_holes, lenient)))
+    assert cli.main(["validate", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  secure-distance: measured 0.08 vs bound 0.5 (cell 0)" in out
+    assert "FAIL  hole-scaling-upper: measured 80 vs bound 10 (cell 1)" in out
+    assert "pass  cell-radius-ratio: measured 1.41421 vs bound 1.5\n" in out
+    assert "pass  hole-scaling-lower: measured 1 vs bound 0.1\n" in out
+    assert out.endswith("FAIL\n")
+
+
+@pytest.mark.parametrize("edit", [lambda d: None, _break_two_holes],
+                         ids=["admissible", "two-holes-broken"])
+def test_cli_validate_reads_an_old_constants_block_as_absent(capsys, tmp_path,
+                                                             edit):
+    old = {"c_tilde": 1.5, "c_sec": 0.5, "c_d_minus": 0.1, "c_d_plus": 10.0}
+    runs = []
+    for payload in (_edited_geometry_payload(edit),
+                    _edited_geometry_payload(_with_constants(edit, old))):
+        p = tmp_path / "geom.json"
+        p.write_text(payload)
+        runs.append((cli.main(["validate", str(p)]), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert "constants" in json.loads(payload)
 
 
 def test_cli_mesh_export_reloadable(tmp_path):
