@@ -139,7 +139,7 @@ class CellMeshTemplate:
                                / self.hole_boundary_segments))
 
 
-def _cell_boundary_walk(ix, iy, m, s):
+def _cell_boundary_walk(ix, iy, s):
     """Lattice coordinates (units of 1/(m*s)) of the 4s cell boundary nodes,
     counterclockwise starting at the mid-right node."""
     x0, y0 = ix * s, iy * s
@@ -329,7 +329,7 @@ def _build_cell(cell, hole: Hole, template: CellMeshTemplate):
     # connector is graded geometrically so its first band matches the circle
     # spacing, whatever its length.
     den = m * s
-    walk = _cell_boundary_walk(ix, iy, m, s)
+    walk = _cell_boundary_walk(ix, iy, s)
     walk_pts = [(gx / den, gy / den) for gx, gy in walk]
     t0 = 2.0 * math.pi * rho_out / (4 * s)
     lengths = [math.hypot(wp[0] - cp[0], wp[1] - cp[1])

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dtbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import fem, meshgen
 from .eigen import (SpdFactorization, SpectralResult, factor_spd,
@@ -110,29 +112,51 @@ def _skeleton(mesh, dm):
 
 def _schur(A, r, i, cell):
     """S = A_RR - sum_c A_R,I(c) A_I(c)^-1 A_I(c),R, exactly symmetric.
-    Cell interiors never couple across cells, so A_II is block-diagonal and
-    each cell's block is factored and dropped on its own.  Only the upper
+    Cell interiors never couple across cells, so A_II is block-diagonal.
+    Its reverse Cuthill-McKee order, regrouped by cell, gives each cell a
+    narrow band: the block is factored A_I(c) = L L^T in LAPACK band
+    storage, W = L^-1 A_I(c),R, and the block is W^T W.  Only the upper
     triangles of A_RR and of each cell's block are summed, then mirrored
     (fem._symmetric); the R ids rc of a block are sorted, so its local upper
     triangle is a global one."""
-    i = i[np.argsort(cell, kind="stable")]
     A_I = A[i]
-    A_II, A_IR = A_I[:, i], A_I[:, r]
+    A_II = A_I[:, i]
+    order = reverse_cuthill_mckee(A_II, symmetric_mode=True)
+    order = order[np.argsort(cell[order], kind="stable")]
+    low = sp.tril(A_II[order][:, order], format="csr")
+    A_IR = A_I[order][:, r]
+    n_i = len(i)
+    low_row = np.repeat(np.arange(n_i), np.diff(low.indptr))
+    ir_row = np.repeat(np.arange(n_i), np.diff(A_IR.indptr))
     counts = np.unique(cell, return_counts=True)[1]
     ends = np.cumsum(counts)
     up = sp.triu(A[r][:, r], format="coo")
     rows, cols, vals = [up.row], [up.col], [up.data]
     for a, b in zip(ends - counts, ends):
-        rc = np.unique(A_IR[a:b].indices)
-        C = A_IR[a:b][:, rc]
-        # a sparse C.T keeps these small products off the BLAS thread pool
-        G = C.T @ factor_spd(A_II[a:b, a:b]).solve(C.toarray())
+        p, q = low.indptr[a], low.indptr[b]
+        lr, lc = low_row[p:q] - a, low.indices[p:q] - a
+        band = np.zeros((np.max(lr - lc) + 1, b - a), order="F")
+        band[lr - lc, lc] = low.data[p:q]
+        chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info:
+            raise SpectraError(
+                f"cell block of {b - a} interior dofs is not positive "
+                f"definite (leading minor {info})")
+        p, q = A_IR.indptr[a], A_IR.indptr[b]
+        rc, at = np.unique(A_IR.indices[p:q], return_inverse=True)
+        W = np.zeros((b - a, len(rc)), order="F")
+        W[ir_row[p:q] - a, at] = A_IR.data[p:q]
+        W = dtbtrs(chol, W, uplo="L", overwrite_b=1)[0]
+        G = W.T @ W
         lo, hi = np.triu_indices(len(rc))
         rows.append(rc[lo])
         cols.append(rc[hi])
         vals.append(-G[lo, hi])
-    return fem._symmetric(np.concatenate(rows), np.concatenate(cols),
-                          np.concatenate(vals), len(r))
+    vals = np.concatenate(vals)
+    if not np.all(np.isfinite(vals)):
+        raise SpectraError("Schur complement has non-finite entries")
+    return fem._symmetric(np.concatenate(rows), np.concatenate(cols), vals,
+                          len(r))
 
 
 def homogenized_spectrum(domain, q, h: float, k: int) -> SpectralResult:

@@ -249,12 +249,11 @@ class StudyReport:
 
     @property
     def passed(self) -> bool:
-        ok = self.gates_ok
-        if self.rate is not None:
-            ok = ok and self.rate.consistent
-        for r in self.gap_rates:
-            ok = ok and r.consistent
-        return ok
+        """Every gate passed, and the Hausdorff fit and one gap fit per
+        source exist and are consistent: a study that fits no rate fails."""
+        return (self.gates_ok and self.rate is not None
+                and len(self.gap_rates) == len(self.config.sources)
+                and all(r.consistent for r in [self.rate, *self.gap_rates]))
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
@@ -292,19 +291,18 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     if not report.oracle_ok:
         report.notes.append("oracle self-test failed; rate fit refused")
         return report
-    try:
-        report.rate = spectra.fit_rate(deltas, [p.hausdorff for p in usable])
-    except spectra.SpectraError as exc:
-        report.notes.append(str(exc))
-        return report
     if len(usable) < len(pairs):
-        skipped = [p.m for p in pairs if not p.gate_ok]
+        skipped = [int(p.m) for p in pairs if not p.gate_ok]
         report.notes.append(
             f"points excluded by the discretization gate: m={skipped}")
-    for si in range(len(cfg.sources)):
-        vals = [gap_samples[i][si].normalized
-                for i, p in enumerate(pairs) if p.gate_ok]
-        report.gap_rates.append(spectra.fit_rate(deltas, vals))
+    try:
+        report.rate = spectra.fit_rate(deltas, [p.hausdorff for p in usable])
+        for si in range(len(cfg.sources)):
+            vals = [gap_samples[i][si].normalized
+                    for i, p in enumerate(pairs) if p.gate_ok]
+            report.gap_rates.append(spectra.fit_rate(deltas, vals))
+    except spectra.SpectraError as exc:
+        report.notes.append(str(exc))
     return report
 
 

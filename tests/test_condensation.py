@@ -193,17 +193,42 @@ def test_condensed_bundle_holds_no_factor_until_its_first_solve(
     monkeypatch.setattr(spectra, "factor_spd", recorded)
     mesh = perforated("unit-square", 2, "circle", ("random", 0.5))
     op = spectra.condense(mesh)
-    # S is summed from one factor per cell with interior dofs, and every
-    # one of them is gone once condense returns
+    # S is summed from banded per-cell factors that never leave _schur, so
+    # condense makes no SuperLU factor
+    assert built == []
     n_i = op.A.shape[0] - len(op.r)
-    dm = fem.build_dofmap(mesh)
-    on_r, cell = spectra._skeleton(mesh, dm)
-    cells = len(np.unique(cell[~on_r]))
-    assert cells == 4 and len(built) == cells
-    assert sum(n for n, _ in built) == n_i
-    assert all(ref() is None for _, ref in built)
     f = np.ones(mesh.num_nodes)
     u = op.solve(f)
-    assert [n for n, _ in built[cells:]] == [len(op.r), n_i]
-    assert all(ref() is not None for _, ref in built[cells:])
-    assert np.array_equal(op.solve(f), u) and len(built) == cells + 2
+    assert [n for n, _ in built] == [len(op.r), n_i]
+    assert all(ref() is not None for _, ref in built)
+    assert np.array_equal(op.solve(f), u) and len(built) == 2
+
+
+def _interior_blocks(mesh):
+    A, _ = full_pencil(mesh)
+    on_r, cell = spectra._skeleton(mesh, fem.build_dofmap(mesh))
+    r, i = np.flatnonzero(on_r), np.flatnonzero(~on_r)
+    return A.tolil(), r, i, cell[i]
+
+
+@pytest.mark.parametrize("jitter", [None, ("random", 0.5)])
+def test_schur_refuses_a_cell_block_that_is_not_positive_definite(jitter):
+    mesh = perforated("unit-square", 2, "circle", jitter, seed=1)
+    A, r, i, cell = _interior_blocks(mesh)
+    p = i[len(i) // 2]
+    A[p, p] = -A[p, p]
+    with pytest.raises(spectra.SpectraError, match="not positive definite"):
+        spectra._schur(A.tocsr(), r, i, cell)
+
+
+@pytest.mark.parametrize("off", [0, 1])
+def test_schur_refuses_a_nan_in_a_cell_interior(off):
+    # dpbtrf does not flag a NaN pivot; S must never come back with it
+    mesh = perforated("unit-square", 2, "circle", None)
+    A, r, i, cell = _interior_blocks(mesh)
+    p = i[len(i) // 2]
+    q = A.rows[p][np.searchsorted(A.rows[p], p) + off]
+    assert q in i
+    A[p, q] = A[q, p] = np.nan
+    with pytest.raises(spectra.SpectraError, match="non-finite"):
+        spectra._schur(A.tocsr(), r, i, cell)

@@ -169,6 +169,8 @@ def test_small_study_runs_and_reports(tmp_path):
     assert len(report.pairs) == 2
     assert report.rate is None          # fewer than 4 usable points
     assert any("rate fit skipped" in n for n in report.notes)
+    # no rate of the paper was checked, so the study does not pass
+    assert report.gates_ok and not report.passed
     assert report.pairs[0].hausdorff > report.pairs[1].hausdorff
     paths = study.write_report(report, str(tmp_path / "out"))
     assert os.path.exists(paths["csv"])
@@ -178,6 +180,30 @@ def test_small_study_runs_and_reports(tmp_path):
     head = open(paths["csv"]).readline().strip().split(",")
     assert head[:5] == ["epsilon", "r_eps", "d", "kappa", "delta"]
     assert "gap_f1" in head
+
+
+def test_cli_study_fails_on_a_refused_gap_fit(capsys, monkeypatch,
+                                             tmp_path):
+    # a gap fit that raised once ended the study in a traceback after the
+    # whole sweep; now it is a note, and the study fails
+    fit, calls = spectra.fit_rate, []
+
+    def hausdorff_only(deltas, distances):
+        calls.append(len(deltas))
+        if len(calls) > 1:
+            raise spectra.SpectraError("distances must be positive")
+        return fit([0.1, 0.2, 0.3, 0.4], [0.01, 0.02, 0.03, 0.04])
+
+    monkeypatch.setattr(spectra, "fit_rate", hausdorff_only)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(SMALL))
+    assert cli.main(["study", str(p), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert calls == [2, 2]
+    assert "note: distances must be positive" in out and out[-1] == "FAIL"
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["rate"]["consistent"] and rep["gap_rates"] == []
+    assert rep["passed"] is False
 
 
 def test_study_determinism_byte_identical(tmp_path):
@@ -804,6 +830,7 @@ def test_degenerate_sweep_skips_fits_and_writes_report(tmp_path):
     assert report.rate is None and report.gap_rates == []
     assert report.notes == [
         "delta spans only a factor 1.94 (a fit needs 4.0); rate fit skipped"]
+    assert report.gates_ok and not report.passed
     paths = study.write_report(report, str(tmp_path / "out"))
     assert "svg" not in paths
     assert json.loads(open(paths["json"]).read())["rate"] is None
