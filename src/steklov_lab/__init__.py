@@ -9,11 +9,10 @@ at the critical rate.
 __version__ = "0.1.0"
 
 from .geometry import (Cell, Domain, GeometryError, Hole, PerforatedGeometry,
-                       WeightField, build_perforated_geometry,
-                       build_square_tessellation, geometry_from_json,
-                       geometry_to_json, kappa, l_shape, make_domain,
-                       place_holes, rectangle, unit_square,
-                       validate_assumptions, weight_field)
+                       build_perforated_geometry, build_square_tessellation,
+                       cell_weight, geometry_from_json, geometry_to_json,
+                       kappa, l_shape, make_domain, place_holes, rectangle,
+                       unit_square, validate_assumptions, weight_field)
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, export_mesh,
                       load_mesh, mesh_perforated, mesh_unperforated, refine)
 from .fem import (DofMap, FemError, apply_dirichlet, assemble_hole_mass,

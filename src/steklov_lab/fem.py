@@ -129,10 +129,10 @@ def _edge_mass(mesh: Mesh, edges) -> sp.csr_matrix:
 @dataclass
 class DofMap:
     free: np.ndarray                 # free node ids, ascending
-    index_of: np.ndarray             # node id -> reduced index, -1 constrained
+    n: int                           # node count of the mesh
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
-        full = np.zeros(len(self.index_of))
+        full = np.zeros(self.n)
         full[self.free] = reduced
         return full
 
@@ -146,27 +146,24 @@ def build_dofmap(mesh: Mesh, fixed=None) -> DofMap:
     free = np.nonzero(mask)[0]
     if len(free) == 0:
         raise FemError("every node is constrained; empty system")
-    index_of = -np.ones(mesh.num_nodes, dtype=np.int64)
-    index_of[free] = np.arange(len(free))
-    return DofMap(free=free, index_of=index_of)
+    return DofMap(free=free, n=mesh.num_nodes)
 
 
 def apply_dirichlet(matrix: sp.spmatrix, dofmap: DofMap) -> sp.csr_matrix:
     """Delete constrained rows and columns (true elimination, not penalty)."""
-    if matrix.shape[0] != len(dofmap.index_of):
+    if matrix.shape[0] != dofmap.n:
         raise FemError(
             f"matrix dimension {matrix.shape[0]} does not match the "
-            f"{len(dofmap.index_of)}-node mesh")
+            f"{dofmap.n}-node mesh")
     return matrix.tocsr()[dofmap.free][:, dofmap.free]
 
 
 # ---------------------------------------------------------------------------
 # inter-mesh interpolation (restriction of fine homogenized solutions)
 
-def interpolate(source_mesh: Mesh, values, target) -> np.ndarray:
-    """P1 evaluation of structured-mesh nodal values at target points (or
-    the nodes of a target mesh).  Exact for functions linear on source
-    triangles.
+def interpolate(source_mesh: Mesh, values, points) -> np.ndarray:
+    """P1 evaluation of structured-mesh nodal values at points.  Exact for
+    functions linear on source triangles.
 
     Each point is located in closed form on the source lattice; a point on a
     cell side belongs to whichever neighbouring cell is present.
@@ -175,7 +172,7 @@ def interpolate(source_mesh: Mesh, values, target) -> np.ndarray:
         raise FemError("interpolation needs a structured source mesh")
     nd, origin, first_tri = source_mesh.lattice
     values = np.asarray(values, dtype=float)
-    points = target.nodes if isinstance(target, Mesh) else np.asarray(target)
+    points = np.asarray(points)
     g = points * nd - np.asarray(origin)
     tri = np.full(len(points), -1, dtype=np.int64)
     cell = np.zeros_like(g)

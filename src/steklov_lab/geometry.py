@@ -1,4 +1,4 @@
-"""Tessellations, holes, and weight fields for perforated planar domains.
+"""Tessellations, holes, and limit weights for perforated planar domains.
 
 Every cell is a square of the 1/m grid cut from an axis-aligned polygon.
 The tiling runs on rational arithmetic wherever the inputs are rational, so
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -328,32 +328,26 @@ def build_perforated_geometry(domain, m, beta, shape_spec="circle",
 
 
 # ---------------------------------------------------------------------------
-# weight field and its convergence defect
+# limit weight, weight field and its convergence defect
 
-@dataclass
-class WeightField:
-    per_cell: np.ndarray             # hole perimeter / cell area, per cell
-
-    @property
-    def q_min(self) -> float:
-        return float(np.min(self.per_cell))
-
-    @property
-    def q_max(self) -> float:
-        return float(np.max(self.per_cell))
+def cell_weight(k, beta: float) -> float:
+    """The limit weight Q: perimeter per area of the order-k hole (None for
+    a circle) of a 1/m grid cell, at every m.  That cell (r = 1/(2m),
+    d = beta*r^2) weighs what a hole of d = beta/4 does in a unit cell: the
+    same float at every m, unlike its rounded d over its area, which can be
+    an ulp off."""
+    return Hole(cell_index=0, center=(0.0, 0.0), d=beta / 4, k=k).perimeter
 
 
-def weight_field(geometry: PerforatedGeometry) -> WeightField:
+def weight_field(geometry: PerforatedGeometry) -> np.ndarray:
+    """Hole perimeter / cell area, per cell index."""
     values = np.empty(len(geometry.cells))
     for cell, hole in zip(geometry.cells, geometry.holes):
-        # a 1/m grid cell (r = 1/(2m), d = beta*r^2) weighs what a hole of
-        # d = beta/4 does in a unit cell: the same float at every m, unlike
-        # its rounded d over its area, which can be an ulp off
-        values[cell.index] = replace(hole, d=geometry.beta / 4).perimeter
-    return WeightField(per_cell=values)
+        values[cell.index] = cell_weight(hole.k, geometry.beta)
+    return values
 
 
-def kappa(geometry: PerforatedGeometry, wf: WeightField,
+def kappa(geometry: PerforatedGeometry, weights: np.ndarray,
           q_limit: float) -> float:
     """Worst L^2 defect (the paper's sigma = 1) of the piecewise weight
     against the constant limit q_limit, over unit boxes of the integer
@@ -367,7 +361,7 @@ def kappa(geometry: PerforatedGeometry, wf: WeightField,
     for cell in geometry.cells:
         ix, iy, m = cell.grid
         box = (ix // m, iy // m)
-        val = abs(wf.per_cell[cell.index] - q) ** 2.0 * (1.0 / (m * m))
+        val = abs(weights[cell.index] - q) ** 2.0 * (1.0 / (m * m))
         box_acc[box] = box_acc.get(box, 0.0) + val
     return max(box_acc.values(), default=0.0) ** 0.5
 
@@ -397,8 +391,7 @@ class AssumptionReport:
                 "checks": [asdict(c) for c in self.checks]}
 
 
-def validate_assumptions(geometry: PerforatedGeometry,
-                         wf: WeightField | None = None) -> AssumptionReport:
+def validate_assumptions(geometry: PerforatedGeometry) -> AssumptionReport:
     cells, holes = geometry.cells, geometry.holes
     checks = []
 
@@ -432,11 +425,11 @@ def validate_assumptions(geometry: PerforatedGeometry,
         "hole-scaling-upper", hi <= C_D_PLUS + 1e-12, hi, C_D_PLUS,
         hi_i if hi > C_D_PLUS + 1e-12 else None))
 
-    if wf is None:
-        wf = weight_field(geometry)
+    weights = weight_field(geometry)
+    q_min = float(np.min(weights))
     checks.append(AssumptionCheck(
-        "weight-positive", wf.q_min > 0.0, wf.q_min, 0.0,
-        int(np.argmin(wf.per_cell)) if wf.q_min <= 0 else None))
+        "weight-positive", q_min > 0.0, q_min, 0.0,
+        int(np.argmin(weights)) if q_min <= 0 else None))
 
     return AssumptionReport(checks)
 
@@ -444,8 +437,7 @@ def validate_assumptions(geometry: PerforatedGeometry,
 # ---------------------------------------------------------------------------
 # serialization
 
-def geometry_to_json(geometry: PerforatedGeometry,
-                     indent: int | None = 2) -> str:
+def geometry_to_json(geometry: PerforatedGeometry) -> str:
     payload = {
         "domain": {
             "kind": geometry.domain.kind,
@@ -460,7 +452,7 @@ def geometry_to_json(geometry: PerforatedGeometry,
             for h in geometry.holes
         ],
     }
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=2)
 
 
 def geometry_from_json(text: str) -> PerforatedGeometry:

@@ -25,6 +25,12 @@ class MeshError(ValueError):
     pass
 
 
+def _check_h(h) -> None:
+    """MeshError unless the mesh size h is finite and positive."""
+    if not 0 < h < math.inf:
+        raise MeshError(f"mesh size h must be finite and positive, got {h!r}")
+
+
 @dataclass
 class Mesh:
     nodes: np.ndarray                # (n, 2) float
@@ -422,8 +428,7 @@ def mesh_unperforated(domain, h: float) -> Mesh:
     mesh.lattice is (nd, (ix0, iy0), first_tri), where first_tri[iy - iy0,
     ix - ix0] is the (sw, se, ne) triangle of the cell, or -1 outside.
     """
-    if h <= 0:
-        raise MeshError("h must be positive")
+    _check_h(h)
     den = 1
     for x, y in domain.vertices:
         den = math.lcm(den, x.denominator, y.denominator)

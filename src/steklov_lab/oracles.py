@@ -41,7 +41,7 @@ def j0_zero(index: int, tol: float = 1e-12) -> float:
                    tol)
 
 
-def robin_disk_ground(alpha: float, tol: float = 1e-12) -> float:
+def robin_disk_ground(alpha: float) -> float:
     """Smallest eigenvalue of -Laplace on the unit disk with du/dn + alpha*u = 0.
 
     The radial ground state J0(sqrt(lam) r) gives the scalar equation
@@ -50,11 +50,11 @@ def robin_disk_ground(alpha: float, tol: float = 1e-12) -> float:
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    s = _bisect(lambda x: alpha * j0(x) - x * j1(x), 0.0, j0_zero(1), tol)
+    s = _bisect(lambda x: alpha * j0(x) - x * j1(x), 0.0, j0_zero(1), 1e-12)
     return s * s
 
 
-def annulus_neumann_gap(a: float, b: float, tol: float = 1e-12) -> float:
+def annulus_neumann_gap(a: float, b: float) -> float:
     """First nonzero Neumann eigenvalue of the annulus a < |x| < b.
 
     For moderate aspect ratios the gap is the first azimuthal mode
@@ -73,7 +73,7 @@ def annulus_neumann_gap(a: float, b: float, tol: float = 1e-12) -> float:
     cells = np.flatnonzero(sign[:-1] * sign[1:] <= 0)
     if len(cells) == 0:
         raise ValueError(f"no sign change on [{ks[0]}, {ks[-1]}]")
-    k = _bisect(f, ks[cells[0]], ks[cells[0] + 1], tol)
+    k = _bisect(f, ks[cells[0]], ks[cells[0] + 1], 1e-12)
     return k * k
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .geometry import Cell, Hole, chebyshev_center, hole_order
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, OUTER,
-                      _boundary_edges_oriented, _build_cell, _edge_table,
-                      refine)
+                      _boundary_edges_oriented, _build_cell, _check_h,
+                      _edge_table, refine)
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,14 +81,13 @@ def _cycle(ids) -> np.ndarray:
     return np.column_stack([ids, np.roll(ids, -1)]).astype(np.int64)
 
 
-def _star_rings(hole: Hole, n: int, fill: bool, radii, h: float | None):
+def _star_rings(hole: Hole, n: int, fill: bool, radii):
     """Rings around the origin, from the hole boundary out.
 
     Lays the hole's n-node boundary ring, star-fills its inside when fill
-    (region 0), then one circle per radius (region 1).  A circle doubles the
-    node count of the ring below it where the arc spacing would exceed
-    2.2 h; with h None it never does.  Returns (nodes, triangles, regions,
-    hole ring ids, outermost ring ids).
+    (region 0), then one circle per radius (region 1), each at the hole
+    ring's n angles.  Returns (nodes, triangles, regions, hole ring ids,
+    outermost ring ids).
     """
     angles = [TWO_PI * j / n for j in range(n)]
     nodes: list = []
@@ -100,14 +99,10 @@ def _star_rings(hole: Hole, n: int, fill: bool, radii, h: float | None):
     hole_tris = len(tris)
     ids = hole_ids
     for rho in radii:
-        count = len(ids)
-        if h is not None and TWO_PI * rho / count > 2.2 * h:
-            count *= 2
-        sub = [TWO_PI * q / count for q in range(count)]
         new_ids = _ring(nodes, [(rho * math.cos(t), rho * math.sin(t))
-                                for t in sub])
-        _zip_band(tris, ids, angles, new_ids, sub)
-        ids, angles = new_ids, sub
+                                for t in angles])
+        _zip_band(tris, ids, angles, new_ids, angles)
+        ids = new_ids
     region = np.zeros(len(tris), dtype=np.int64)
     region[hole_tris:] = 1
     return (np.array(nodes), np.array(tris, dtype=np.int64), region,
@@ -117,6 +112,7 @@ def _star_rings(hole: Hole, n: int, fill: bool, radii, h: float | None):
 def _unit_hole(spec, h: float):
     """The upscaled hole (smallest enclosing ball = unit ball) and the node
     count of its boundary ring at mesh size h."""
+    _check_h(h)
     hole = _shape_hole(spec, 1.0)
     return hole, _pow2_segments(TWO_PI / h, hole.k or 8)
 
@@ -130,7 +126,7 @@ def _collar_radii(h: float) -> list:
 def mesh_hole_shape(spec, h: float) -> Mesh:
     """Mesh of the upscaled hole (smallest enclosing ball = unit ball)."""
     hole, n = _unit_hole(spec, h)
-    nodes, tris, _, ring, _ = _star_rings(hole, n, True, [], h)
+    nodes, tris, _, ring, _ = _star_rings(hole, n, True, [])
     circles = {OUTER: (0.0, 0.0, 1.0)} if hole.k is None else {}
     return Mesh(nodes, tris, _cycle(ring), np.full(n, OUTER, dtype=np.int64),
                 circles=circles)
@@ -148,7 +144,7 @@ def mesh_collar(spec, h: float) -> Mesh:
     The hole boundary is tagged 0, the outer circle OUTER."""
     hole, n = _unit_hole(spec, h)
     nodes, tris, _, ring, outer = _star_rings(hole, n, False,
-                                              _collar_radii(h), h)
+                                              _collar_radii(h))
     tags = np.array([0] * n + [OUTER] * len(outer), dtype=np.int64)
     circles = {OUTER: (0.0, 0.0, 2.0)}
     if hole.k is None:
@@ -166,7 +162,7 @@ def mesh_ball_with_interface(spec, h: float) -> Mesh:
     """
     hole, n = _unit_hole(spec, h)
     nodes, tris, region, _, outer = _star_rings(hole, n, True,
-                                                _collar_radii(h), h)
+                                                _collar_radii(h))
     return Mesh(nodes, tris, _cycle(outer),
                 np.full(len(outer), OUTER, dtype=np.int64), tri_cell=region,
                 circles={OUTER: (0.0, 0.0, 2.0)})
@@ -187,7 +183,7 @@ def mesh_secure_ball(d: float, ball_radius: float) -> Mesh:
     t = ratio ** (1.0 / nr)
     radii = [d * t ** j for j in range(1, nr)] + [ball_radius]
     nodes, tris, region, _, outer = _star_rings(
-        _shape_hole("circle", d), 32, True, radii, None)
+        _shape_hole("circle", d), 32, True, radii)
     return Mesh(nodes, tris, _cycle(outer),
                 np.full(len(outer), OUTER, dtype=np.int64), tri_cell=region,
                 circles={OUTER: (0.0, 0.0, float(ball_radius))})
@@ -202,6 +198,7 @@ def mesh_slit_collar(beta: float, h: float) -> Mesh:
     """
     if not 0 < beta <= math.pi / 2:
         raise MeshError("beta must lie in (0, pi/2]")
+    _check_h(h)
     radii = []
     for lo, hi in ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0)):
         steps = max(2, math.ceil((hi - lo) / h))
@@ -247,6 +244,7 @@ def mesh_slit_collar(beta: float, h: float) -> Mesh:
 
 def mesh_convex_polygon(verts, h: float) -> Mesh:
     """Fan triangulation from the Chebyshev center plus red refinement."""
+    _check_h(h)
     verts = [tuple(map(float, v)) for v in verts]
     center, _ = chebyshev_center(verts)
     nodes = [center] + verts

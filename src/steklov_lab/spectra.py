@@ -323,7 +323,7 @@ def resolvent_gap(descriptor, ref: GapReference,
 
     hm = ref.mesh
     f_hom = f(hm.nodes[:, 0], hm.nodes[:, 1])
-    u_restricted = fem.interpolate(hm, ref.solve(f_hom), pm)
+    u_restricted = fem.interpolate(hm, ref.solve(f_hom), pm.nodes)
     gap = perf.energy(u_eps - u_restricted)
     f_norm = math.sqrt(float(f_hom @ (ref.K @ f_hom)
                              + f_hom @ (ref.Mq @ f_hom)))

@@ -190,19 +190,19 @@ def _geometry(cfg: StudyConfig, m: int):
 
 def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
     geo = _geometry(cfg, m)
-    wf = geometry.weight_field(geo)
+    weights = geometry.weight_field(geo)
     q_limit = homog.q
-    if wf.per_cell[0] != q_limit:
+    if weights[0] != q_limit:
         raise StudyError(
-            f"m={m}: cell weight {float(wf.per_cell[0])!r} differs from the "
+            f"m={m}: cell weight {float(weights[0])!r} differs from the "
             f"q_limit {q_limit!r} the homogenized side was solved for")
-    kappa = geometry.kappa(geo, wf, q_limit)
+    kappa = geometry.kappa(geo, weights, q_limit)
     pm = meshgen.mesh_perforated(geo, cfg.template)
     coarse, gaps = _coarse_side(cfg, geo, pm, q_limit)
     fine = spectra.steklov_spectrum(spectra.condense(meshgen.refine(pm)),
                                     cfg.k + spectra.EXTRA)
     pair = spectra.spectrum_pair(geo, coarse, fine, cfg.k, homog, kappa)
-    validation = geometry.validate_assumptions(geo, wf).as_dict()
+    validation = geometry.validate_assumptions(geo).as_dict()
     return pair, gaps, validation
 
 
@@ -260,10 +260,10 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     cfg.validate()
     checks = oracle_selftest(cfg.seed)
 
-    # the limit problem does not depend on m: solve it once, for the weight
-    # of the first point, which every point checks against its own
-    q_limit = float(geometry.weight_field(
-        _geometry(cfg, cfg.m_values[0])).per_cell[0])
+    # the limit problem does not depend on m: solve it once, for the limit
+    # weight, which every point checks against its own cell weight
+    q_limit = geometry.cell_weight(geometry.hole_order(cfg.hole_shape),
+                                   cfg.beta)
     homog = spectra.homogenized_pair(cfg.domain_object(), q_limit, cfg.h_hom,
                                      cfg.k)
     points = len(cfg.m_values)
@@ -386,7 +386,7 @@ def _json_scalar(value):
         f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def svg_loglog(xs, ys, slope=None, intercept=None, title="") -> str:
+def svg_loglog(xs, ys, slope, intercept, title) -> str:
     """Minimal log-log scatter with a fitted line and slope annotation."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -422,14 +422,13 @@ def svg_loglog(xs, ys, slope=None, intercept=None, title="") -> str:
                      f'font-size="11">1e{d}</text>')
     parts.append(f'<rect x="{pad}" y="{pad}" width="{W - 2*pad}" '
                  f'height="{H - 2*pad}" fill="none" stroke="black"/>')
-    if slope is not None and intercept is not None:
-        fy0 = (slope * (x0 * math.log(10)) + intercept) / math.log(10)
-        fy1 = (slope * (x1 * math.log(10)) + intercept) / math.log(10)
-        parts.append(f'<line x1="{px(x0)}" y1="{py(fy0)}" x2="{px(x1)}" '
-                     f'y2="{py(fy1)}" stroke="#c33" stroke-width="1.5"/>')
-        parts.append(f'<text x="{W - pad - 8}" y="{pad + 20}" '
-                     f'text-anchor="end" font-family="monospace" '
-                     f'font-size="13" fill="#c33">slope {slope:.3f}</text>')
+    fy0 = (slope * (x0 * math.log(10)) + intercept) / math.log(10)
+    fy1 = (slope * (x1 * math.log(10)) + intercept) / math.log(10)
+    parts.append(f'<line x1="{px(x0)}" y1="{py(fy0)}" x2="{px(x1)}" '
+                 f'y2="{py(fy1)}" stroke="#c33" stroke-width="1.5"/>')
+    parts.append(f'<text x="{W - pad - 8}" y="{pad + 20}" '
+                 f'text-anchor="end" font-family="monospace" '
+                 f'font-size="13" fill="#c33">slope {slope:.3f}</text>')
     pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(lx, ly))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#226" '
                  f'stroke-width="1"/>')

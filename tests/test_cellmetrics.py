@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from steklov_lab import cellmetrics as cm
 from steklov_lab import cli, fem, oracles, shapes
 from steklov_lab.eigen import dense_reference_eigs, largest_pencil_eigs
-from steklov_lab.meshgen import OUTER, refine
+from steklov_lab.meshgen import OUTER, MeshError, refine
 
 
 def test_square_neumann_gap():
@@ -241,6 +241,29 @@ def test_malformed_shape_is_refused_naming_it(call, shape):
     with pytest.raises(cm.CellMetricsError) as err:
         call(shape)
     assert repr(shape) in str(err.value)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda h: cm.mesh_shape("square", h),
+    lambda h: cm.neumann_gap(("collar", "disk"), h),
+    lambda h: cm.dirichlet_ground("disk", h),
+    lambda h: cm.robin_ground(("kgon", 5), 1.0, h),
+    lambda h: cm.trace_constant("disk", h),
+    lambda h: cm.harmonic_extension_norm("disk", h),
+    lambda h: cm.cell_constants("disk", h),
+    lambda h: cm.slit_collar_gaps([0.5], h),
+    lambda h: cm.payne_weinberger_check(1, h)],
+    ids=["mesh_shape", "neumann_gap", "dirichlet_ground", "robin_ground",
+         "trace_constant", "harmonic_extension_norm", "cell_constants",
+         "slit_collar_gaps", "payne_weinberger_check"])
+def test_a_mesh_size_not_finite_and_positive_is_refused(call, h):
+    # these once meshed a degenerate shape and returned a value (a collar
+    # gap of 0.46 at h = -0.1, a square gap of 11.6 against pi^2 at
+    # h = inf), raised an int() ValueError or a ZeroDivisionError, or
+    # refined without end
+    with pytest.raises(MeshError, match=f"mesh size h .* got {h!r}$"):
+        call(h)
 
 
 @pytest.mark.parametrize("h", [0.3, 0.12, 0.06])

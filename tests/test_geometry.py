@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from steklov_lab import geometry as geo
+from steklov_lab import study
 from steklov_lab.geometry import GeometryError
 
 
@@ -156,62 +157,72 @@ def test_admissible_jitter_keeps_the_secure_distance_margin(m):
 
 def test_weight_field_circle():
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
-    wf = geo.weight_field(g)
-    assert np.allclose(wf.per_cell, math.pi / 2)
+    assert np.allclose(geo.weight_field(g), math.pi / 2)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5, 0.3])
 @pytest.mark.parametrize("shape", ["circle", ("kgon", 6)])
-def test_weight_field_identical_at_every_m(beta, shape):
+def test_weight_field_identical_at_every_m(beta, shape, monkeypatch):
     # the rounded d = beta*r^2 differs by an ulp between m (e.g. m = 13 at
-    # beta 1 against m <= 12); the weights of congruent cells must not
-    weights = set()
+    # beta 1 against m <= 12); the weights of congruent cells must not, and
+    # each is the limit weight a study solves its homogenized side for
+    q = geo.cell_weight(geo.hole_order(shape), beta)
     for m in range(2, 41):
         g = geo.build_perforated_geometry(geo.unit_square(), m, beta,
                                           shape_spec=shape)
-        weights.update(geo.weight_field(g).per_cell.tolist())
+        assert geo.weight_field(g).tolist() == [q] * m * m
         hole = g.holes[0]
-        assert math.isclose(geo.weight_field(g).per_cell[0],
-                            hole.perimeter / float(g.cells[0].area),
+        assert math.isclose(q, hole.perimeter / float(g.cells[0].area),
                             rel_tol=1e-15)
-    assert len(weights) == 1
+
+    class Solved(Exception):
+        pass
+
+    def homogenized_pair(domain, q_limit, h, k):
+        raise Solved(q_limit)
+
+    monkeypatch.setattr(study, "oracle_selftest", lambda seed: [])
+    monkeypatch.setattr(study.spectra, "homogenized_pair", homogenized_pair)
+    with pytest.raises(Solved) as solved:
+        study.run_study(study.config_from_dict(
+            {"beta": beta, "hole_shape": shape, "m_values": [2, 3],
+             "template": {"boundary_nodes_per_side": 12,
+                          "hole_boundary_segments": 48}}))
+    assert solved.value.args == (q,)
 
 
 def test_weight_field_square_hole():
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0,
                                       shape_spec=("kgon", 4))
-    wf = geo.weight_field(g)
     d = g.holes[0].d
     eps = 0.25
-    assert np.allclose(wf.per_cell, 4 * math.sqrt(2) * d / eps ** 2)
+    assert np.allclose(geo.weight_field(g), 4 * math.sqrt(2) * d / eps ** 2)
 
 
 def test_weights_scale_with_cell_area():
     g1 = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
     g2 = geo.build_perforated_geometry(geo.unit_square(), 8, 1.0)
-    w1 = geo.weight_field(g1).per_cell[0]
-    w2 = geo.weight_field(g2).per_cell[0]
+    w1 = geo.weight_field(g1)[0]
+    w2 = geo.weight_field(g2)[0]
     # critical scaling keeps the density invariant across cell sizes
     assert abs(w1 - w2) < 1e-14
 
 
 def test_kappa_zero_for_constant_field():
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
-    wf = geo.weight_field(g)
-    assert geo.kappa(g, wf, wf.per_cell[0]) == 0.0
+    weights = geo.weight_field(g)
+    assert geo.kappa(g, weights, weights[0]) == 0.0
 
 
 def test_kappa_half_box_closed_form():
     # defect of 0.1 on exactly half the box area
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
-    wf = geo.weight_field(g)
-    q0 = wf.per_cell[0]
-    bumped = wf.per_cell.copy()
+    bumped = geo.weight_field(g)
+    q0 = bumped[0]
     for cell in g.cells:
         if cell.center[0] < 0.5:
             bumped[cell.index] = q0 + 0.1
-    wf2 = geo.WeightField(per_cell=bumped)
-    got = geo.kappa(g, wf2, q0)
+    got = geo.kappa(g, bumped, q0)
     assert abs(got - 0.1 * math.sqrt(0.5)) < 1e-14
 
 
@@ -220,19 +231,18 @@ def test_kappa_is_the_worst_unit_box():
     # of 0.1 on every cell of the right box gives (0.1^2 * 1)^(1/2) there
     # and 0 in the left box
     g = geo.build_perforated_geometry(geo.rectangle(2, 1), 4, 1.0)
-    wf = geo.weight_field(g)
-    q0 = wf.per_cell[0]
-    bumped = wf.per_cell.copy()
+    bumped = geo.weight_field(g)
+    q0 = bumped[0]
     right = [c.index for c in g.cells if c.center[0] > 1]
     assert len(right) == 16
     bumped[right] = q0 + 0.1
-    got = geo.kappa(g, geo.WeightField(per_cell=bumped), q0)
+    got = geo.kappa(g, bumped, q0)
     assert abs(got - 0.1) < 1e-14
     # a smaller defect in the left box leaves the sup alone; one box over
     # both halves would give (0.1^2 + 0.05^2)^(1/2) instead
     left = [c.index for c in g.cells if c.center[0] < 1]
     bumped[left] = q0 + 0.05
-    got = geo.kappa(g, geo.WeightField(per_cell=bumped), q0)
+    got = geo.kappa(g, bumped, q0)
     assert abs(got - 0.1) < 1e-14
 
 
@@ -397,7 +407,6 @@ def test_weight_upper_bound_uses_trace_constant():
     # Q <= C_d_plus * C_tr^2
     from steklov_lab import cellmetrics
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
-    wf = geo.weight_field(g)
     c_tr = cellmetrics.trace_constant("disk", 0.1).value
     scaling = max(h.d / c.r_in ** 2 for c, h in zip(g.cells, g.holes))
-    assert wf.q_max <= scaling * c_tr ** 2 * (1 + 1e-6)
+    assert geo.weight_field(g).max() <= scaling * c_tr ** 2 * (1 + 1e-6)

@@ -106,3 +106,60 @@ def test_an_unused_definition_is_reported():
     assert unreferenced_names(dict(TREES, planted=planted), outside) == [
         "planted:UNUSED_RULE", "planted:_ORPHAN", "planted:dead_public",
         "planted:_recursive"]
+
+
+def _defaulted(fn):
+    """(position or None, name) of each parameter of fn with a default;
+    keyword-only ones have no position."""
+    params = fn.args.posonlyargs + fn.args.args
+    for i in range(len(params) - len(fn.args.defaults), len(params)):
+        yield i, params[i].arg
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _sets(call, position, name) -> bool:
+    """Whether call passes the parameter by keyword, by position or
+    through a starred argument."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_defaults(trees, callers) -> list:
+    """module:function.parameter of every defaulted parameter of a
+    module-level function in trees that no call in callers (module ASTs)
+    sets.  A call is matched by the function's name, bare or as an
+    attribute; methods are left out."""
+    calls = {}
+    for tree in callers:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                calls.setdefault(name, []).append(n)
+    return [f"{module}:{fn.name}.{name}"
+            for module, tree in trees.items()
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for position, name in _defaulted(fn)
+            if not any(_sets(c, position, name)
+                       for c in calls.get(fn.name, []))]
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    assert unset_defaults(TREES, list(TREES.values()) + OUTSIDE) == []
+
+
+def test_a_default_no_call_sets_is_reported():
+    planted = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+                        "def g(x=0):\n    return x\n"
+                        "def h(y=0):\n    return y\n"
+                        "class K:\n    def method(self, z=0):\n"
+                        "        return z\n")
+    callers = [ast.parse("f(0, 1)\nmod.f(0, e=5)\ng(*args)\nh(**kw)\n")]
+    assert unset_defaults({"planted": planted}, callers) == [
+        "planted:f.c", "planted:f.d"]

@@ -511,6 +511,31 @@ def test_ball_is_the_hole_mesh_plus_the_collar_mesh(kind, k, h):
         assert np.array_equal(got, coords(part, part.triangles))
 
 
+@pytest.mark.parametrize("spec", ["circle", ("kgon", 3), ("kgon", 6)],
+                         ids=repr)
+def test_every_collar_ring_has_the_hole_rings_node_count(spec):
+    # the circles out to radius 2 reuse the hole ring's angles; its node
+    # count of at least 2 pi / h keeps their arc spacing within 2 h
+    def collar_ring(mesh):                         # tagged 0
+        return np.unique(mesh.boundary_edges[mesh.edge_tags == 0])
+
+    def ball_ring(mesh):                           # shared by both regions
+        return np.intersect1d(*(mesh.triangles[mesh.tri_cell == r]
+                                for r in (0, 1)))
+
+    for h in (0.004, 0.013, 0.04, 0.12, 0.35, 1.0, 3.0, 20.0):
+        for build, hole_ring in ((shapes.mesh_collar, collar_ring),
+                                 (shapes.mesh_ball_with_interface, ball_ring)):
+            mesh = build(spec, h)
+            n = len(hole_ring(mesh))
+            r = np.round(np.hypot(*mesh.nodes.T), 12)
+            radii, counts = np.unique(r[r > 1.0], return_counts=True)
+            assert len(radii) == max(2, math.ceil(1.0 / h)), h
+            assert set(counts.tolist()) == {n}, h
+            assert 2 * math.pi * radii[-1] / n <= 2 * h
+            del mesh                   # one mesh of 10^5-10^6 nodes at a time
+
+
 _COORD = st.one_of(st.integers(-3, 3).map(lambda v: v / 3),
                    st.floats(-1.0, 1.0).map(lambda v: round(v, 12)))
 
