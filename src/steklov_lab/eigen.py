@@ -57,16 +57,30 @@ def _check_pivots(lu, U) -> None:
             f"(original row {orig}); matrix is not positive definite")
 
 
+def _exactly_symmetric(A) -> bool:
+    """Whether a CSR matrix in canonical form equals its transpose.  (A z)_i
+    and (A^T z)_i sum the same products in the same order when A is
+    symmetric, so they agree bit for bit; on a random z they differ unless
+    every asymmetry is lost to rounding, where factoring A^T in place of A
+    moves a solve by no more than rounding does."""
+    if A.format != "csr" or not A.has_canonical_format:
+        return False
+    z = np.random.default_rng(0).standard_normal(A.shape[0])
+    return np.array_equal(A @ z, A.T @ z)
+
+
 # diagonal pivots in symmetric mode: SuperLU factors an SPD matrix without
 # row interchanges, as L U with U = D L^T
 _SPD_MODE = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
 
 def factor_spd(A: sp.spmatrix) -> SpdFactorization:
-    """SuperLU factorization in symmetric mode with a pivot-positivity check."""
-    A = A.tocsc()
+    """SuperLU factorization in symmetric mode with a pivot-positivity check.
+    An exactly symmetric CSR matrix is factored as its own transpose, whose
+    CSC arrays are its CSR arrays, so no CSC copy is made."""
     if A.shape[0] != A.shape[1]:
         raise EigenError("matrix must be square")
+    A = A.T if _exactly_symmetric(A) else A.tocsc()
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", **_SPD_MODE)
     U = lu.U
     _check_pivots(lu, U)
@@ -92,9 +106,9 @@ def schur_complement(A: sp.spmatrix, keep) -> np.ndarray:
     if len(drop):
         # SuperLU's MMD order of the block, read off an incomplete factor
         # at the coarsest drop tolerance, which costs little beyond the order
-        block = A[drop][:, drop].tocsc()
-        perm = spla.spilu(block, drop_tol=1.0, fill_factor=1,
-                          permc_spec="MMD_AT_PLUS_A", **_SPD_MODE).perm_c
+        perm = spla.spilu(A[drop][:, drop].tocsc(), drop_tol=1.0,
+                          fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                          **_SPD_MODE).perm_c
         drop = drop[np.argsort(perm)]
     order = np.concatenate([drop, keep])
     lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
@@ -106,8 +120,10 @@ def schur_complement(A: sp.spmatrix, keep) -> np.ndarray:
             and np.array_equal(lu.perm_c, ident)):
         raise EigenError("SuperLU permuted the Schur complement ordering; "
                          "matrix is not positive definite")
+    # the trailing block, in one submatrix pass over U's CSC arrays
     nd = len(drop)
-    W = U[:, nd:][nd:].toarray()
+    W = U[nd:, nd:].toarray()
+    del U, lu                        # the factor is freed before W^T W
     W /= np.sqrt(W.diagonal())[:, None]
     return W.T @ W
 

@@ -21,22 +21,22 @@ from .meshgen import (CellMeshTemplate, Mesh, MeshError, OUTER,
 TWO_PI = 2.0 * math.pi
 
 
-def _zip_band(tris, inner_ids, inner_ang, outer_ids, outer_ang):
-    """Triangulate the band between two closed CCW rings of nodes."""
-    ii = list(inner_ids) + [inner_ids[0]]
-    ia = list(inner_ang) + [inner_ang[0] + TWO_PI]
-    oi = list(outer_ids) + [outer_ids[0]]
-    oa = list(outer_ang) + [outer_ang[0] + TWO_PI]
-    i = o = 0
-    ni, no = len(ii) - 1, len(oi) - 1
-    while i < ni or o < no:
-        take_outer = o < no and (i >= ni or oa[o + 1] <= ia[i + 1])
-        if take_outer:
-            tris.append((ii[i], oi[o], oi[o + 1]))
-            o += 1
-        else:
-            tris.append((ii[i], oi[o], ii[i + 1]))
-            i += 1
+def _zip_band(inner_ids, inner_ang, outer_ids, outer_ang) -> np.ndarray:
+    """Triangles of the band between two closed CCW rings of nodes, given
+    with their ascending angles.  A merge of the angles (outer first on
+    ties) steps along one ring at a time, and each step closes one
+    triangle: (inner, outer, next outer) or (inner, outer, next inner)."""
+    ni, no = len(inner_ids), len(outer_ids)
+    ii, oi = np.append(inner_ids, inner_ids[0]), np.append(outer_ids,
+                                                           outer_ids[0])
+    step = np.argsort(np.concatenate([outer_ang[1:], [outer_ang[0] + TWO_PI],
+                                      inner_ang[1:], [inner_ang[0] + TWO_PI]]),
+                      kind="stable")
+    outer = step < no
+    o = np.cumsum(outer) - outer         # outer steps before each step
+    i = np.arange(ni + no) - o           # inner steps before it
+    return np.column_stack([ii[i], oi[o], np.where(
+        outer, oi[np.minimum(o + 1, no)], ii[np.minimum(i + 1, ni)])])
 
 
 def _pow2_segments(target: float, mult: int) -> int:
@@ -45,35 +45,42 @@ def _pow2_segments(target: float, mult: int) -> int:
     return mult * 2 ** max(0, math.ceil(math.log2(base) - 1e-12))
 
 
-def _fill_star_interior(nodes, tris, center, boundary_pt, ids, angles):
-    """Fill the inside of a star-shaped ring by halving rings down to a fan."""
+def _fill_star_interior(first: int, center, boundary_pt, ids, angles):
+    """Nodes and triangles that fill the inside of a star-shaped ring (node
+    ids at ascending angles) by halving rings down to a fan; the new nodes
+    are numbered from first."""
     cx, cy = center
     scale = 1.0
+    pts, tris = [], []
     while len(ids) > 8:
         sub = angles[::2]
         scale *= 0.5
-        new_ids = _ring(nodes, [(cx + scale * (px - cx),
-                                 cy + scale * (py - cy))
-                                for px, py in map(boundary_pt, sub)])
-        _zip_band(tris, new_ids, sub, ids, angles)
+        bx, by = np.array([boundary_pt(t) for t in sub]).T
+        pts.append(np.column_stack([cx + scale * (bx - cx),
+                                    cy + scale * (by - cy)]))
+        new_ids = np.arange(first, first + len(sub))
+        tris.append(_zip_band(new_ids, sub, ids, angles))
+        first += len(sub)
         ids, angles = new_ids, sub
-    nodes.append((cx, cy))
-    c = len(nodes) - 1
-    n = len(ids)
-    for j in range(n):
-        tris.append((c, ids[j], ids[(j + 1) % n]))
+    pts.append([(cx, cy)])
+    tris.append(np.column_stack([np.full(len(ids), first), ids,
+                                 np.roll(ids, -1)]))
+    return np.concatenate(pts), np.concatenate(tris)
 
 
 def _shape_hole(spec, radius: float, center=(0.0, 0.0)) -> Hole:
     return Hole(cell_index=0, k=hole_order(spec), center=center, d=radius)
 
 
-def _ring(nodes, pts):
-    ids = []
-    for p in pts:
-        nodes.append(p)
-        ids.append(len(nodes) - 1)
-    return ids
+def _angles(n: int) -> np.ndarray:
+    """n equally spaced angles from 0, as TWO_PI * j / n."""
+    return TWO_PI * np.arange(n) / n
+
+
+def _unit_circle(angles) -> np.ndarray:
+    """(cos, sin) of each angle by math.cos and math.sin; rho times it is
+    the circle of radius rho, bit for bit as rho * math.cos(t)."""
+    return np.array([(math.cos(t), math.sin(t)) for t in angles])
 
 
 def _cycle(ids) -> np.ndarray:
@@ -89,24 +96,28 @@ def _star_rings(hole: Hole, n: int, fill: bool, radii):
     ring's n angles.  Returns (nodes, triangles, regions, hole ring ids,
     outermost ring ids).
     """
-    angles = [TWO_PI * j / n for j in range(n)]
-    nodes: list = []
-    tris: list = []
-    hole_ids = _ring(nodes, [hole.boundary_point(t) for t in angles])
+    angles = _angles(n)
+    nodes = [np.array([hole.boundary_point(t) for t in angles])]
+    tris = []
+    hole_ids = ids = np.arange(n)
     if fill:
-        _fill_star_interior(nodes, tris, hole.center, hole.boundary_point,
-                            hole_ids, angles)
-    hole_tris = len(tris)
-    ids = hole_ids
+        pts, fan = _fill_star_interior(n, hole.center, hole.boundary_point,
+                                       hole_ids, angles)
+        nodes.append(pts)
+        tris.append(fan)
+    hole_tris = sum(map(len, tris))
+    unit = _unit_circle(angles)
+    count = sum(map(len, nodes))
     for rho in radii:
-        new_ids = _ring(nodes, [(rho * math.cos(t), rho * math.sin(t))
-                                for t in angles])
-        _zip_band(tris, ids, angles, new_ids, angles)
+        nodes.append(rho * unit)
+        new_ids = np.arange(count, count + n)
+        tris.append(_zip_band(ids, angles, new_ids, angles))
+        count += n
         ids = new_ids
-    region = np.zeros(len(tris), dtype=np.int64)
+    region = np.zeros(sum(map(len, tris)), dtype=np.int64)
     region[hole_tris:] = 1
-    return (np.array(nodes), np.array(tris, dtype=np.int64), region,
-            hole_ids, ids)
+    return (np.concatenate(nodes), np.concatenate(tris).astype(np.int64),
+            region, hole_ids, ids)
 
 
 def _unit_hole(spec, h: float):
@@ -211,22 +222,16 @@ def mesh_slit_collar(beta: float, h: float) -> Mesh:
     for a in angles[1:]:
         if a - merged[-1] > 1e-9:
             merged.append(a)
-    angles = merged
+    angles = np.array(merged)
     na = len(angles)
-
-    nodes: list = [(0.0, 0.0)]
-    ring_ids = []
-    for rho in radii:
-        ring_ids.append(_ring(nodes, [(rho * math.cos(a), rho * math.sin(a))
-                                      for a in angles]))
-    tris: list = []
-    for j in range(na):
-        tris.append((0, ring_ids[0][j], ring_ids[0][(j + 1) % na]))
-    for q in range(len(radii) - 1):
-        _zip_band(tris, ring_ids[q], angles, ring_ids[q + 1], angles)
-
-    pts = np.array(nodes)
-    tri_arr = np.array(tris, dtype=np.int64)
+    unit = _unit_circle(angles)
+    ring_ids = 1 + na * np.arange(len(radii))[:, None] + np.arange(na)
+    tris = [np.column_stack([np.zeros(na, dtype=np.int64), ring_ids[0],
+                             np.roll(ring_ids[0], -1)])]
+    tris += [_zip_band(ring_ids[q], angles, ring_ids[q + 1], angles)
+             for q in range(len(radii) - 1)]
+    pts = np.concatenate([[(0.0, 0.0)]] + [rho * unit for rho in radii])
+    tri_arr = np.concatenate(tris)
     cen = pts[tri_arr].mean(axis=1)
     rc = np.hypot(cen[:, 0], cen[:, 1])
     tc = np.arctan2(cen[:, 1], cen[:, 0])
@@ -269,17 +274,14 @@ def mesh_cell_with_hole(d: float, segments: int = 32, sides: int = 8) -> Mesh:
                                 boundary_nodes_per_side=sides,
                                 hole_boundary_segments=segments)
     nodes, _, collar, _ = _build_cell(cell, hole, template)
-    tris = collar.tolist()
-    collar_tris = len(tris)
-    ids = list(range(segments))
-    angles = [TWO_PI * j / segments for j in range(segments)]
-    _fill_star_interior(nodes, tris, hole.center, hole.boundary_point,
-                        ids, angles)
-    region = np.ones(len(tris), dtype=np.int64)
-    region[collar_tris:] = 0
-    tri_arr = np.array(tris, dtype=np.int64)
+    pts, fill = _fill_star_interior(len(nodes), hole.center,
+                                    hole.boundary_point, np.arange(segments),
+                                    _angles(segments))
+    region = np.ones(len(collar) + len(fill), dtype=np.int64)
+    region[len(collar):] = 0
+    tri_arr = np.concatenate([collar, fill])
     edges = _boundary_edges_oriented(tri_arr)
-    return Mesh(np.array(nodes), tri_arr, edges,
+    return Mesh(np.concatenate([nodes, pts]), tri_arr, edges,
                 np.full(len(edges), OUTER, dtype=np.int64), tri_cell=region)
 
 

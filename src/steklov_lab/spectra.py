@@ -114,49 +114,65 @@ def _schur(A, r, i, cell):
     """S = A_RR - sum_c A_R,I(c) A_I(c)^-1 A_I(c),R, exactly symmetric.
     Cell interiors never couple across cells, so A_II is block-diagonal.
     Its reverse Cuthill-McKee order, regrouped by cell, gives each cell a
-    narrow band: the block is factored A_I(c) = L L^T in LAPACK band
-    storage, W = L^-1 A_I(c),R, and the block is W^T W.  Only the upper
-    triangles of A_RR and of each cell's block are summed, then mirrored
-    (fem._symmetric); the R ids rc of a block are sorted, so its local upper
-    triangle is a global one."""
-    A_I = A[i]
-    A_II = A_I[:, i]
-    order = reverse_cuthill_mckee(A_II, symmetric_mode=True)
+    narrow band.  Only the upper triangles of A_RR and of each cell's block
+    are summed, then mirrored (fem._symmetric)."""
+    order = reverse_cuthill_mckee(A[i][:, i], symmetric_mode=True)
     order = order[np.argsort(cell[order], kind="stable")]
-    low = sp.tril(A_II[order][:, order], format="csr")
-    A_IR = A_I[order][:, r]
-    n_i = len(i)
-    low_row = np.repeat(np.arange(n_i), np.diff(low.indptr))
-    ir_row = np.repeat(np.arange(n_i), np.diff(A_IR.indptr))
-    counts = np.unique(cell, return_counts=True)[1]
-    ends = np.cumsum(counts)
+    rows, cols, vals = _schur_triplets(
+        A, r, i[order], np.cumsum(np.unique(cell, return_counts=True)[1]))
+    if not np.all(np.isfinite(vals)):
+        raise SpectraError("Schur complement has non-finite entries")
+    S = sp.csr_matrix((vals, (rows, cols)), shape=(len(r), len(r)))
+    del rows, cols, vals
+    return fem._symmetric(S)
+
+
+def _schur_triplets(A, r, p, ends):
+    """Upper-triangle triplets of A_RR, then of each cell's block
+    -A_R,I(c) A_I(c)^-1 A_I(c),R; p lists the interior dofs cell by cell,
+    and cell c ends at ends[c] in p.  The block is factored A_I(c) = L L^T
+    in LAPACK band storage, W = L^-1 A_I(c),R, and the block is W^T W; its
+    R ids rc are sorted, so its local upper triangle is a global one.  A
+    cell's band is read straight off A's rows, so no copy of A_II is made."""
+    slot = np.empty(A.shape[0], dtype=np.int64)    # position in p, or < 0
+    slot[p], slot[r] = np.arange(len(p)), -1
+    A_IR = A[:, r][p]
+    ir_row = np.repeat(np.arange(len(p)), np.diff(A_IR.indptr))
+    cells = list(zip(np.r_[0, ends[:-1]], ends))
+    blocks = [np.unique(A_IR.indices[A_IR.indptr[a]:A_IR.indptr[b]])
+              for a, b in cells]
     up = sp.triu(A[r][:, r], format="coo")
-    rows, cols, vals = [up.row], [up.col], [up.data]
-    for a, b in zip(ends - counts, ends):
-        p, q = low.indptr[a], low.indptr[b]
-        lr, lc = low_row[p:q] - a, low.indices[p:q] - a
+    size = up.nnz + sum(len(rc) * (len(rc) + 1) // 2 for rc in blocks)
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    vals = np.empty(size)
+    at = up.nnz
+    rows[:at], cols[:at], vals[:at] = up.row, up.col, up.data
+    for (a, b), rc in zip(cells, blocks):
+        start, count = A.indptr[p[a:b]], np.diff(A.indptr)[p[a:b]]
+        e = np.repeat(start - np.cumsum(count) + count, count)
+        e += np.arange(len(e))
+        lr, lc = np.repeat(np.arange(b - a), count), slot[A.indices[e]] - a
+        low = (lc >= 0) & (lc <= lr)
+        lr, lc = lr[low], lc[low]
         band = np.zeros((np.max(lr - lc) + 1, b - a), order="F")
-        band[lr - lc, lc] = low.data[p:q]
+        band[lr - lc, lc] = A.data[e[low]]
         chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info:
             raise SpectraError(
                 f"cell block of {b - a} interior dofs is not positive "
                 f"definite (leading minor {info})")
-        p, q = A_IR.indptr[a], A_IR.indptr[b]
-        rc, at = np.unique(A_IR.indices[p:q], return_inverse=True)
+        q0, q1 = A_IR.indptr[a], A_IR.indptr[b]
         W = np.zeros((b - a, len(rc)), order="F")
-        W[ir_row[p:q] - a, at] = A_IR.data[p:q]
+        W[ir_row[q0:q1] - a, np.searchsorted(rc, A_IR.indices[q0:q1])] = \
+            A_IR.data[q0:q1]
         W = dtbtrs(chol, W, uplo="L", overwrite_b=1)[0]
         G = W.T @ W
         lo, hi = np.triu_indices(len(rc))
-        rows.append(rc[lo])
-        cols.append(rc[hi])
-        vals.append(-G[lo, hi])
-    vals = np.concatenate(vals)
-    if not np.all(np.isfinite(vals)):
-        raise SpectraError("Schur complement has non-finite entries")
-    return fem._symmetric(np.concatenate(rows), np.concatenate(cols), vals,
-                          len(r))
+        rows[at:at + len(lo)], cols[at:at + len(lo)] = rc[lo], rc[hi]
+        vals[at:at + len(lo)] = -G[lo, hi]
+        at += len(lo)
+    return rows, cols, vals
 
 
 def homogenized_spectrum(domain, q, h: float, k: int) -> SpectralResult:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,24 @@ def test_factor_identity_and_2x2():
     A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(eigen.factor_spd(A).solve(np.array([3.0, 3.0])),
                        [1.0, 1.0])
+
+
+def test_factor_reads_a_symmetric_csr_as_its_own_csc():
+    A, _, _ = steklov_pencil()
+    assert eigen._exactly_symmetric(A)
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    copied = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       **eigen._SPD_MODE)
+    assert np.array_equal(eigen.factor_spd(A).solve(b), copied.solve(b))
+
+
+def test_factor_solves_a_nonsymmetric_csr_as_given():
+    # not its own transpose, so it must not be factored as A^T
+    A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [0.5, 3.0, 1.0],
+                                [0.0, 0.2, 2.0]]))
+    assert not eigen._exactly_symmetric(A)
+    b = np.array([1.0, 2.0, 3.0])
+    assert np.allclose(A @ eigen.factor_spd(A).solve(b), b, rtol=1e-14)
 
 
 def test_factor_rejects_indefinite():

@@ -536,6 +536,41 @@ def test_every_collar_ring_has_the_hole_rings_node_count(spec):
             del mesh                   # one mesh of 10^5-10^6 nodes at a time
 
 
+def _zip_band_loop(inner_ids, inner_ang, outer_ids, outer_ang):
+    """Scalar reference: the angular zipper, one comparison per step."""
+    ii, oi = list(inner_ids) + [inner_ids[0]], list(outer_ids) + [outer_ids[0]]
+    ia = list(inner_ang) + [inner_ang[0] + shapes.TWO_PI]
+    oa = list(outer_ang) + [outer_ang[0] + shapes.TWO_PI]
+    ni, no, i, o, tris = len(ii) - 1, len(oi) - 1, 0, 0, []
+    while i < ni or o < no:
+        if o < no and (i >= ni or oa[o + 1] <= ia[i + 1]):
+            tris.append((ii[i], oi[o], oi[o + 1]))
+            o += 1
+        else:
+            tris.append((ii[i], oi[o], ii[i + 1]))
+            i += 1
+    return np.array(tris)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_in=st.integers(1, 40), n_out=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 16))
+def test_zip_band_matches_the_scalar_zipper(n_in, n_out, seed):
+    # equal angles (circles), every other angle (star fill), and random
+    # ascending angles with ties
+    rng = np.random.default_rng(seed)
+    grid = shapes._angles(n_out)
+    cases = [(grid, grid), (grid[::2], grid)]
+    pool = np.sort(rng.uniform(0.0, shapes.TWO_PI, n_in + n_out))
+    cases.append((np.sort(rng.choice(pool, n_in)), np.sort(pool[:n_out])))
+    for inner_ang, outer_ang in cases:
+        ids_in = np.arange(len(inner_ang))
+        ids_out = 100 + np.arange(len(outer_ang))
+        assert np.array_equal(
+            shapes._zip_band(ids_in, inner_ang, ids_out, outer_ang),
+            _zip_band_loop(ids_in, inner_ang, ids_out, outer_ang))
+
+
 _COORD = st.one_of(st.integers(-3, 3).map(lambda v: v / 3),
                    st.floats(-1.0, 1.0).map(lambda v: round(v, 12)))
 
