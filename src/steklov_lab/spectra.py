@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dtbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import fem, meshgen
@@ -49,23 +49,24 @@ class Condensed:
     S: sp.csr_matrix                 # A_RR - A_RI A_II^-1 A_IR
     B_RR: sp.csr_matrix
     r: np.ndarray                    # free-dof indices of R
+    p: np.ndarray                    # free-dof indices of I, cell by cell
 
     @cached_property
     def _solver(self):
         # built on the first solve: the Steklov pencils never call solve
-        i = np.setdiff1d(np.arange(self.A.shape[0]), self.r)
-        A_I = self.A[i]
-        return (factor_spd(self.S), factor_spd(A_I[:, i]), i,
-                A_I[:, self.r])
+        slot = np.full(self.A.shape[0], -1)
+        slot[self.p] = np.arange(len(self.p))
+        chol = _band_cholesky(self.A, self.p, slot, 0, len(self.p), "A_II")
+        return factor_spd(self.S), chol, self.A[:, self.r][self.p]
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """Nodal u, zero on the outer boundary, with A u = B f on the free
         dofs.  B lives on hole nodes, all in R, so (B f)_R = B_RR f_R and
         (B f)_I = 0: S u_R = B_RR f_R, then u_I = -A_II^-1 A_IR u_R."""
-        s_fac, i_fac, i, A_IR = self._solver
+        s_fac, chol, A_IR = self._solver
         u = np.zeros(self.A.shape[0])
         u[self.r] = s_fac.solve(self.B_RR @ f[self.dofmap.free[self.r]])
-        u[i] = -i_fac.solve(A_IR @ u[self.r])
+        u[self.p] = -dpbtrs(chol, A_IR @ u[self.r], lower=1)[0]
         return self.dofmap.expand(u)
 
     def energy(self, u: np.ndarray) -> float:
@@ -90,8 +91,9 @@ def condense(mesh) -> Condensed:
     r, i = np.flatnonzero(on_r), np.flatnonzero(~on_r)
     if Br[i].nnz:
         raise SpectraError("hole mass has entries on cell-interior dofs")
-    S = _schur(A, r, i, cell[i])
-    return Condensed(mesh=mesh, dofmap=dm, A=A, S=S, B_RR=Br[r][:, r], r=r)
+    S, p = _schur(A, r, i, cell[i])
+    return Condensed(mesh=mesh, dofmap=dm, A=A, S=S, B_RR=Br[r][:, r], r=r,
+                     p=p)
 
 
 def _skeleton(mesh, dm):
@@ -111,20 +113,41 @@ def _skeleton(mesh, dm):
 
 
 def _schur(A, r, i, cell):
-    """S = A_RR - sum_c A_R,I(c) A_I(c)^-1 A_I(c),R, exactly symmetric.
-    Cell interiors never couple across cells, so A_II is block-diagonal.
-    Its reverse Cuthill-McKee order, regrouped by cell, gives each cell a
-    narrow band.  Only the upper triangles of A_RR and of each cell's block
-    are summed, then mirrored (fem._symmetric)."""
+    """S = A_RR - sum_c A_R,I(c) A_I(c)^-1 A_I(c),R, exactly symmetric, and
+    the interior order p: A_II's reverse Cuthill-McKee order, regrouped by
+    cell, which gives each cell a narrow band (cells never couple, so A_II
+    is block-diagonal).  Only the upper triangles of A_RR and of each cell's
+    block are summed, then mirrored (fem._symmetric)."""
     order = reverse_cuthill_mckee(A[i][:, i], symmetric_mode=True)
-    order = order[np.argsort(cell[order], kind="stable")]
+    p = i[order[np.argsort(cell[order], kind="stable")]]
     rows, cols, vals = _schur_triplets(
-        A, r, i[order], np.cumsum(np.unique(cell, return_counts=True)[1]))
+        A, r, p, np.cumsum(np.unique(cell, return_counts=True)[1]))
     if not np.all(np.isfinite(vals)):
         raise SpectraError("Schur complement has non-finite entries")
     S = sp.csr_matrix((vals, (rows, cols)), shape=(len(r), len(r)))
     del rows, cols, vals
-    return fem._symmetric(S)
+    return fem._symmetric(S), p
+
+
+def _band_cholesky(A, p, slot, a, b, block):
+    """L L^T of A on the interior dofs p[a:b] (slot: a dof's place in p, < 0
+    on R) in LAPACK band storage, read straight off A's rows, with no copy
+    of A_II.  p's cells never couple, so a run of them is their bands side
+    by side, as tall as the widest one."""
+    start, count = A.indptr[p[a:b]], np.diff(A.indptr)[p[a:b]]
+    e = np.repeat(start - np.cumsum(count) + count, count)
+    e += np.arange(len(e))
+    lr, lc = np.repeat(np.arange(b - a), count), slot[A.indices[e]] - a
+    low = (lc >= 0) & (lc <= lr)
+    lr, lc = lr[low], lc[low]
+    band = np.zeros((np.max(lr - lc) + 1, b - a), order="F")
+    band[lr - lc, lc] = A.data[e[low]]
+    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info:
+        raise SpectraError(
+            f"{block} of {b - a} interior dofs is not positive definite "
+            f"(leading minor {info})")
+    return chol
 
 
 def _schur_triplets(A, r, p, ends):
@@ -132,8 +155,7 @@ def _schur_triplets(A, r, p, ends):
     -A_R,I(c) A_I(c)^-1 A_I(c),R; p lists the interior dofs cell by cell,
     and cell c ends at ends[c] in p.  The block is factored A_I(c) = L L^T
     in LAPACK band storage, W = L^-1 A_I(c),R, and the block is W^T W; its
-    R ids rc are sorted, so its local upper triangle is a global one.  A
-    cell's band is read straight off A's rows, so no copy of A_II is made."""
+    R ids rc are sorted, so its local upper triangle is a global one."""
     slot = np.empty(A.shape[0], dtype=np.int64)    # position in p, or < 0
     slot[p], slot[r] = np.arange(len(p)), -1
     A_IR = A[:, r][p]
@@ -149,19 +171,7 @@ def _schur_triplets(A, r, p, ends):
     at = up.nnz
     rows[:at], cols[:at], vals[:at] = up.row, up.col, up.data
     for (a, b), rc in zip(cells, blocks):
-        start, count = A.indptr[p[a:b]], np.diff(A.indptr)[p[a:b]]
-        e = np.repeat(start - np.cumsum(count) + count, count)
-        e += np.arange(len(e))
-        lr, lc = np.repeat(np.arange(b - a), count), slot[A.indices[e]] - a
-        low = (lc >= 0) & (lc <= lr)
-        lr, lc = lr[low], lc[low]
-        band = np.zeros((np.max(lr - lc) + 1, b - a), order="F")
-        band[lr - lc, lc] = A.data[e[low]]
-        chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info:
-            raise SpectraError(
-                f"cell block of {b - a} interior dofs is not positive "
-                f"definite (leading minor {info})")
+        chol = _band_cholesky(A, p, slot, a, b, "cell block")
         q0, q1 = A_IR.indptr[a], A_IR.indptr[b]
         W = np.zeros((b - a, len(rc)), order="F")
         W[ir_row[q0:q1] - a, np.searchsorted(rc, A_IR.indices[q0:q1])] = \

@@ -196,12 +196,16 @@ def test_condensed_bundle_holds_no_factor_until_its_first_solve(
     # S is summed from banded per-cell factors that never leave _schur, so
     # condense makes no SuperLU factor
     assert built == []
-    n_i = op.A.shape[0] - len(op.r)
     f = np.ones(mesh.num_nodes)
     u = op.solve(f)
-    assert [n for n, _ in built] == [len(op.r), n_i]
+    # the first solve factors S with SuperLU and A_II as one band
+    assert [n for n, _ in built] == [len(op.r)]
     assert all(ref() is not None for _, ref in built)
-    assert np.array_equal(op.solve(f), u) and len(built) == 2
+    chol = op._solver[1]
+    assert chol.shape[1] == op.A.shape[0] - len(op.r)
+    # a second source reuses both factors
+    assert np.array_equal(op.solve(2 * f), 2 * u) and len(built) == 1
+    assert op._solver[1] is chol
 
 
 def _interior_blocks(mesh):
@@ -219,6 +223,21 @@ def test_schur_refuses_a_cell_block_that_is_not_positive_definite(jitter):
     A[p, p] = -A[p, p]
     with pytest.raises(spectra.SpectraError, match="not positive definite"):
         spectra._schur(A.tocsr(), r, i, cell)
+
+
+@pytest.mark.parametrize("jitter", [None, ("random", 0.5)])
+def test_source_solve_refuses_an_interior_that_is_not_positive_definite(
+        jitter):
+    # condense factored each cell block; the solve factors all of A_II
+    # again as one band, and must refuse it the same way
+    op = spectra.condense(perforated("unit-square", 2, "circle", jitter,
+                                     seed=1))
+    q = op.p[len(op.p) // 2]
+    op.A[q, q] = -op.A[q, q]
+    with pytest.raises(spectra.SpectraError,
+                       match=f"A_II of {len(op.p)} interior dofs is not "
+                             "positive definite"):
+        op.solve(np.ones(op.mesh.num_nodes))
 
 
 @pytest.mark.parametrize("off", [0, 1])
