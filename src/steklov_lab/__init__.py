@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .geometry import (Cell, Domain, GeometryError, Hole, PerforatedGeometry,
                        build_perforated_geometry, build_square_tessellation,
                        cell_weight, geometry_from_json, geometry_to_json,
-                       kappa, l_shape, make_domain, place_holes, rectangle,
-                       unit_square, validate_assumptions, weight_field)
+                       l_shape, make_domain, place_holes, rectangle,
+                       unit_square, validate_assumptions)
 from .meshgen import (CellMeshTemplate, Mesh, MeshError, export_mesh,
                       load_mesh, mesh_perforated, mesh_unperforated, refine)
 from .fem import (DofMap, FemError, apply_dirichlet, assemble_hole_mass,

@@ -192,7 +192,6 @@ class PerforatedGeometry:
     m: int
     cells: list
     holes: list
-    beta: float
 
     @property
     def epsilon(self) -> float:
@@ -323,12 +322,11 @@ def build_perforated_geometry(domain, m, beta, shape_spec="circle",
                               jitter=None, rng=None) -> PerforatedGeometry:
     cells = build_square_tessellation(domain, m)
     holes = place_holes(cells, shape_spec, beta, jitter, rng)
-    return PerforatedGeometry(domain=domain, m=m, cells=cells, holes=holes,
-                              beta=beta)
+    return PerforatedGeometry(domain=domain, m=m, cells=cells, holes=holes)
 
 
 # ---------------------------------------------------------------------------
-# limit weight, weight field and its convergence defect
+# limit weight
 
 def cell_weight(k, beta: float) -> float:
     """The limit weight Q: perimeter per area of the order-k hole (None for
@@ -337,33 +335,6 @@ def cell_weight(k, beta: float) -> float:
     same float at every m, unlike its rounded d over its area, which can be
     an ulp off."""
     return Hole(cell_index=0, center=(0.0, 0.0), d=beta / 4, k=k).perimeter
-
-
-def weight_field(geometry: PerforatedGeometry) -> np.ndarray:
-    """Hole perimeter / cell area, per cell index."""
-    values = np.empty(len(geometry.cells))
-    for cell, hole in zip(geometry.cells, geometry.holes):
-        values[cell.index] = cell_weight(hole.k, geometry.beta)
-    return values
-
-
-def kappa(geometry: PerforatedGeometry, weights: np.ndarray,
-          q_limit: float) -> float:
-    """Worst L^2 defect (the paper's sigma = 1) of the piecewise weight
-    against the constant limit q_limit, over unit boxes of the integer
-    lattice that meet the domain.
-
-    The grid cell (ix, iy, m) lies in the one unit box (ix // m, iy // m)
-    and covers 1/m^2 of it, so each box sums its cells in cell order.
-    """
-    q = float(q_limit)
-    box_acc: dict = {}
-    for cell in geometry.cells:
-        ix, iy, m = cell.grid
-        box = (ix // m, iy // m)
-        val = abs(weights[cell.index] - q) ** 2.0 * (1.0 / (m * m))
-        box_acc[box] = box_acc.get(box, 0.0) + val
-    return max(box_acc.values(), default=0.0) ** 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +396,6 @@ def validate_assumptions(geometry: PerforatedGeometry) -> AssumptionReport:
         "hole-scaling-upper", hi <= C_D_PLUS + 1e-12, hi, C_D_PLUS,
         hi_i if hi > C_D_PLUS + 1e-12 else None))
 
-    weights = weight_field(geometry)
-    q_min = float(np.min(weights))
-    checks.append(AssumptionCheck(
-        "weight-positive", q_min > 0.0, q_min, 0.0,
-        int(np.argmin(weights)) if q_min <= 0 else None))
-
     return AssumptionReport(checks)
 
 
@@ -444,7 +409,6 @@ def geometry_to_json(geometry: PerforatedGeometry) -> str:
             "vertices": [[str(x), str(y)] for x, y in geometry.domain.vertices],
         },
         "epsilon": {"m": geometry.m},
-        "beta": geometry.beta,
         "holes": [
             {"cell": h.cell_index,
              "shape": "circle" if h.k is None else "kgon", "k": h.k,
@@ -457,8 +421,8 @@ def geometry_to_json(geometry: PerforatedGeometry) -> str:
 
 def geometry_from_json(text: str) -> PerforatedGeometry:
     """Inverse of geometry_to_json; GeometryError on a malformed payload.
-    Keys it does not read, such as an older file's "constants", are
-    ignored: every geometry is validated against this module's bounds."""
+    Keys it does not read, such as an older file's "constants" or "beta",
+    are ignored: every geometry is validated against this module's bounds."""
     try:
         data = json.loads(text)
         domain = make_domain(
@@ -474,7 +438,6 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
                  d=_real(h["d"], "hole d"))
             for h in data["holes"]
         ]
-        beta = _real(data["beta"], "beta")
     except GeometryError:
         raise
     except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -495,7 +458,7 @@ def geometry_from_json(text: str) -> PerforatedGeometry:
             raise GeometryError(f"hole {i} center must be two numbers")
     return PerforatedGeometry(domain=domain, m=m,
                               cells=build_square_tessellation(domain, m),
-                              holes=holes, beta=beta)
+                              holes=holes)
 
 
 def is_integer(value) -> bool:

@@ -366,7 +366,6 @@ class SpectrumPair:
     m: int
     r_eps: float
     d: float
-    kappa: float
     delta: float
     steklov_mu: np.ndarray           # extrapolated, descending
     homog_mu: np.ndarray
@@ -378,13 +377,14 @@ class SpectrumPair:
     gate_detail: list = field(default_factory=list)
 
 
-def rate_scale(r_eps: float, kappa: float) -> float:
-    """The theoretical error scale max(kappa, r |ln r|^(1/2)) in 2D."""
-    return max(kappa, r_eps * math.sqrt(abs(math.log(r_eps))))
+def rate_scale(r_eps: float) -> float:
+    """The theoretical error scale r |ln r|^(1/2) in 2D; the paper's weight
+    defect term is zero, as every cell has the same hole."""
+    return r_eps * math.sqrt(abs(math.log(r_eps)))
 
 
 def spectrum_pair(geom, coarse: SpectralResult, fine: SpectralResult, k: int,
-                  homog: HomogenizedPair, kappa: float) -> SpectrumPair:
+                  homog: HomogenizedPair) -> SpectrumPair:
     """Richardson-extrapolate the Steklov values solved on geom's mesh
     (coarse) and its refinement (fine) eigenvalue by eigenvalue, pair them
     with the study's homogenized side, and gate the pair on discretization
@@ -397,7 +397,7 @@ def spectrum_pair(geom, coarse: SpectralResult, fine: SpectralResult, k: int,
 
     r_eps = geom.r_eps
     d_hole = max(h.d for h in geom.holes)
-    delta = rate_scale(r_eps, kappa)
+    delta = rate_scale(r_eps)
 
     floor = 0.5 * ho_mu[k - 1]
     dist = truncated_spectrum_distance(st_mu, ho_mu, k, floor)
@@ -420,7 +420,7 @@ def spectrum_pair(geom, coarse: SpectralResult, fine: SpectralResult, k: int,
                            "warning": res.warning, "ok": False})
     return SpectrumPair(
         epsilon=geom.epsilon, m=geom.m, r_eps=r_eps, d=d_hole,
-        kappa=float(kappa), delta=float(delta),
+        delta=float(delta),
         steklov_mu=st_mu[:kk], homog_mu=ho_mu[:kk],
         steklov_err=st_err[:kk], homog_err=ho_err[:kk],
         hausdorff=float(dist), floor_mu=float(floor),

@@ -190,18 +190,11 @@ def _geometry(cfg: StudyConfig, m: int):
 
 def _run_point(cfg: StudyConfig, m: int, homog: spectra.HomogenizedPair):
     geo = _geometry(cfg, m)
-    weights = geometry.weight_field(geo)
-    q_limit = homog.q
-    if weights[0] != q_limit:
-        raise StudyError(
-            f"m={m}: cell weight {float(weights[0])!r} differs from the "
-            f"q_limit {q_limit!r} the homogenized side was solved for")
-    kappa = geometry.kappa(geo, weights, q_limit)
     pm = meshgen.mesh_perforated(geo, cfg.template)
-    coarse, gaps = _coarse_side(cfg, geo, pm, q_limit)
+    coarse, gaps = _coarse_side(cfg, geo, pm, homog.q)
     fine = spectra.steklov_spectrum(spectra.condense(meshgen.refine(pm)),
                                     cfg.k + spectra.EXTRA)
-    pair = spectra.spectrum_pair(geo, coarse, fine, cfg.k, homog, kappa)
+    pair = spectra.spectrum_pair(geo, coarse, fine, cfg.k, homog)
     validation = geometry.validate_assumptions(geo).as_dict()
     return pair, gaps, validation
 
@@ -249,11 +242,14 @@ class StudyReport:
 
     @property
     def passed(self) -> bool:
-        """Every gate passed, and the Hausdorff fit and one gap fit per
+        """Every gate passed, the first k eigenvalue gaps shrink along the
+        sweep (eigenwise_monotone), and the Hausdorff fit and one gap fit per
         source exist and are consistent: a study that fits no rate fails."""
         return (self.gates_ok and self.rate is not None
                 and len(self.gap_rates) == len(self.config.sources)
-                and all(r.consistent for r in [self.rate, *self.gap_rates]))
+                and all(r.consistent for r in [self.rate, *self.gap_rates])
+                and all(spectra.eigenwise_monotone(self.pairs, j)
+                        for j in range(self.config.k)))
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
@@ -261,7 +257,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     checks = oracle_selftest(cfg.seed)
 
     # the limit problem does not depend on m: solve it once, for the limit
-    # weight, which every point checks against its own cell weight
+    # weight that every cell of every point has
     q_limit = geometry.cell_weight(geometry.hole_order(cfg.hole_shape),
                                    cfg.beta)
     homog = spectra.homogenized_pair(cfg.domain_object(), q_limit, cfg.h_hom,
@@ -316,15 +312,14 @@ def _fmt(x) -> str:
 def report_csv(report: StudyReport) -> str:
     k = report.config.k
     j = len(report.config.sources)
-    head = (["epsilon", "r_eps", "d", "kappa", "delta"]
+    head = (["epsilon", "r_eps", "d", "delta"]
             + [f"steklov_mu_{i+1}" for i in range(k)]
             + [f"homog_mu_{i+1}" for i in range(k)]
             + [f"disc_err_{i+1}" for i in range(k)]
             + ["hausdorff"] + [f"gap_f{i+1}" for i in range(j)])
     lines = [",".join(head)]
     for idx, p in enumerate(report.pairs):
-        row = ([_fmt(p.epsilon), _fmt(p.r_eps), _fmt(p.d), _fmt(p.kappa),
-                _fmt(p.delta)]
+        row = ([_fmt(p.epsilon), _fmt(p.r_eps), _fmt(p.d), _fmt(p.delta)]
                + [_fmt(v) for v in p.steklov_mu[:k]]
                + [_fmt(v) for v in p.homog_mu[:k]]
                + [_fmt(e1 + e2) for e1, e2 in
@@ -355,7 +350,7 @@ def report_json(report: StudyReport) -> str:
             for n, ok, d in report.oracle_checks],
         "points": [
             {"m": p.m, "epsilon": p.epsilon, "r_eps": p.r_eps, "d": p.d,
-             "kappa": p.kappa, "delta": p.delta,
+             "delta": p.delta,
              "steklov_mu": [float(v) for v in p.steklov_mu],
              "homog_mu": [float(v) for v in p.homog_mu],
              "steklov_err": [float(v) for v in p.steklov_err],

@@ -84,9 +84,8 @@ def test_criterion_3_spectral_convergence(default_study):
     report, elapsed = default_study
     pairs = report.pairs
     assert [p.m for p in pairs] == [4, 6, 8, 12, 16, 24]
-    # kappa vanishes by construction and delta matches its closed form
+    # delta matches its closed form
     for p in pairs:
-        assert p.kappa == 0.0
         assert abs(p.delta - p.r_eps * math.sqrt(abs(math.log(p.r_eps)))) \
             < 1e-12
     monotone = all(spectra.eigenwise_monotone(pairs, j) for j in range(3))

@@ -127,7 +127,7 @@ def test_assumption_report_dict_keeps_its_key_order():
     d = geo.validate_assumptions(g).as_dict()
     assert list(d) == ["passed", "checks"] and d["passed"] is True
     assert [list(c) for c in d["checks"]] == [
-        ["name", "passed", "measured", "bound", "worst_cell"]] * 6
+        ["name", "passed", "measured", "bound", "worst_cell"]] * 5
     assert d["checks"][0] == {"name": "tiling-partition", "passed": True,
                               "measured": 1.0, "bound": 1.0,
                               "worst_cell": None}
@@ -155,25 +155,33 @@ def test_admissible_jitter_keeps_the_secure_distance_margin(m):
         assert check.passed and check.measured >= 0.55 - 1e-9
 
 
+def hole_weights(g):
+    """Hole perimeter over cell area, per cell."""
+    return np.array([h.perimeter / float(c.area)
+                     for c, h in zip(g.cells, g.holes)])
+
+
 def test_weight_field_circle():
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
-    assert np.allclose(geo.weight_field(g), math.pi / 2)
+    assert np.allclose(hole_weights(g), math.pi / 2)
+    assert geo.cell_weight(None, 1.0) == pytest.approx(math.pi / 2,
+                                                        rel=1e-15)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5, 0.3])
 @pytest.mark.parametrize("shape", ["circle", ("kgon", 6)])
 def test_weight_field_identical_at_every_m(beta, shape, monkeypatch):
     # the rounded d = beta*r^2 differs by an ulp between m (e.g. m = 13 at
-    # beta 1 against m <= 12); the weights of congruent cells must not, and
-    # each is the limit weight a study solves its homogenized side for
+    # beta 1 against m <= 12); every hole's perimeter per cell area is still
+    # the limit weight to rounding, and cell_weight, which a study solves
+    # its homogenized side for, is the same float at every m
     q = geo.cell_weight(geo.hole_order(shape), beta)
     for m in range(2, 41):
         g = geo.build_perforated_geometry(geo.unit_square(), m, beta,
                                           shape_spec=shape)
-        assert geo.weight_field(g).tolist() == [q] * m * m
-        hole = g.holes[0]
-        assert math.isclose(q, hole.perimeter / float(g.cells[0].area),
-                            rel_tol=1e-15)
+        assert len(g.holes) == m * m
+        for w in hole_weights(g):
+            assert math.isclose(w, q, rel_tol=1e-15)
 
     class Solved(Exception):
         pass
@@ -196,54 +204,9 @@ def test_weight_field_square_hole():
                                       shape_spec=("kgon", 4))
     d = g.holes[0].d
     eps = 0.25
-    assert np.allclose(geo.weight_field(g), 4 * math.sqrt(2) * d / eps ** 2)
-
-
-def test_weights_scale_with_cell_area():
-    g1 = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
-    g2 = geo.build_perforated_geometry(geo.unit_square(), 8, 1.0)
-    w1 = geo.weight_field(g1)[0]
-    w2 = geo.weight_field(g2)[0]
-    # critical scaling keeps the density invariant across cell sizes
-    assert abs(w1 - w2) < 1e-14
-
-
-def test_kappa_zero_for_constant_field():
-    g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
-    weights = geo.weight_field(g)
-    assert geo.kappa(g, weights, weights[0]) == 0.0
-
-
-def test_kappa_half_box_closed_form():
-    # defect of 0.1 on exactly half the box area
-    g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
-    bumped = geo.weight_field(g)
-    q0 = bumped[0]
-    for cell in g.cells:
-        if cell.center[0] < 0.5:
-            bumped[cell.index] = q0 + 0.1
-    got = geo.kappa(g, bumped, q0)
-    assert abs(got - 0.1 * math.sqrt(0.5)) < 1e-14
-
-
-def test_kappa_is_the_worst_unit_box():
-    # rectangle(2, 1) at m = 4 is two unit boxes of 16 cells each; a defect
-    # of 0.1 on every cell of the right box gives (0.1^2 * 1)^(1/2) there
-    # and 0 in the left box
-    g = geo.build_perforated_geometry(geo.rectangle(2, 1), 4, 1.0)
-    bumped = geo.weight_field(g)
-    q0 = bumped[0]
-    right = [c.index for c in g.cells if c.center[0] > 1]
-    assert len(right) == 16
-    bumped[right] = q0 + 0.1
-    got = geo.kappa(g, bumped, q0)
-    assert abs(got - 0.1) < 1e-14
-    # a smaller defect in the left box leaves the sup alone; one box over
-    # both halves would give (0.1^2 + 0.05^2)^(1/2) instead
-    left = [c.index for c in g.cells if c.center[0] < 1]
-    bumped[left] = q0 + 0.05
-    got = geo.kappa(g, bumped, q0)
-    assert abs(got - 0.1) < 1e-14
+    assert np.allclose(hole_weights(g), 4 * math.sqrt(2) * d / eps ** 2)
+    assert geo.cell_weight(4, 1.0) == pytest.approx(
+        4 * math.sqrt(2) * d / eps ** 2, rel=1e-15)
 
 
 def test_validate_flags_wrong_scaling():
@@ -252,7 +215,7 @@ def test_validate_flags_wrong_scaling():
     holes = [geo.Hole(cell_index=c.index, center=c.center,
                       d=c.r_in ** 1.2) for c in cells]
     g = geo.PerforatedGeometry(domain=geo.unit_square(), m=16, cells=cells,
-                               holes=holes, beta=float("nan"))
+                               holes=holes)
     rep = geo.validate_assumptions(g)
     names = {c.name: c for c in rep.checks}
     assert not names["hole-scaling-upper"].passed
@@ -268,7 +231,7 @@ def test_validate_flags_hole_near_edge():
                               center=(cx + 0.99 * c.r_in, cy),
                               d=c.r_in ** 2))
     g = geo.PerforatedGeometry(domain=geo.unit_square(), m=4, cells=cells,
-                               holes=holes, beta=1.0)
+                               holes=holes)
     rep = geo.validate_assumptions(g)
     names = {c.name: c for c in rep.checks}
     assert not names["secure-distance"].passed
@@ -280,8 +243,7 @@ def test_admissible_beta_roundtrip():
     for frac in (0.1, 0.5, 0.9, 1.0):
         holes = geo.place_holes(cells, "circle", frac * beta_max)
         g = geo.PerforatedGeometry(domain=geo.unit_square(), m=4,
-                                   cells=cells, holes=holes,
-                                   beta=frac * beta_max)
+                                   cells=cells, holes=holes)
         assert geo.validate_assumptions(g).passed
 
 
@@ -299,7 +261,7 @@ def test_geometry_json_roundtrip():
     assert geo.geometry_to_json(back) == text
     # only what geometry_from_json reads: no cells, weights or epsilon value
     data = json.loads(text)
-    assert list(data) == ["domain", "epsilon", "beta", "holes"]
+    assert list(data) == ["domain", "epsilon", "holes"]
     assert data["epsilon"] == {"m": 3}
     # each hole's "shape" is derived from its k
     assert list(data["holes"][5]) == ["cell", "shape", "k", "center", "d"]
@@ -409,4 +371,4 @@ def test_weight_upper_bound_uses_trace_constant():
     g = geo.build_perforated_geometry(geo.unit_square(), 4, 1.0)
     c_tr = cellmetrics.trace_constant("disk", 0.1).value
     scaling = max(h.d / c.r_in ** 2 for c, h in zip(g.cells, g.holes))
-    assert geo.weight_field(g).max() <= scaling * c_tr ** 2 * (1 + 1e-6)
+    assert hole_weights(g).max() <= scaling * c_tr ** 2 * (1 + 1e-6)

@@ -38,7 +38,7 @@ def _one_cell(geom, i=0):
     """Cell i of geom alone, as a perforated geometry of its own."""
     return geo.PerforatedGeometry(domain=geom.domain, m=geom.m,
                                   cells=geom.cells[i:i + 1],
-                                  holes=geom.holes[i:i + 1], beta=geom.beta)
+                                  holes=geom.holes[i:i + 1])
 
 
 def test_one_cell_quality_and_hole_polygon():

@@ -32,9 +32,8 @@ def solves_of(geom, k):
 
 
 def pair_of(geom, k, homog, solves=None):
-    kappa = geo.kappa(geom, geo.weight_field(geom), homog.q)
     coarse, fine = solves or solves_of(geom, k)
-    return spectra.spectrum_pair(geom, coarse, fine, k, homog, kappa)
+    return spectra.spectrum_pair(geom, coarse, fine, k, homog)
 
 
 def test_steklov_spectrum_contract():
@@ -139,9 +138,7 @@ def test_fit_rate_degenerate_rejected():
 def test_rate_scale_closed_form():
     for m in (4, 8, 24):
         r = 1.0 / (2 * m)
-        assert spectra.rate_scale(r, 0.0) == \
-            r * math.sqrt(abs(math.log(r)))
-    assert spectra.rate_scale(0.1, 0.5) == 0.5
+        assert spectra.rate_scale(r) == r * math.sqrt(abs(math.log(r)))
 
 
 def test_source_functions():
@@ -186,7 +183,6 @@ def test_spectrum_pair_small_sweep():
         geom = geo.build_perforated_geometry(geo.unit_square(), m, 1.0)
         pairs.append(pair_of(geom, 2, homog))
     p = pairs[-1]
-    assert p.kappa == 0.0
     assert p.delta == pytest.approx(
         p.r_eps * math.sqrt(abs(math.log(p.r_eps))), abs=1e-15)
     assert p.hausdorff > 0

@@ -178,7 +178,7 @@ def test_small_study_runs_and_reports(tmp_path):
     assert data["environment"]["package"] == "steklov-lab"
     assert len(data["points"]) == 2
     head = open(paths["csv"]).readline().strip().split(",")
-    assert head[:5] == ["epsilon", "r_eps", "d", "kappa", "delta"]
+    assert head[:4] == ["epsilon", "r_eps", "d", "delta"]
     assert "gap_f1" in head
 
 
@@ -303,7 +303,8 @@ def test_cli_study_with_zero_m_exits_2_with_message(tmp_path):
     ("k", 2.5), ("run_gaps", "no"),
     ("sources", [{"kind": "sine", "px": True}]), ("jitter", ["random", False]),
     # no longer fields: the residual bound is fixed, "sources": [] runs no
-    # gaps, and every cell has the same weight, so kappa's norm acts on 0
+    # gaps, and every cell has the same weight, so the weight defect whose
+    # norm sigma chose is 0 and is not computed
     ("tol", 1e-10), ("run_gaps", False), ("sigma", 1.0),
     # a key its kind does not read once ran another source silently
     ("sources", [{"kind": "sine", "pz": 3}]),
@@ -505,9 +506,6 @@ def _swap_holes(data):
                                  ("kgon", 4)),
         "invalid geometry: hole shape must be circle or kgon with an integer "
         "k >= 3", id="kgon-k-null"),
-    pytest.param(
-        _edited_geometry_payload(lambda d: d.update(beta="1")),
-        "invalid geometry: beta must be a finite number", id="beta-string"),
     # each of these once ended in a traceback
     pytest.param(
         _edited_geometry_payload(lambda d: d["holes"][0].update(center=[0.1])),
@@ -547,10 +545,10 @@ def _break_two_holes(data):
     data["holes"][1].update(d=80 / 16)
 
 
-def _with_constants(edit, constants):
+def _with_key(edit, key, value):
     def both(data):
         edit(data)
-        data["constants"] = constants
+        data[key] = value
     return both
 
 
@@ -559,7 +557,7 @@ def test_cli_validate_ignores_a_files_own_lenient_bounds(capsys, tmp_path):
     lenient = {"c_tilde": 99, "c_sec": -1, "c_d_minus": -1e9, "c_d_plus": 1e9}
     p = tmp_path / "geom.json"
     p.write_text(_edited_geometry_payload(
-        _with_constants(_break_two_holes, lenient)))
+        _with_key(_break_two_holes, "constants", lenient)))
     assert cli.main(["validate", str(p)]) == 1
     out = capsys.readouterr().out
     assert "FAIL  secure-distance: measured 0.08 vs bound 0.5 (cell 0)" in out
@@ -573,15 +571,21 @@ def test_cli_validate_ignores_a_files_own_lenient_bounds(capsys, tmp_path):
                          ids=["admissible", "two-holes-broken"])
 def test_cli_validate_reads_an_old_constants_block_as_absent(capsys, tmp_path,
                                                              edit):
+    # so is an older file's "beta", whatever its value: the holes carry d
     old = {"c_tilde": 1.5, "c_sec": 0.5, "c_d_minus": 0.1, "c_d_plus": 10.0}
+    payloads = [_edited_geometry_payload(edit)] + [
+        _edited_geometry_payload(_with_key(edit, key, value))
+        for key, value in [("constants", old), ("beta", 1.0), ("beta", "1"),
+                           ("beta", -1)]]
     runs = []
-    for payload in (_edited_geometry_payload(edit),
-                    _edited_geometry_payload(_with_constants(edit, old))):
+    for payload in payloads:
         p = tmp_path / "geom.json"
         p.write_text(payload)
         runs.append((cli.main(["validate", str(p)]), capsys.readouterr()))
-    assert runs[0] == runs[1]
-    assert "constants" in json.loads(payload)
+    assert runs[1:] == [runs[0]] * 4
+    assert "beta" not in json.loads(payloads[0])
+    assert "constants" in json.loads(payloads[1])
+    assert [json.loads(p)["beta"] for p in payloads[2:]] == [1.0, "1", -1]
 
 
 def test_cli_mesh_export_reloadable(tmp_path):
@@ -799,23 +803,16 @@ def test_study_without_sources_builds_no_gap_reference(monkeypatch):
     assert not any(h.startswith("gap_f") for h in head)
 
 
-def test_point_weight_must_match_study_q_limit():
-    cfg = small_config(sources=[])
-    homog = spectra.homogenized_pair(cfg.domain_object(), 1.0, cfg.h_hom,
-                                     cfg.k)
-    with pytest.raises(study.StudyError, match="q_limit"):
-        study._run_point(cfg, 2, homog)
-
-
 def test_study_mixing_cell_counts_runs():
-    # m = 13 once gave a cell weight one ulp off that of m <= 12, so the
-    # exact per-point q_limit check refused this sweep
+    # m = 13 once gave a cell weight one ulp off that of m <= 12, so an
+    # exact per-point check of it against the study's q_limit refused this
+    # sweep
     tpl = {"ring_count": 6, "grading": 2.0, "boundary_nodes_per_side": 2,
            "hole_boundary_segments": 8}
     cfg = small_config(m_values=[4, 8, 13], sources=[], template=tpl)
     report = study.run_study(cfg)
     assert [p.m for p in report.pairs] == [4, 8, 13]
-    assert all(p.kappa == 0.0 for p in report.pairs)
+    assert all(p.delta == spectra.rate_scale(p.r_eps) for p in report.pairs)
 
 
 def test_degenerate_sweep_skips_fits_and_writes_report(tmp_path):
@@ -834,3 +831,28 @@ def test_degenerate_sweep_skips_fits_and_writes_report(tmp_path):
     paths = study.write_report(report, str(tmp_path / "out"))
     assert "svg" not in paths
     assert json.loads(open(paths["json"]).read())["rate"] is None
+
+
+def test_a_non_monotone_eigenvalue_gap_fails_the_study():
+    # perfbench's sweep passes; planting one point whose second eigenvalue
+    # gap grows past its error bars leaves every gate and fit as it was,
+    # and criterion 3's monotonicity alone now fails the study
+    cfg = study.config_from_dict(
+        {"beta": 0.5, "m_values": [1, 2, 4, 9], "h_hom": 1 / 32, "k": 2,
+         "template": {"ring_count": 6, "grading": 2.0,
+                      "boundary_nodes_per_side": 4,
+                      "hole_boundary_segments": 16}})
+    report = study.run_study(cfg)
+    assert report.passed
+    p = report.pairs[2]
+    mu = p.steklov_mu.copy()
+    mu[1] = p.homog_mu[1] + 2 * abs(report.pairs[1].steklov_mu[1]
+                                    - report.pairs[1].homog_mu[1])
+    report.pairs[2] = dataclasses.replace(p, steklov_mu=mu)
+    assert report.gates_ok
+    assert all(r.consistent for r in [report.rate, *report.gap_rates])
+    assert len(report.gap_rates) == len(cfg.sources)
+    assert spectra.eigenwise_monotone(report.pairs, 0)
+    assert not spectra.eigenwise_monotone(report.pairs, 1)
+    assert not report.passed
+    assert json.loads(study.report_json(report))["passed"] is False
